@@ -25,7 +25,7 @@ from .errors import (
     ReachkeepError,
     SizeLimitError,
 )
-from .graphs import DirectedGraph, dump_graph, load_graph, reachable_set
+from .graphs import DirectedGraph, dump_graph, load_graph
 from .harness import (
     RunManifest,
     bench_sweep,
@@ -46,7 +46,7 @@ from .nonadaptive import (
     select_entry,
 )
 from .oracle import InstanceFamily, generate, min_preserver
-from .preserver import CondensingPreserver, GrowthMode, verify_session
+from .preserver import CondensingPreserver, GrowthMode, unreachable_pairs, verify_session
 from .seeding import split_seed
 from .udsn import UdsnParams, UdsnSession
 
@@ -115,18 +115,6 @@ def _report_json(report) -> dict[str, object]:
     }
 
 
-def _pairs_reachable(g: DirectedGraph, pairs: list[Pair]) -> list[Pair]:
-    """Pairs not preserved by g, with one reachability sweep per source."""
-    cache: dict[int, frozenset[int]] = {}
-    bad = []
-    for s, t in pairs:
-        if s not in cache:
-            cache[s] = frozenset(reachable_set(g, s))
-        if t not in cache[s]:
-            bad.append((s, t))
-    return bad
-
-
 def _session_dump(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]) -> dict:
     return {
         "n": g.n,
@@ -166,7 +154,7 @@ def _compute_preserve(params: dict, seed: int):
     pairs_text = _pairs_text_from(params)
     g = load_graph(graph_text)
     pairs = parse_pairs(pairs_text)
-    mode = GrowthMode.parse(str(params["mode"]))
+    mode = GrowthMode(str(params["mode"]))
     session = CondensingPreserver(g, mode)
     per_pair = []
     for s, t in pairs:
@@ -181,7 +169,7 @@ def _compute_preserve(params: dict, seed: int):
         )
     report = verify_session(session.inner)
     output = session.output_graph()
-    unpreserved = _pairs_reachable(output, pairs)
+    unpreserved = unreachable_pairs(output, pairs)
     payload = {
         "n": g.n,
         "mode": mode.value,
@@ -205,7 +193,7 @@ def _compute_precompute(params: dict, seed: int):
     graph_text = _read(str(params["graph"]))
     g = load_graph(graph_text)
     surrogate = default_surrogate(g.n, scale=float(params["scale"]))
-    mode = GrowthMode.parse(str(params["mode"]))
+    mode = GrowthMode(str(params["mode"]))
     if params["p"] is not None:
         table = precompute_known_p(g, int(params["p"]), surrogate, mode)
         payload: dict[str, object] = {
@@ -232,7 +220,7 @@ def _compute_select(params: dict, seed: int):
     graph_text = _read(str(params["graph"]))
     g = load_graph(graph_text)
     surrogate = default_surrogate(g.n, scale=float(params["scale"]))
-    mode = GrowthMode.parse(str(params["mode"]))
+    mode = GrowthMode(str(params["mode"]))
     p_star = params["p_star"]
     tables = precompute_index_sensitive(
         g, surrogate, mode, None if p_star is None else int(p_star)
@@ -270,7 +258,7 @@ def _compute_udsn(params: dict, seed: int):
     for s, t in pairs:
         session.serve(s, t)
     output = session.output_graph()
-    unpreserved = _pairs_reachable(output, pairs)
+    unpreserved = unreachable_pairs(output, pairs)
     payload = {
         "summary": session.summary(),
         "legs": session.leg_reports(),
@@ -328,7 +316,7 @@ def _compute_gen(params: dict, seed: int):
 def _bench_cells(params: dict, seed: int):
     kind = str(params["kind"])
     ns = [int(x) for x in params["ns"]]
-    modes = [GrowthMode.parse(str(m)) for m in params["modes"]]
+    modes = [GrowthMode(str(m)) for m in params["modes"]]
     if kind == "sourcewise":
         return sourcewise_cells(
             ns,
@@ -416,17 +404,27 @@ def _run_command(args: argparse.Namespace, params: dict) -> int:
     return code
 
 
+def _load_session(path: str) -> tuple[DirectedGraph, GrowthMode, list[Pair]]:
+    """Graph, mode and demand stream of a dump written by --out-session."""
+    try:
+        dump = json.loads(_read(path))
+        g = DirectedGraph(int(dump["n"]), [tuple(e) for e in dump["edges"]])
+        pairs = [(int(s), int(t)) for s, t in dump["pairs"]]
+        return g, GrowthMode(str(dump["mode"])), pairs
+    except ReachkeepError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed session dump {path}: {type(exc).__name__}: {exc}") from None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.session:
-        dump = json.loads(_read(args.session))
-        g = DirectedGraph(int(dump["n"]), [tuple(e) for e in dump["edges"]])
-        mode = GrowthMode.parse(str(dump["mode"]))
-        pairs = [tuple(p) for p in dump["pairs"]]
+        g, mode, pairs = _load_session(args.session)
         session = CondensingPreserver(g, mode)
         for s, t in pairs:
             session.serve_pair(s, t)
         report = verify_session(session.inner)
-        unpreserved = _pairs_reachable(session.output_graph(), pairs)
+        unpreserved = unreachable_pairs(session.output_graph(), pairs)
         payload = {
             "report": _report_json(report),
             "unpreserved_pairs": [list(p) for p in unpreserved],
@@ -531,66 +529,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsed options that are not run parameters: the command and seed have
+# their own manifest fields, the rest only choose where output goes.
+_NOT_PARAMS = {"command", "seed", "manifest_dir", "json"}
+
+
+def _int_list(option: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ParameterError(f"--{option} expects comma-separated integers, got {text!r}") from None
+
+
 def _params_for(args: argparse.Namespace) -> dict:
-    if args.command == "preserve":
-        params = {"graph": args.graph, "pairs": args.pairs, "mode": args.mode}
-        if args.pairs == "-":
-            # demands streamed on stdin are captured so replays see them
-            params["pairs_text"] = sys.stdin.read()
-        return params
-    if args.command == "precompute":
-        if args.p is not None and args.p_star is not None:
-            raise ParameterError("--p and --p-star are mutually exclusive")
-        return {
-            "graph": args.graph,
-            "p": args.p,
-            "p_star": args.p_star,
-            "scale": args.scale,
-            "mode": args.mode,
-        }
-    if args.command == "select":
-        return {
-            "graph": args.graph,
-            "s": args.s,
-            "t": args.t,
-            "index": args.index,
-            "p_star": args.p_star,
-            "scale": args.scale,
-            "mode": args.mode,
-        }
-    if args.command == "udsn":
-        return {
-            "graph": args.graph,
-            "pairs": args.pairs,
-            "tau": args.tau,
-            "T": args.T,
-            "sample_constant": args.sample_constant,
-        }
-    if args.command == "oracle":
-        return {"graph": args.graph, "pairs": args.pairs}
-    if args.command == "gen":
-        return {
-            "kind": args.kind,
-            "n": args.n,
-            "density": args.density,
-            "pairs": args.pairs,
-            "s_size": args.s_size,
-            "side": args.side,
-            "layers": args.layers,
-            "part_length": args.part_length,
-        }
+    params = {
+        k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and not k.startswith("out_")
+    }
+    if args.command == "preserve" and args.pairs == "-":
+        # demands streamed on stdin are captured so replays see them
+        params["pairs_text"] = sys.stdin.read()
+    if args.command == "precompute" and args.p is not None and args.p_star is not None:
+        raise ParameterError("--p and --p-star are mutually exclusive")
     if args.command == "bench":
-        return {
-            "kind": args.kind,
-            "ns": [int(x) for x in args.ns.split(",") if x],
-            "s_sizes": [int(x) for x in args.s_sizes.split(",") if x],
-            "pair_counts": [int(x) for x in args.pair_counts.split(",") if x],
-            "pair_factor": args.pair_factor,
-            "modes": [m for m in args.modes.split(",") if m],
-            "density": args.density,
-            "constant": args.constant,
-        }
-    raise ParameterError(f"unknown command {args.command!r}")
+        for key in ("ns", "s_sizes", "pair_counts"):
+            params[key] = _int_list(key.replace("_", "-"), params[key])
+        params["modes"] = [m for m in args.modes.split(",") if m]
+    return params
 
 
 def main(argv: list[str] | None = None) -> int:

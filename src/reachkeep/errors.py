@@ -41,3 +41,7 @@ class SizeLimitError(ReachkeepError):
 
 class MissingEntryError(ReachkeepError, KeyError):
     """A table or index lookup had no entry for the requested key."""
+
+    def __str__(self) -> str:
+        # KeyError's own __str__ would print the message in quotes
+        return Exception.__str__(self)

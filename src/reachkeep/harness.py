@@ -17,16 +17,9 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InfeasiblePairError
-from .graphs import reachable_set
 from .oracle import InstanceFamily, generate
-from .preserver import (
-    CondensingPreserver,
-    GrowthMode,
-    PreserverSession,
-    size_envelope_source_restricted,
-)
-from .seeding import rng_for, split_seed
+from .preserver import CondensingPreserver, GrowthMode, size_envelope_source_restricted
+from .seeding import split_seed
 
 
 def canonical_json(obj: object) -> str:
@@ -171,7 +164,7 @@ def bench_cell(
     constant: float = 16.0,
 ) -> dict[str, object]:
     """One generated instance driven end to end, measured."""
-    mode = GrowthMode.parse(mode)
+    mode = GrowthMode(mode)
     g, stream = generate(family)
     t0 = time.perf_counter()
     session = CondensingPreserver(g, mode)
@@ -214,7 +207,7 @@ def bench_sweep(
                     "kind": family.kind,
                     "n": family.n,
                     "seed": family.seed,
-                    "mode": GrowthMode.parse(mode).value,
+                    "mode": GrowthMode(mode).value,
                     "error": f"{type(exc).__name__}: {exc}",
                 }
             )
@@ -240,7 +233,7 @@ def sourcewise_cells(
     for n in ns:
         for s_size in s_sizes:
             for mode in modes:
-                mode = GrowthMode.parse(mode)
+                mode = GrowthMode(mode)
                 side = "sink" if mode is GrowthMode.FORWARDS else "source"
                 family = InstanceFamily(
                     kind="sourcewise",
@@ -253,32 +246,3 @@ def sourcewise_cells(
                 )
                 cells.append((family, mode))
     return cells
-
-
-class FaultySession(PreserverSession):
-    """Self-test chooser that walks random eligible edges and never
-    prefers edges it already owns. Used to confirm the verifier actually
-    rejects sessions that ignore the reuse rule."""
-
-    def __init__(self, g, mode: GrowthMode | str = GrowthMode.FORWARDS, seed: int = 0):
-        super().__init__(g, mode)
-        self._rng = rng_for(seed, "fault-injection")
-
-    def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
-        if self.mode is GrowthMode.FORWARDS:
-            member = reachable_set(self.g, t, reverse=True)
-            if s not in member:
-                raise InfeasiblePairError(f"{t} not reachable from {s}")
-            path = [s]
-            while path[-1] != t:
-                options = [v for v in self.g.out_neighbors(path[-1]) if v in member]
-                path.append(self._rng.choice(options))
-            return tuple(path)
-        member = reachable_set(self.g, s)
-        if t not in member:
-            raise InfeasiblePairError(f"{t} not reachable from {s}")
-        path = [t]
-        while path[0] != s:
-            options = [u for u in self.g.in_neighbors(path[0]) if u in member]
-            path.insert(0, self._rng.choice(options))
-        return tuple(path)

@@ -74,7 +74,7 @@ class PathTable:
 
 
 def _path_fn(selector):
-    mode = GrowthMode.parse(selector)
+    mode = GrowthMode(selector)
     return grow_forwards if mode is GrowthMode.FORWARDS else grow_backwards
 
 
@@ -166,10 +166,6 @@ def select_entry(
     if path is None:
         raise MissingEntryError(f"pair ({s}, {t}) not in table for level {chosen.level}")
     return chosen.level, path
-
-
-def select_path(tables: tuple[PathTable, ...], s: int, t: int, i: int) -> tuple[int, ...]:
-    return select_entry(tables, s, t, i)[1]
 
 
 @dataclass

@@ -21,7 +21,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import DirectedGraph, Edge, reachable_set
-from .preserver import GrowthMode, grow_backwards, grow_forwards
+from .preserver import GrowthMode, grow_backwards, grow_forwards, unreachable_pairs
 from .seeding import rng_for
 
 Pair = tuple[int, int]
@@ -34,32 +34,12 @@ PathFn = Callable[..., tuple[int, ...]]
 def _selector_fn(selector) -> PathFn:
     if callable(selector):
         return selector
-    mode = GrowthMode.parse(selector)
+    mode = GrowthMode(selector)
     return grow_forwards if mode is GrowthMode.FORWARDS else grow_backwards
 
 
-def _preserves(edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
-    adj: dict[int, list[int]] = {}
-    for u, v in edge_set:
-        adj.setdefault(u, []).append(v)
-    for s, t in pairs:
-        if s == t:
-            continue
-        seen = {s}
-        stack = [s]
-        found = False
-        while stack and not found:
-            u = stack.pop()
-            for w in adj.get(u, ()):
-                if w == t:
-                    found = True
-                    break
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if not found:
-            return False
-    return True
+def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
+    return not unreachable_pairs(DirectedGraph(n, edge_set), pairs)
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
@@ -89,7 +69,7 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
 
     edges_sorted = sorted(g.edges)
     mandatory = {
-        e for e in edges_sorted if not _preserves(g.edges - {e}, pair_list)
+        e for e in edges_sorted if not _preserves(g.n, g.edges - {e}, pair_list)
     }
     src_reach = {s: reachable_set(g, s) for s in {s for s, _ in pair_list}}
     sink_reach = {
@@ -107,7 +87,7 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
     for k in range(len(pool) + 1):
         for combo in combinations(pool, k):
             candidate = base + list(combo)
-            if _preserves(candidate, pair_list):
+            if _preserves(g.n, candidate, pair_list):
                 return frozenset(candidate)
     raise AssertionError("unreachable: the full edge set preserves all pairs")
 

@@ -139,12 +139,7 @@ class OrderConstraint(enum.Enum):
     LAST_ARC_BEFORE_RIVER = "last_arc_before_river"
 
     @classmethod
-    def parse(cls, value: "OrderConstraint | str") -> "OrderConstraint":
-        if isinstance(value, cls):
-            return value
-        for member in cls:
-            if member.value == value:
-                return member
+    def _missing_(cls, value):
         raise ParameterError(f"unknown order constraint {value!r}")
 
 
@@ -187,7 +182,7 @@ def validate_witness(
     s: PathSystem, w: BridgeWitness, order_constraint: OrderConstraint | str = OrderConstraint.NONE
 ) -> bool:
     """Re-check a witness against the system it came from."""
-    constraint = OrderConstraint.parse(order_constraint)
+    constraint = OrderConstraint(order_constraint)
     if w.k != len(w.chain) or w.k != len(w.arcs) + 1:
         return False
     if len(set(w.chain)) != w.k:
@@ -298,7 +293,7 @@ def find_k_bridge(
     """
     if k not in (2, 3, 4):
         raise ParameterError(f"k must be in 2..4, got {k}")
-    constraint = OrderConstraint.parse(order_constraint)
+    constraint = OrderConstraint(order_constraint)
     index = _PairIndex()
     for p in s.paths:
         index.add_path(p)
@@ -383,7 +378,7 @@ class BridgeMonitor:
             if k not in (2, 3, 4):
                 raise ParameterError(f"k must be in 2..4, got {k}")
         self.ks = tuple(sorted(ks))
-        self.constraint = OrderConstraint.parse(order_constraint)
+        self.constraint = OrderConstraint(order_constraint)
         self._index = _PairIndex()
         self._first_witness: BridgeWitness | None = None
 

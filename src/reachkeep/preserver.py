@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -42,12 +43,7 @@ class GrowthMode(enum.Enum):
     BACKWARDS = "bw"
 
     @classmethod
-    def parse(cls, value: "GrowthMode | str") -> "GrowthMode":
-        if isinstance(value, cls):
-            return value
-        for member in cls:
-            if member.value == value:
-                return member
+    def _missing_(cls, value):
         raise ParameterError(f"unknown growth mode {value!r}")
 
     @property
@@ -104,6 +100,28 @@ def _check_pair(g: DirectedGraph, s: int, t: int) -> None:
             raise BoundsError(f"vertex {v} outside range 0..{g.n - 1}")
 
 
+def _walk(start: int, goal: int, member, h_step, g_step) -> list[int]:
+    """Greedy walk from start to goal through member: each step takes the
+    first h_step neighbour in member, else the first g_step one."""
+    path = [start]
+    u = start
+    while u != goal:
+        nxt = None
+        for v in h_step(u):
+            if v in member:
+                nxt = v
+                break
+        if nxt is None:
+            for v in g_step(u):
+                if v in member:
+                    nxt = v
+                    break
+        assert nxt is not None, "stuck despite reachability"
+        path.append(nxt)
+        u = nxt
+    return path
+
+
 def grow_forwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     """Path from s to t in the DAG g. At each step an edge already in h
     whose head still reaches t wins; otherwise any g edge does. Ties go
@@ -113,23 +131,7 @@ def grow_forwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     member = reachable_set(g, t, reverse=True)
     if s not in member:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
-    path = [s]
-    u = s
-    while u != t:
-        nxt = None
-        for v in h.out_neighbors(u):
-            if v in member:
-                nxt = v
-                break
-        if nxt is None:
-            for v in g.out_neighbors(u):
-                if v in member:
-                    nxt = v
-                    break
-        assert nxt is not None, "stuck despite reachability"
-        path.append(nxt)
-        u = nxt
-    return tuple(path)
+    return tuple(_walk(s, t, member, h.out_neighbors, g.out_neighbors))
 
 
 def grow_backwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
@@ -140,23 +142,22 @@ def grow_backwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     member = reachable_set(g, s)
     if t not in member:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
-    path = [t]
-    v = t
-    while v != s:
-        prv = None
-        for u in h.in_neighbors(v):
-            if u in member:
-                prv = u
-                break
-        if prv is None:
-            for u in g.in_neighbors(v):
-                if u in member:
-                    prv = u
-                    break
-        assert prv is not None, "stuck despite reachability"
-        path.insert(0, prv)
-        v = prv
+    path = _walk(t, s, member, h.in_neighbors, g.in_neighbors)
+    path.reverse()
     return tuple(path)
+
+
+def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
+    """The pairs (s, t) whose t is not reachable from s in g, in input
+    order, with one reachability sweep per distinct source."""
+    reach: dict[int, frozenset[int]] = {}
+    bad = []
+    for s, t in pairs:
+        if s not in reach:
+            reach[s] = reachable_set(g, s)
+        if t not in reach[s]:
+            bad.append((s, t))
+    return bad
 
 
 @dataclass(frozen=True)
@@ -174,9 +175,10 @@ class PreserverSession:
     def __init__(self, g: DirectedGraph, mode: GrowthMode | str = GrowthMode.FORWARDS):
         _require_dag(g)
         self.g = g
-        self.mode = GrowthMode.parse(mode)
+        self.mode = GrowthMode(mode)
         self.h = EdgeStore(g.n)
         self.z_paths: list[tuple[int, ...]] = []
+        self._z_size = 0
         self.log: list[PairRecord] = []
         self.pairs_served = 0
         self.sources_seen: set[int] = set()
@@ -188,7 +190,7 @@ class PreserverSession:
 
     @property
     def z_size(self) -> int:
-        return sum(len(p) for p in self.z_paths)
+        return self._z_size
 
     def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
         if self.mode is GrowthMode.FORWARDS:
@@ -211,6 +213,7 @@ class PreserverSession:
         else:
             z_path = (s,) + tuple(v for _, v in new)
         self.z_paths.append(z_path)
+        self._z_size += len(z_path)
         self.pairs_served += 1
         self.sources_seen.add(s)
         self.sinks_seen.add(t)
@@ -288,15 +291,7 @@ def verify_session(session: PreserverSession, ks: tuple[int, ...] = (2, 3, 4)) -
     bridges = {
         k: find_k_bridge(z, k, session.mode.constraint) for k in ks
     }
-    h = session.h_graph()
-    unreachable = []
-    reach_cache: dict[int, frozenset[int]] = {}
-    for rec in session.log:
-        s, t = rec.pair
-        if s not in reach_cache:
-            reach_cache[s] = reachable_set(h, s)
-        if t not in reach_cache[s]:
-            unreachable.append(rec.pair)
+    unreachable = unreachable_pairs(session.h_graph(), (rec.pair for rec in session.log))
     return SessionReport(
         acyclic=acyclic,
         size_ok=(expected == actual),

@@ -62,9 +62,12 @@ def _drive_session(kind, n, p, seed, mode, ks, density, s_size) -> SessionTrace:
         acyclic, _ = is_acyclic(inner.z_system())
         if not acyclic:
             trace.violations.append(f"{tag} pair {idx}: auxiliary system cyclic")
-        if inner.z_size != inner.h_size + inner.pairs_served:
+        # recount the paths, so the session's running z_size is not
+        # checked against itself
+        z_size = sum(len(path) for path in inner.z_paths)
+        if z_size != inner.h_size + inner.pairs_served or inner.z_size != z_size:
             trace.violations.append(
-                f"{tag} pair {idx}: size {inner.z_size} != "
+                f"{tag} pair {idx}: size {z_size} (running {inner.z_size}) != "
                 f"{inner.h_size} + {inner.pairs_served}"
             )
     trace.z = inner.z_system()

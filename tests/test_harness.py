@@ -7,9 +7,10 @@ import pytest
 
 from reachkeep import (
     CondensingPreserver,
-    FaultySession,
     GrowthMode,
+    InfeasiblePairError,
     InstanceFamily,
+    PreserverSession,
     RunManifest,
     bench_cell,
     bench_sweep,
@@ -19,6 +20,8 @@ from reachkeep import (
     hash_text,
     load_manifest,
     primary_rows,
+    reachable_set,
+    rng_for,
     save_manifest,
     sourcewise_cells,
     verify_all,
@@ -187,6 +190,35 @@ class TestBench:
             assert family.side == expected_side
             seeds.add(family.seed)
         assert len(seeds) == 8  # every cell draws from its own stream
+
+
+class FaultySession(PreserverSession):
+    """Self-test chooser that walks random eligible edges and never
+    prefers edges it already owns. Used to confirm the verifier actually
+    rejects sessions that ignore the reuse rule."""
+
+    def __init__(self, g, mode: GrowthMode | str = GrowthMode.FORWARDS, seed: int = 0):
+        super().__init__(g, mode)
+        self._rng = rng_for(seed, "fault-injection")
+
+    def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
+        if self.mode is GrowthMode.FORWARDS:
+            member = reachable_set(self.g, t, reverse=True)
+            if s not in member:
+                raise InfeasiblePairError(f"{t} not reachable from {s}")
+            path = [s]
+            while path[-1] != t:
+                options = [v for v in self.g.out_neighbors(path[-1]) if v in member]
+                path.append(self._rng.choice(options))
+            return tuple(path)
+        member = reachable_set(self.g, s)
+        if t not in member:
+            raise InfeasiblePairError(f"{t} not reachable from {s}")
+        path = [t]
+        while path[0] != s:
+            options = [u for u in self.g.in_neighbors(path[0]) if u in member]
+            path.insert(0, self._rng.choice(options))
+        return tuple(path)
 
 
 class TestFaultySession:

@@ -16,7 +16,6 @@ from reachkeep import (
     precompute_known_p,
     reachable_set,
     select_entry,
-    select_path,
     surrogate_monitor,
 )
 
@@ -153,10 +152,6 @@ class TestIndexSensitive:
         level, path = select_entry(tables, 0, 3, 999)
         assert level == 4
         assert path[0] == 0 and path[-1] == 3
-
-    def test_select_path_unwraps_entry(self):
-        tables = precompute_index_sensitive(CHAIN4)
-        assert select_path(tables, 1, 3, 1) == (1, 2, 3)
 
     def test_select_validates_index_and_membership(self):
         tables = precompute_index_sensitive(CHAIN4)

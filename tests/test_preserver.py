@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachkeep import preserver
 from reachkeep import (
     BoundsError,
     CondensingPreserver,
@@ -12,15 +13,18 @@ from reachkeep import (
     EdgeStore,
     GrowthMode,
     InfeasiblePairError,
+    InstanceFamily,
     ParameterError,
     PreserverSession,
     condense,
+    generate,
     grow_backwards,
     grow_forwards,
     reachable_set,
     size_envelope_source_restricted,
     verify_session,
 )
+from reachkeep.preserver import unreachable_pairs
 
 DIAMOND = DirectedGraph(4, {(0, 1), (1, 2), (0, 2), (2, 3)})
 CHAIN3 = DirectedGraph(3, {(0, 1), (1, 2)})
@@ -138,15 +142,32 @@ class TestEdgeStore:
         assert g.n == 4 and g.edges == {(0, 1), (2, 3)}
 
 
+class TestUnreachablePairs:
+    def test_reports_failures_in_input_order(self):
+        pairs = [(2, 0), (0, 3), (3, 1), (0, 0), (2, 0)]
+        assert unreachable_pairs(DIAMOND, pairs) == [(2, 0), (3, 1), (2, 0)]
+
+    def test_one_sweep_per_distinct_source(self, monkeypatch):
+        calls = []
+
+        def counting(g, root, reverse=False):
+            calls.append(root)
+            return reachable_set(g, root, reverse)
+
+        monkeypatch.setattr(preserver, "reachable_set", counting)
+        assert unreachable_pairs(DIAMOND, [(0, 3), (1, 3), (0, 2), (1, 0)]) == [(1, 0)]
+        assert calls == [0, 1]
+
+
 class TestGrowthMode:
     def test_parse_accepts_codes_and_members(self):
-        assert GrowthMode.parse("fw") is GrowthMode.FORWARDS
-        assert GrowthMode.parse("bw") is GrowthMode.BACKWARDS
-        assert GrowthMode.parse(GrowthMode.FORWARDS) is GrowthMode.FORWARDS
+        assert GrowthMode("fw") is GrowthMode.FORWARDS
+        assert GrowthMode("bw") is GrowthMode.BACKWARDS
+        assert GrowthMode(GrowthMode.FORWARDS) is GrowthMode.FORWARDS
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ParameterError):
-            GrowthMode.parse("sideways")
+            GrowthMode("sideways")
 
     def test_each_mode_pins_its_constraint(self):
         assert GrowthMode.FORWARDS.constraint.name == "FIRST_ARC_BEFORE_RIVER"
@@ -206,6 +227,16 @@ class TestPreserverSession:
         assert rec.new_edges == ()
         assert rec.h_size == 2
         assert rec.z_size == session.z_size
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_running_z_size_matches_recount_after_every_pair(self, mode):
+        g, stream = generate(InstanceFamily(kind="random-dag", n=30, seed=3, pairs=60))
+        session = PreserverSession(g, mode)
+        for s, t in stream:
+            session.serve_pair(s, t)
+            recount = sum(len(p) for p in session.z_paths)
+            assert session.z_size == recount
+            assert session.log[-1].z_size == recount
 
     def test_restricted_side_tracks_mode(self):
         fw = PreserverSession(DIAMOND, "fw")
