@@ -195,22 +195,17 @@ def _compute_precompute(params: dict, seed: int):
     surrogate = default_surrogate(g.n, scale=float(params["scale"]))
     mode = GrowthMode(str(params["mode"]))
     if params["p"] is not None:
-        table = precompute_known_p(g, int(params["p"]), surrogate, mode)
-        payload: dict[str, object] = {
-            "mode": mode.value,
-            "scale": params["scale"],
-            "tables": [_table_json(table)],
-        }
+        tables = [precompute_known_p(g, int(params["p"]), surrogate, mode)]
     else:
         p_star = params["p_star"]
         tables = precompute_index_sensitive(
             g, surrogate, mode, None if p_star is None else int(p_star)
         )
-        payload = {
-            "mode": mode.value,
-            "scale": params["scale"],
-            "tables": [_table_json(t) for t in tables],
-        }
+    payload = {
+        "mode": mode.value,
+        "scale": params["scale"],
+        "tables": [_table_json(t) for t in tables],
+    }
     inputs = {"graph": hash_text(graph_text)}
     outputs = {"result": hash_json(payload)}
     return payload, inputs, outputs, {}, 0
@@ -245,15 +240,12 @@ def _compute_udsn(params: dict, seed: int):
     pairs_text = _read(str(params["pairs"]))
     g = load_graph(graph_text)
     pairs = parse_pairs(pairs_text)
-    if params["tau"] is None and params["T"] is None:
-        udsn_params = UdsnParams.defaults_for(g.n)
-    else:
-        base = UdsnParams.defaults_for(g.n)
-        udsn_params = UdsnParams(
-            tau=int(params["tau"]) if params["tau"] is not None else base.tau,
-            T=int(params["T"]) if params["T"] is not None else base.T,
-            sample_constant=float(params["sample_constant"]),
-        )
+    base = UdsnParams.defaults_for(g.n)
+    udsn_params = UdsnParams(
+        tau=base.tau if params["tau"] is None else int(params["tau"]),
+        T=base.T if params["T"] is None else int(params["T"]),
+        sample_constant=float(params["sample_constant"]),
+    )
     session = UdsnSession(g, udsn_params, seed=seed)
     for s, t in pairs:
         session.serve(s, t)
@@ -408,7 +400,7 @@ def _load_session(path: str) -> tuple[DirectedGraph, GrowthMode, list[Pair]]:
     """Graph, mode and demand stream of a dump written by --out-session."""
     try:
         dump = json.loads(_read(path))
-        g = DirectedGraph(int(dump["n"]), [tuple(e) for e in dump["edges"]])
+        g = DirectedGraph(int(dump["n"]), [(int(u), int(v)) for u, v in dump["edges"]])
         pairs = [(int(s), int(t)) for s, t in dump["pairs"]]
         return g, GrowthMode(str(dump["mode"])), pairs
     except ReachkeepError:

@@ -183,6 +183,26 @@ def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozens
     return frozenset(seen)
 
 
+def reaches(g, s: int, t: int) -> bool:
+    """Whether t is reachable from s in g, stopping at the first sight
+    of t. g is anything with ``out_neighbors``."""
+    if s == t:
+        return True
+    seen = {s}
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in g.out_neighbors(u):
+                if v == t:
+                    return True
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return False
+
+
 class Condensation:
     """Result of collapsing strong components.
 

@@ -21,8 +21,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import MissingEntryError, ParameterError
+# reachable_set, grow_forwards and grow_backwards are not called here
+# (reachable_pairs and GrowthMode.grow are), but perfbench/tracing.py
+# wraps this module's binding of them.
 from .graphs import DirectedGraph, reachable_set
-from .oracle import greedy_adversary_step
+from .oracle import greedy_adversary_step, reachable_pairs
 from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
 
 Pair = tuple[int, int]
@@ -73,19 +76,6 @@ class PathTable:
         return [p for p, tag in self.finalized_by.items() if tag == WHILE_LOOP]
 
 
-def _path_fn(selector):
-    mode = GrowthMode(selector)
-    return grow_forwards if mode is GrowthMode.FORWARDS else grow_backwards
-
-
-def _domain(g: DirectedGraph) -> list[Pair]:
-    pairs = []
-    for u in range(g.n):
-        for v in sorted(reachable_set(g, u)):
-            pairs.append((u, v))
-    return pairs
-
-
 def precompute_known_p(
     g: DirectedGraph,
     p: int,
@@ -99,15 +89,15 @@ def precompute_known_p(
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
-    path_fn = _path_fn(selector)
+    grow = GrowthMode(selector).grow
     threshold = surrogate.evaluate(g.n, p) / p
     table = PathTable(level=p, threshold=threshold)
     h = EdgeStore(g.n)
-    unfinalized = set(_domain(g))
+    unfinalized = set(reachable_pairs(g))
 
     while unfinalized:
         pair = greedy_adversary_step(g, h, selector, unfinalized)
-        path = path_fn(g, h, *pair)
+        path = grow(g, h, *pair)
         count = sum(1 for e in zip(path, path[1:]) if e not in h)
         if count <= threshold:
             break
@@ -118,7 +108,7 @@ def precompute_known_p(
         unfinalized.discard(pair)
 
     for pair in sorted(unfinalized):  # frozen residual phase
-        table.entries[pair] = path_fn(g, h, *pair)
+        table.entries[pair] = grow(g, h, *pair)
         table.finalized_by[pair] = RESIDUAL
     return table
 
@@ -189,15 +179,15 @@ def surrogate_monitor(
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
-    path_fn = _path_fn(selector)
-    domain = _domain(g)
+    grow = GrowthMode(selector).grow
+    domain = reachable_pairs(g)
     if not domain:
         return MonitorReport(valid=True, final_edges=0, budget=surrogate.evaluate(g.n, p))
     h = EdgeStore(g.n)
     rounds: list[int] = []
     for _ in range(p):
         pair = greedy_adversary_step(g, h, selector, domain)
-        path = path_fn(g, h, *pair)
+        path = grow(g, h, *pair)
         for e in zip(path, path[1:]):
             h.add(e)
         rounds.append(len(h))

@@ -10,7 +10,7 @@ the costliest stream a path-selection rule can face.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,26 +20,22 @@ from .errors import (
     ParameterError,
     SizeLimitError,
 )
-from .graphs import DirectedGraph, Edge, reachable_set
-from .preserver import GrowthMode, grow_backwards, grow_forwards, unreachable_pairs
+from .graphs import DirectedGraph, Edge, reachable_set, reaches
+# grow_forwards and grow_backwards are not called here (GrowthMode.grow
+# is), but perfbench/tracing.py wraps this module's binding of them.
+from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
 from .seeding import rng_for
 
 Pair = tuple[int, int]
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
-PathFn = Callable[..., tuple[int, ...]]
-
-
-def _selector_fn(selector) -> PathFn:
-    if callable(selector):
-        return selector
-    mode = GrowthMode(selector)
-    return grow_forwards if mode is GrowthMode.FORWARDS else grow_backwards
-
 
 def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
-    return not unreachable_pairs(DirectedGraph(n, edge_set), pairs)
+    h = EdgeStore(n)
+    for e in edge_set:
+        h.add(e)
+    return all(reaches(h, s, t) for s, t in pairs)
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
@@ -101,11 +97,11 @@ def greedy_adversary_step(
     cands = sorted({(int(s), int(t)) for s, t in candidates})
     if not cands:
         raise ParameterError("candidate set is empty")
-    path_fn = _selector_fn(selector)
+    grow = GrowthMode(selector).grow
     best_pair: Pair | None = None
     best_count = -1
     for pair in cands:
-        path = path_fn(g, h, *pair)
+        path = grow(g, h, *pair)
         count = sum(1 for e in zip(path, path[1:]) if e not in h)
         if count > best_count:
             best_pair = pair
@@ -142,17 +138,14 @@ class InstanceFamily:
             raise ParameterError(f"density must be in [0, 1], got {self.density}")
 
 
-def _reachable_pairs(g: DirectedGraph) -> list[Pair]:
-    out = []
-    for u in range(g.n):
-        for v in sorted(reachable_set(g, u)):
-            if u != v:
-                out.append((u, v))
-    return out
+def reachable_pairs(g: DirectedGraph) -> list[Pair]:
+    """Every pair (u, v) with v reachable from u, reflexive pairs
+    included, in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in sorted(reachable_set(g, u))]
 
 
 def _stream_from(g: DirectedGraph, count: int, rng) -> tuple[Pair, ...]:
-    candidates = _reachable_pairs(g)
+    candidates = [(u, v) for u, v in reachable_pairs(g) if u != v]
     if not candidates:
         candidates = [(0, 0)]
     return tuple(rng.choice(candidates) for _ in range(count))

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .errors import BoundsError, ParameterError, ParseError
+from .graphs import DirectedGraph
 
 Path = tuple[int, ...]
 
@@ -108,29 +109,9 @@ def is_acyclic(s: PathSystem) -> tuple[bool, tuple[int, ...] | None]:
     order. Returns (True, order) with a min-id-first canonical order,
     or (False, None).
     """
-    import heapq
-
-    succ: dict[int, set[int]] = {}
-    indeg = Counter()
-    for p in s.paths:
-        for a, b in zip(p, p[1:]):
-            bucket = succ.setdefault(a, set())
-            if b not in bucket:
-                bucket.add(b)
-                indeg[b] += 1
-    heap = [v for v in range(s.universe) if indeg[v] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for w in sorted(succ.get(u, ())):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(heap, w)
-    if len(order) != s.universe:
-        return False, None
-    return True, tuple(order)
+    precedence = DirectedGraph(s.universe, (e for p in s.paths for e in zip(p, p[1:])))
+    order = precedence.topological_order()
+    return order is not None, order
 
 
 class OrderConstraint(enum.Enum):

@@ -52,6 +52,12 @@ class GrowthMode(enum.Enum):
             return OrderConstraint.FIRST_ARC_BEFORE_RIVER
         return OrderConstraint.LAST_ARC_BEFORE_RIVER
 
+    @property
+    def grow(self):
+        """The growth rule of this mode, ``grow_forwards`` or
+        ``grow_backwards``, looked up in this module at call time."""
+        return grow_forwards if self is GrowthMode.FORWARDS else grow_backwards
+
 
 class EdgeStore:
     """Mutable edge set with sorted adjacency, grown one edge at a time."""
@@ -193,9 +199,7 @@ class PreserverSession:
         return self._z_size
 
     def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
-        if self.mode is GrowthMode.FORWARDS:
-            return grow_forwards(self.g, self.h, s, t)
-        return grow_backwards(self.g, self.h, s, t)
+        return self.mode.grow(self.g, self.h, s, t)
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
         """Serve one demand pair. Raises without touching any state

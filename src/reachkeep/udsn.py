@@ -20,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import BoundsError, InfeasiblePairError, ParameterError
-from .graphs import Condensation, DirectedGraph, Edge, condense, reachable_set
+from .graphs import Condensation, DirectedGraph, Edge, condense, reachable_set, reaches
 from .preserver import CondensingPreserver, EdgeStore, GrowthMode
 from .seeding import rng_for
 
@@ -157,23 +157,6 @@ class UdsnSession:
         size = self.params.sample_size(self.g.n)
         self.sample = tuple(sorted(rng.sample(range(self.g.n), size)))
 
-    def _connected_in_output(self, s: int, t: int) -> bool:
-        if s == t:
-            return True
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.output.out_neighbors(u):
-                    if v == t:
-                        return True
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return False
-
     def _apply_handler(self, route: str, s: int, t: int) -> int:
         edges = self.handlers[route](self.g, s, t)
         for e in edges:
@@ -183,7 +166,7 @@ class UdsnSession:
         for e in edges:
             if self.output.add(e):
                 added += 1
-        if not self._connected_in_output(s, t):
+        if not reaches(self.output, s, t):
             raise ParameterError(f"handler for {route!r} failed to connect ({s}, {t})")
         return added
 
@@ -191,7 +174,7 @@ class UdsnSession:
         if not 0 <= s < self.g.n or not 0 <= t < self.g.n:
             raise BoundsError(f"pair ({s}, {t}) out of range for n={self.g.n}")
         index = len(self.records)
-        if self._connected_in_output(s, t):
+        if reaches(self.output, s, t):
             record = UdsnRecord(index, (s, t), TRIVIAL, None, 0)
             self.records.append(record)
             return record

@@ -16,7 +16,9 @@ from reachkeep.graphs import (
     lift_edge,
     load_graph,
     reachable_set,
+    reaches,
 )
+from reachkeep.preserver import EdgeStore
 
 
 def closure_oracle(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -95,6 +97,13 @@ class TestDirectedGraph:
             assert reachable_set(g, root, reverse=True) == {
                 u for u, v in closure if v == root
             }
+        store = EdgeStore(n)
+        for e in g.edges:
+            store.add(e)
+        for s, t in itertools.product(range(n), repeat=2):
+            expected = t in reachable_set(g, s)
+            assert reaches(g, s, t) == expected
+            assert reaches(store, s, t) == expected
 
 
 class TestTextFormat:

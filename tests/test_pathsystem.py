@@ -152,7 +152,12 @@ class TestAcyclicity:
 
             return any(color.get(v) is None and visit(v) for v in range(s.universe))
 
-        assert is_acyclic(s)[0] == (not has_cycle())
+        ok, order = is_acyclic(s)
+        assert ok == (not has_cycle())
+        if ok:
+            pos = {v: i for i, v in enumerate(order)}
+            for path in s.paths:
+                assert [pos[v] for v in path] == sorted(pos[v] for v in path)
 
 
 class TestFindKBridge:
