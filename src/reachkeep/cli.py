@@ -46,7 +46,13 @@ from .nonadaptive import (
     select_entry,
 )
 from .oracle import InstanceFamily, generate, min_preserver
-from .preserver import CondensingPreserver, GrowthMode, unreachable_pairs, verify_session
+from .preserver import (
+    CondensingPreserver,
+    GrowthMode,
+    _check_pair,
+    unreachable_pairs,
+    verify_session,
+)
 from .seeding import split_seed
 from .udsn import UdsnParams, UdsnSession
 
@@ -214,13 +220,14 @@ def _compute_precompute(params: dict, seed: int):
 def _compute_select(params: dict, seed: int):
     graph_text = _read(str(params["graph"]))
     g = load_graph(graph_text)
+    s, t, i = int(params["s"]), int(params["t"]), int(params["index"])
+    _check_pair(g, s, t)
     surrogate = default_surrogate(g.n, scale=float(params["scale"]))
     mode = GrowthMode(str(params["mode"]))
     p_star = params["p_star"]
     tables = precompute_index_sensitive(
         g, surrogate, mode, None if p_star is None else int(p_star)
     )
-    s, t, i = int(params["s"]), int(params["t"]), int(params["index"])
     level, path = select_entry(tables, s, t, i)
     payload = {
         "s": s,

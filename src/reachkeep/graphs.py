@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from .errors import BoundsError, MissingEntryError, ParseError
+from .errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 
 Edge = tuple[int, int]
 
@@ -22,7 +22,7 @@ class DirectedGraph:
     """Immutable digraph on vertices 0..n-1. Self-loops are rejected,
     duplicate edges collapse."""
 
-    __slots__ = ("n", "edges", "_out", "_in", "_topo", "_topo_known")
+    __slots__ = ("n", "edges", "_out", "_in", "_topo", "_topo_known", "_closure")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -46,6 +46,7 @@ class DirectedGraph:
         self._in = tuple(tuple(sorted(us)) for us in inc)
         self._topo: tuple[int, ...] | None = None
         self._topo_known = False
+        self._closure: list[list[int] | None] = [None, None]
 
     @property
     def edge_count(self) -> int:
@@ -95,6 +96,30 @@ class DirectedGraph:
     @property
     def is_dag(self) -> bool:
         return self.topological_order() is not None
+
+    def reach_mask(self, v: int, reverse: bool = False) -> int:
+        """Bitset of the vertices reachable from v (reaching v when
+        reverse), v included: bit u is set for each such u. DAG only.
+
+        The first call per direction builds that direction's closure in
+        one pass over the topological order and keeps it, n*n/8 bytes
+        (0.5 MB at n=2000); ``reachable_set`` is the BFS reference."""
+        self._check_vertex(v)
+        masks = self._closure[reverse]
+        if masks is None:
+            order = self.topological_order()
+            if order is None:
+                raise CyclicGraphError("reach_mask requires a DAG")
+            step = self._in if reverse else self._out
+            masks = [0] * self.n
+            # Every neighbour on the step side comes earlier in this order.
+            for u in order if reverse else reversed(order):
+                mask = 1 << u
+                for w in step[u]:
+                    mask |= masks[w]
+                masks[u] = mask
+            self._closure[reverse] = masks
+        return masks[v]
 
     def __eq__(self, other: object) -> bool:
         return (

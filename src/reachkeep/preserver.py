@@ -106,20 +106,21 @@ def _check_pair(g: DirectedGraph, s: int, t: int) -> None:
             raise BoundsError(f"vertex {v} outside range 0..{g.n - 1}")
 
 
-def _walk(start: int, goal: int, member, h_step, g_step) -> list[int]:
-    """Greedy walk from start to goal through member: each step takes the
-    first h_step neighbour in member, else the first g_step one."""
+def _walk(start: int, goal: int, member: int, h_step, g_step) -> list[int]:
+    """Greedy walk from start to goal through the vertices whose bit is
+    set in member: each step takes the first such h_step neighbour, else
+    the first such g_step one."""
     path = [start]
     u = start
     while u != goal:
         nxt = None
         for v in h_step(u):
-            if v in member:
+            if member >> v & 1:
                 nxt = v
                 break
         if nxt is None:
             for v in g_step(u):
-                if v in member:
+                if member >> v & 1:
                     nxt = v
                     break
         assert nxt is not None, "stuck despite reachability"
@@ -134,8 +135,8 @@ def grow_forwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     to the smallest head id. h must be a subgraph of g."""
     _require_dag(g)
     _check_pair(g, s, t)
-    member = reachable_set(g, t, reverse=True)
-    if s not in member:
+    member = g.reach_mask(t, reverse=True)
+    if not member >> s & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
     return tuple(_walk(s, t, member, h.out_neighbors, g.out_neighbors))
 
@@ -145,8 +146,8 @@ def grow_backwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     preferring h edges whose tail s already reaches."""
     _require_dag(g)
     _check_pair(g, s, t)
-    member = reachable_set(g, s)
-    if t not in member:
+    member = g.reach_mask(s)
+    if not member >> t & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
     path = _walk(t, s, member, h.in_neighbors, g.in_neighbors)
     path.reverse()
@@ -358,9 +359,7 @@ class CondensingPreserver:
         return self.inner.pairs_served
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
-        for v in (s, t):
-            if not (0 <= v < self.g.n):
-                raise BoundsError(f"vertex {v} outside range 0..{self.g.n - 1}")
+        _check_pair(self.g, s, t)
         cs = self.cond.component_of[s]
         ct = self.cond.component_of[t]
         try:

@@ -70,12 +70,17 @@ def is_thin(g: DirectedGraph, s: int, t: int, tau: int) -> bool:
     return len(between) <= tau
 
 
-def hit_by(g: DirectedGraph, s: int, t: int, sample: tuple[int, ...]) -> int | None:
-    """Smallest sampled vertex on some s-to-t path, or None."""
-    forward = reachable_set(g, s)
-    backward = reachable_set(g, t, reverse=True)
+def hit_by(cond: Condensation, s: int, t: int, sample: tuple[int, ...]) -> int | None:
+    """First sampled vertex on some s-to-t path of ``cond.graph``, or
+    None. A vertex lies on such a path exactly when its component does
+    on the condensation's DAG, so this reads that DAG's closure."""
+    n = cond.graph.n
+    if not 0 <= s < n or not 0 <= t < n:
+        raise BoundsError(f"pair ({s}, {t}) out of range for n={n}")
+    comp = cond.component_of
+    between = cond.dag.reach_mask(comp[s]) & cond.dag.reach_mask(comp[t], reverse=True)
     for v in sample:
-        if v in forward and v in backward:
+        if 0 <= v < n and between >> comp[v] & 1:
             return v
     return None
 
@@ -191,7 +196,7 @@ class UdsnSession:
             return record
 
         assert self.sample is not None
-        v = hit_by(self.g, s, t, self.sample)
+        v = hit_by(self.condensation, s, t, self.sample)
         if v is not None:
             fw_new = self.fw_leg.serve_pair(s, v)
             bw_new = self.bw_leg.serve_pair(v, t)

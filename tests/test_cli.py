@@ -59,6 +59,18 @@ def test_missing_table_entry_prints_without_quotes(tmp_path, capsys):
     assert err == ["error: pair (2, 0) not in table for level 3"]
 
 
+@pytest.mark.parametrize("s, t, bad", [(0, 5, 5), (-1, 2, -1)])
+def test_select_vertex_out_of_range_is_a_usage_error(s, t, bad, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 4\n0 1\n1 2\n")
+    code, err = run(
+        ["select", "--graph", str(graph), "--s", str(s), "--t", str(t), "--index", "1"],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert err == [f"error: vertex {bad} outside range 0..3"]
+
+
 def test_precompute_rejects_p_with_p_star(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("n 3\n0 1\n1 2\n")

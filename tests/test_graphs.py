@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachkeep.errors import BoundsError, MissingEntryError, ParseError
+from reachkeep.errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 from reachkeep.graphs import (
     DirectedGraph,
     condense,
@@ -41,6 +42,10 @@ def scc_oracle(n: int, edges: set[tuple[int, int]]) -> list[frozenset[int]]:
         for u in range(n)
     }
     return sorted(comps, key=min)
+
+
+def bits(mask: int) -> set[int]:
+    return {v for v in range(mask.bit_length()) if mask >> v & 1}
 
 
 small_graphs = st.integers(min_value=1, max_value=7).flatmap(
@@ -86,6 +91,13 @@ class TestDirectedGraph:
         assert g.topological_order() is None
         assert not g.is_dag
 
+    def test_reach_mask_rejects_out_of_range_vertex(self):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        for v in (-1, 3):
+            for reverse in (False, True):
+                with pytest.raises(BoundsError):
+                    g.reach_mask(v, reverse)
+
     @given(small_graphs)
     @settings(max_examples=60, deadline=None)
     def test_reachability_matches_closure(self, case):
@@ -97,6 +109,12 @@ class TestDirectedGraph:
             assert reachable_set(g, root, reverse=True) == {
                 u for u, v in closure if v == root
             }
+            for reverse in (False, True):
+                if g.is_dag:
+                    assert bits(g.reach_mask(root, reverse)) == reachable_set(g, root, reverse)
+                else:
+                    with pytest.raises(CyclicGraphError):
+                        g.reach_mask(root, reverse)
         store = EdgeStore(n)
         for e in g.edges:
             store.add(e)
@@ -219,3 +237,27 @@ class TestCondensation:
             root = min(comp)
             assert set(comp) <= reachable_set(t, root)
             assert set(comp) <= reachable_set(t, root, reverse=True)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_condense_and_reach_mask_match_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    n = rng.randint(20, 120)
+    edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
+    edges = {(u, v) for u, v in edges if u != v}
+    perm = rng.sample(range(n), n)  # so that ids do not follow the topological order
+    dag_edges = {(perm[min(u, v)], perm[max(u, v)]) for u, v in edges}
+    for g in (DirectedGraph(n, edges), DirectedGraph(n, dag_edges)):
+        ng = nx.DiGraph(list(g.edges))
+        ng.add_nodes_from(range(n))
+        c = condense(g)
+        assert {frozenset(comp) for comp in c.components} == {
+            frozenset(comp) for comp in nx.strongly_connected_components(ng)
+        }
+        for dag in (c.dag, g) if g.is_dag else (c.dag,):
+            nd = nx.DiGraph(list(dag.edges))
+            nd.add_nodes_from(range(dag.n))
+            for v in range(dag.n):
+                assert bits(dag.reach_mask(v)) == nx.descendants(nd, v) | {v}
+                assert bits(dag.reach_mask(v, reverse=True)) == nx.ancestors(nd, v) | {v}

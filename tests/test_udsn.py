@@ -16,6 +16,7 @@ from reachkeep import (
     UdsnParams,
     UdsnSession,
     bfs_route,
+    condense,
     default_handlers,
     hit_by,
     is_thin,
@@ -50,6 +51,17 @@ def digraph_with_pairs(draw):
     ]
     pairs = draw(st.lists(st.sampled_from(feasible), min_size=1, max_size=8))
     return g, pairs
+
+
+@st.composite
+def cyclic_digraph_with_sample(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.sets(st.sampled_from(pool), max_size=min(len(pool), 12)))
+    cycle = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+    edges |= {(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)}
+    sample = tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+    return DirectedGraph(n, edges), sample
 
 
 class TestParams:
@@ -90,11 +102,25 @@ class TestThinAndHit:
             is_thin(CHAIN3, 0, 2, 0)
 
     def test_hit_by_returns_smallest_sampled_relay(self):
-        g = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
-        assert hit_by(g, 0, 3, (1, 2)) == 1
-        assert hit_by(g, 0, 3, (2,)) == 2
-        assert hit_by(g, 3, 0, (1, 2)) is None
-        assert hit_by(g, 0, 3, ()) is None
+        c = condense(DirectedGraph(4, {(0, 1), (1, 2), (2, 3)}))
+        assert hit_by(c, 0, 3, (1, 2)) == 1
+        assert hit_by(c, 0, 3, (2,)) == 2
+        assert hit_by(c, 3, 0, (1, 2)) is None
+        assert hit_by(c, 0, 3, ()) is None
+
+    @given(cyclic_digraph_with_sample())
+    @settings(max_examples=60, deadline=None)
+    def test_hit_by_matches_bfs_on_cyclic_graphs(self, case):
+        g, sample = case
+        c = condense(g)
+        for s in range(g.n):
+            for t in range(g.n):
+                between = reachable_set(g, s) & reachable_set(g, t, reverse=True)
+                expected = next((v for v in sample if v in between), None)
+                assert hit_by(c, s, t, sample) == expected
+        for s, t in ((-1, 0), (0, -1), (g.n, 0), (0, g.n)):
+            with pytest.raises(BoundsError):
+                hit_by(c, s, t, sample)
 
 
 class TestBfsRoute:
