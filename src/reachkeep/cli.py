@@ -20,6 +20,7 @@ from pathlib import Path
 from .errors import (
     BoundsError,
     CyclicGraphError,
+    InfeasiblePairError,
     ParameterError,
     ParseError,
     ReachkeepError,
@@ -58,7 +59,14 @@ from .udsn import UdsnParams, UdsnSession
 
 Pair = tuple[int, int]
 
-USAGE_ERRORS = (ParseError, ParameterError, BoundsError, SizeLimitError, CyclicGraphError)
+USAGE_ERRORS = (
+    ParseError,
+    ParameterError,
+    BoundsError,
+    SizeLimitError,
+    CyclicGraphError,
+    InfeasiblePairError,
+)
 
 
 def parse_pairs(text: str) -> list[Pair]:

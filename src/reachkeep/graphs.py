@@ -228,6 +228,103 @@ def reaches(g, s: int, t: int) -> bool:
     return False
 
 
+class IncrementalClosure:
+    """Insert-only edge set on vertices 0..n-1 with its exact
+    transitive closure, so ``reaches`` is one bit test.
+
+    Each strong component of the edges added so far keeps one bitset of
+    the vertices it reaches and one of the vertices reaching it; a
+    one-vertex component stores neither while that set is itself. Adding
+    (u, v) ORs v's descendants into the ancestors of u that do not reach
+    v yet, and u's ancestors into the descendants of v that u does not
+    reach yet; when v already reached u, the components on the new cycle
+    are contracted into one. At most 2*n*n/8 bytes of bitsets."""
+
+    __slots__ = ("n", "edges", "_comp", "_members", "_reps", "_desc", "_anc")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.edges: set[Edge] = set()
+        self._comp = list(range(n))  # vertex -> representative of its component
+        self._members: dict[int, list[int]] = {}  # non-singleton components only
+        self._reps = (1 << n) - 1  # bitset of the representatives
+        self._desc: dict[int, int] = {}
+        self._anc: dict[int, int] = {}
+
+    def add(self, edge: Edge) -> bool:
+        """Insert edge; False when it was already present."""
+        if edge in self.edges:
+            return False
+        u, v = edge
+        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+            raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
+        self.edges.add(edge)
+        comp, desc, anc = self._comp, self._desc, self._anc
+        a, b = comp[u], comp[v]
+        desc_a, anc_a = desc.get(a, 1 << a), anc.get(a, 1 << a)
+        desc_b, anc_b = desc.get(b, 1 << b), anc.get(b, 1 << b)
+        if desc_a >> v & 1:
+            return True
+        reps = self._reps
+        # The components on a v-to-u path, a and b included, close a cycle
+        # with the new edge; they get one bitset pair in _contract instead.
+        cycle = desc_b & anc_a & reps if desc_b >> u & 1 else 0
+        # Inline loops: a generator over the set bits made the closure
+        # updates of a cyclic-udsn pass about 15% slower.
+        todo = anc_a & ~anc_b & reps & ~cycle
+        while todo:
+            bit = todo & -todo
+            r = bit.bit_length() - 1
+            desc[r] = desc.get(r, bit) | desc_b
+            todo ^= bit
+        todo = desc_b & ~desc_a & reps & ~cycle
+        while todo:
+            bit = todo & -todo
+            r = bit.bit_length() - 1
+            anc[r] = anc.get(r, bit) | anc_a
+            todo ^= bit
+        if cycle:
+            self._contract(cycle, desc_b, anc_a)
+        return True
+
+    def _contract(self, cycle: int, desc: int, anc: int) -> None:
+        """Merge the components whose representatives are the bits of
+        cycle into the largest of them, which reaches desc and is
+        reached from anc (the unions of the members' sets)."""
+        members = self._members
+        group = []
+        while cycle:
+            bit = cycle & -cycle
+            group.append(bit.bit_length() - 1)
+            cycle ^= bit
+        keep = max(group, key=lambda r: len(members.get(r, ())))
+        into = members.setdefault(keep, [keep])
+        for r in group:
+            if r == keep:
+                continue
+            moved = members.pop(r, [r])
+            for w in moved:
+                self._comp[w] = keep
+            into.extend(moved)
+            self._desc.pop(r, None)
+            self._anc.pop(r, None)
+            self._reps ^= 1 << r
+        self._desc[keep] = desc
+        self._anc[keep] = anc
+
+    def reaches(self, s: int, t: int) -> bool:
+        """Whether t is reachable from s over the edges added so far."""
+        if not (0 <= s < self.n and 0 <= t < self.n):
+            raise BoundsError(f"pair ({s}, {t}) out of range for n={self.n}")
+        return s == t or bool(self._desc.get(self._comp[s], 0) >> t & 1)
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def to_graph(self) -> DirectedGraph:
+        return DirectedGraph(self.n, self.edges)
+
+
 class Condensation:
     """Result of collapsing strong components.
 
@@ -249,6 +346,7 @@ class Condensation:
         "in_tree",
         "out_tree",
         "_lift",
+        "_tree_of",
     )
 
     def __init__(
@@ -269,6 +367,10 @@ class Condensation:
         self.in_tree = in_tree
         self.out_tree = out_tree
         self._lift = lift
+        tree_of: dict[int, list[Edge]] = {}  # no entry for one-vertex components
+        for e in sorted(in_tree | out_tree):
+            tree_of.setdefault(component_of[e[0]], []).append(e)
+        self._tree_of = {comp: tuple(es) for comp, es in tree_of.items()}
 
     @property
     def tree_edges(self) -> frozenset[Edge]:
@@ -278,11 +380,9 @@ class Condensation:
     def tree_edge_count(self) -> int:
         return len(self.in_tree) + len(self.out_tree)
 
-    def tree_edges_of(self, comp: int) -> frozenset[Edge]:
-        members = set(self.components[comp])
-        return frozenset(
-            e for e in self.tree_edges if e[0] in members
-        )
+    def tree_edges_of(self, comp: int) -> tuple[Edge, ...]:
+        """The tree edges inside component ``comp``, in sorted order."""
+        return self._tree_of.get(comp, ())
 
 
 def _strong_components(g: DirectedGraph) -> list[list[int]]:

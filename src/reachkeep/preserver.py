@@ -372,7 +372,7 @@ class CondensingPreserver:
             if comp in self._touched:
                 continue
             self._touched.add(comp)
-            for e in sorted(self.cond.tree_edges_of(comp)):
+            for e in self.cond.tree_edges_of(comp):
                 if e not in self.output_edges:
                     self.output_edges.add(e)
                     added.append(e)

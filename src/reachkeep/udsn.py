@@ -20,8 +20,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import BoundsError, InfeasiblePairError, ParameterError
-from .graphs import Condensation, DirectedGraph, Edge, condense, reachable_set, reaches
-from .preserver import CondensingPreserver, EdgeStore, GrowthMode
+from .graphs import Condensation, DirectedGraph, Edge, IncrementalClosure, condense, reachable_set
+from .preserver import CondensingPreserver, GrowthMode
 from .seeding import rng_for
 
 Pair = tuple[int, int]
@@ -149,7 +149,7 @@ class UdsnSession:
         self.condensation: Condensation = condense(g)
         self.fw_leg = CondensingPreserver(g, GrowthMode.FORWARDS, self.condensation)
         self.bw_leg = CondensingPreserver(g, GrowthMode.BACKWARDS, self.condensation)
-        self.output = EdgeStore(g.n)
+        self.output = IncrementalClosure(g.n)
         self.records: list[UdsnRecord] = []
         self.sampling_failures: list[UdsnRecord] = []
         self.nontrivial_count = 0
@@ -171,7 +171,7 @@ class UdsnSession:
         for e in edges:
             if self.output.add(e):
                 added += 1
-        if not reaches(self.output, s, t):
+        if not self.output.reaches(s, t):
             raise ParameterError(f"handler for {route!r} failed to connect ({s}, {t})")
         return added
 
@@ -179,7 +179,7 @@ class UdsnSession:
         if not 0 <= s < self.g.n or not 0 <= t < self.g.n:
             raise BoundsError(f"pair ({s}, {t}) out of range for n={self.g.n}")
         index = len(self.records)
-        if reaches(self.output, s, t):
+        if self.output.reaches(s, t):
             record = UdsnRecord(index, (s, t), TRIVIAL, None, 0)
             self.records.append(record)
             return record

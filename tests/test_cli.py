@@ -100,3 +100,24 @@ def test_udsn_sample_constant_applies_at_default_tau_and_T(tmp_path, capsys):
     assert small == sample("--sample-constant", "0.5", "--tau", "8")
     assert len(small) == 7
     assert len(sample()) == 26
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("preserve", [], "error: 0 not reachable from 2"),
+        ("udsn", [], "error: 0 is not reachable from 2"),
+        ("udsn", ["--T", "0"], "error: 0 is not reachable from 2"),
+    ],
+    ids=["preserve", "udsn", "udsn-T0"],
+)
+def test_infeasible_pair_is_a_usage_error(command, extra, message, tmp_path, capsys):
+    graph, pairs = tmp_path / "g.txt", tmp_path / "p.txt"
+    graph.write_text("n 3\n0 1\n1 2\n")
+    pairs.write_text("2 0\n")
+    code, err = run(
+        [command, "--graph", str(graph), "--pairs", str(pairs), *extra], tmp_path, capsys
+    )
+    assert code == 2
+    assert err == [message]
+    assert not (tmp_path / "manifests").exists()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reachkeep.errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 from reachkeep.graphs import (
     DirectedGraph,
+    IncrementalClosure,
     condense,
     dump_graph,
     lift_edge,
@@ -216,6 +217,18 @@ class TestCondensation:
                 assert u in members and v in members
 
     @given(small_graphs)
+    @settings(max_examples=60, deadline=None)
+    def test_tree_index_matches_tree_edges(self, case):
+        n, edges = case
+        c = condense(DirectedGraph(n, edges))
+        for comp_id, comp in enumerate(c.components):
+            got = c.tree_edges_of(comp_id)
+            assert set(got) == {e for e in c.tree_edges if c.component_of[e[0]] == comp_id}
+            assert list(got) == sorted(got)
+            if len(comp) == 1:
+                assert got == ()
+
+    @given(small_graphs)
     @settings(max_examples=40, deadline=None)
     def test_tree_total_strictly_below_2n(self, case):
         n, edges = case
@@ -261,3 +274,52 @@ def test_condense_and_reach_mask_match_networkx(seed):
             for v in range(dag.n):
                 assert bits(dag.reach_mask(v)) == nx.descendants(nd, v) | {v}
                 assert bits(dag.reach_mask(v, reverse=True)) == nx.ancestors(nd, v) | {v}
+
+
+@st.composite
+def insert_sequences(draw):
+    """Edge insertions on at most 12 vertices: random edges (repeats
+    included), two disjoint rings, and two single edges between the
+    rings, the second of which merges them into one cycle."""
+    n = draw(st.integers(min_value=4, max_value=12))
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    noise = st.lists(st.sampled_from(pool), max_size=10)
+    perm = draw(st.permutations(range(n)))
+    k = draw(st.integers(min_value=2, max_value=n - 2))
+    left, right = perm[:k], perm[k:]
+    rings = [(u, v) for ring in (left, right) for u, v in zip(ring, ring[1:] + ring[:1])]
+    rings = draw(st.permutations(rings))
+    there = (draw(st.sampled_from(left)), draw(st.sampled_from(right)))
+    back = (draw(st.sampled_from(right)), draw(st.sampled_from(left)))
+    return n, draw(noise) + rings + draw(noise) + [there] + draw(noise) + [back] + draw(noise)
+
+
+class TestIncrementalClosure:
+    @given(insert_sequences())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bfs_after_every_insert(self, case):
+        n, sequence = case
+        closure = IncrementalClosure(n)
+        seen = set()
+        for e in sequence:
+            assert closure.add(e) == (e not in seen)
+            seen.add(e)
+            size = len(closure)
+            assert not closure.add(e)
+            assert len(closure) == size == len(seen)
+            g = closure.to_graph()
+            assert g.edges == seen
+            for s in range(n):
+                reach = reachable_set(g, s)
+                for t in range(n):
+                    assert closure.reaches(s, t) == (t in reach)
+
+    def test_rejects_out_of_range_and_self_loops(self):
+        closure = IncrementalClosure(3)
+        for e in ((0, 3), (-1, 1), (2, 2)):
+            with pytest.raises(BoundsError):
+                closure.add(e)
+        for s, t in ((0, 3), (-1, 0)):
+            with pytest.raises(BoundsError):
+                closure.reaches(s, t)
+        assert len(closure) == 0

@@ -204,6 +204,15 @@ class TestSessionRouting:
         with pytest.raises(BoundsError):
             session.serve(0, 99)
 
+    @given(digraph_with_pairs(), st.sampled_from((0, 1, 3)), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_trivial_exactly_when_output_already_connects(self, case, T, seed):
+        g, pairs = case
+        session = UdsnSession(g, UdsnParams(tau=max(1, g.n // 2), T=T), seed=seed)
+        for s, t in pairs:
+            connected = t in reachable_set(session.output_graph(), s)
+            assert (session.serve(s, t).route == TRIVIAL) == connected
+
     def test_determinism(self):
         a = scripted_session()
         b = scripted_session()
