@@ -19,6 +19,7 @@ import enum
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import ceil
 
 from .errors import BoundsError, ParameterError, ParseError
@@ -58,6 +59,12 @@ class PathSystem:
 
     def support(self) -> frozenset[int]:
         return frozenset(v for p in self.paths for v in p)
+
+    @cached_property
+    def pair_index(self) -> _SystemIndex:
+        """Ordered-pair occurrence index of all paths, built on first
+        use and kept; every ``find_k_bridge`` call on this system reads it."""
+        return _SystemIndex(self.paths)
 
 
 def reversed_system(s: PathSystem) -> PathSystem:
@@ -213,6 +220,24 @@ class _PairIndex:
         self.count = idx + 1
 
 
+class _SystemIndex(_PairIndex):
+    """Pair index of a finished system. ``sole[a][q]`` is the bitmask of
+    the vertices b whose pair (a, b) lies on path q and on no other."""
+
+    __slots__ = ("sole",)
+
+    def __init__(self, paths: tuple[Path, ...]):
+        super().__init__()
+        for p in paths:
+            self.add_path(p)
+        self.sole: dict[int, dict[int, int]] = {}
+        for (a, b), occurrences in self.lists.items():
+            if len(occurrences) == 1:
+                groups = self.sole.setdefault(a, {})
+                q = occurrences[0]
+                groups[q] = groups.get(q, 0) | (1 << b)
+
+
 def _iter_bits(mask: int):
     while mask:
         low = mask & -mask
@@ -271,15 +296,23 @@ def find_k_bridge(
     whose hops occur in some path, others cannot carry a bridge), with
     the arc tuple explored in lex order and the river assigned last.
     Returns None when the system is bridge-free for this k.
+
+    Two kinds of chain are skipped, and neither can carry a witness, so
+    the search order and the returned witness are those of the full
+    enumeration: chains where two roles (hops or the river) have the
+    same one-path occurrence list [q], since both would have to be q,
+    and chains whose x_{k-1} precedes no vertex that x_1 precedes, since
+    no river closes them. A prefix with no candidates is never entered.
     """
     if k not in (2, 3, 4):
         raise ParameterError(f"k must be in 2..4, got {k}")
     constraint = OrderConstraint(order_constraint)
-    index = _PairIndex()
-    for p in s.paths:
-        index.add_path(p)
+    index = s.pair_index
     succ = index.succ
+    pred = index.pred
     lists = index.lists
+    sole = index.sole
+    no_groups: dict[int, int] = {}
 
     def try_chain(chain: tuple[int, ...]) -> BridgeWitness | None:
         hop_lists = [lists[(chain[i], chain[i + 1])] for i in range(k - 1)]
@@ -290,27 +323,62 @@ def find_k_bridge(
         river, arcs = got
         return BridgeWitness(k=k, chain=chain, river=river, arcs=arcs)
 
-    def extend(prefix: list[int], used_mask: int) -> BridgeWitness | None:
-        depth = len(prefix)
+    def candidates(prefix: list[int], used_mask: int, taken: list[int]) -> int:
+        """Bitmask of the next chain vertices after ``prefix``; ``taken``
+        holds the paths of its one-path hops."""
         last = prefix[-1]
         base = succ.get(last, 0) & ~used_mask
-        if depth == k - 1:
-            base &= succ.get(prefix[0], 0)
+        groups = sole.get(last, no_groups)
+        for q in taken:
+            base &= ~groups.get(q, 0)
+        if len(prefix) == k - 2:
+            base &= feeds
+        elif len(prefix) == k - 1:
+            first = prefix[0]
+            base &= succ[first]
+            river_groups = sole.get(first, no_groups)
+            for q in taken:
+                base &= ~river_groups.get(q, 0)
+            # the last hop and the river may share one one-path list
+            for v in _iter_bits(base):
+                hop = lists[(last, v)]
+                if len(hop) == 1 and hop == lists[(first, v)]:
+                    base ^= 1 << v
+        return base
+
+    def extend(
+        prefix: list[int], used_mask: int, taken: list[int], base: int
+    ) -> BridgeWitness | None:
+        last = prefix[-1]
         for v in _iter_bits(base):
             prefix.append(v)
-            if depth == k - 1:
+            if len(prefix) == k:
                 found = try_chain(tuple(prefix))
             else:
-                found = extend(prefix, used_mask | (1 << v))
+                hop = lists[(last, v)]
+                if len(hop) == 1:
+                    taken.append(hop[0])
+                mask = used_mask | (1 << v)
+                child = candidates(prefix, mask, taken)
+                found = extend(prefix, mask, taken, child) if child else None
+                if len(hop) == 1:
+                    taken.pop()
             prefix.pop()
             if found is not None:
                 return found
         return None
 
     for x1 in sorted(succ):
-        found = extend([x1], 1 << x1)
-        if found is not None:
-            return found
+        # the vertices that precede some vertex x1 precedes
+        feeds = 0
+        if k > 2:
+            for b in _iter_bits(succ[x1]):
+                feeds |= pred[b]
+        base = candidates([x1], 1 << x1, [])
+        if base:
+            found = extend([x1], 1 << x1, [], base)
+            if found is not None:
+                return found
     return None
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reachkeep import pathsystem
 from reachkeep.errors import BoundsError, ParameterError, ParseError
 from reachkeep.pathsystem import (
     BridgeMonitor,
@@ -58,6 +59,49 @@ def naive_bridge_exists(s: PathSystem, k: int, constraint: OrderConstraint) -> b
             ):
                 return True
     return False
+
+
+def unpruned_find_k_bridge(
+    s: PathSystem, k: int, constraint: OrderConstraint
+) -> BridgeWitness | None:
+    """The search without chain pruning or a kept index: every chain
+    whose hops and river occur in some path goes to role assignment."""
+    index = pathsystem._PairIndex()
+    for p in s.paths:
+        index.add_path(p)
+    succ = index.succ
+    lists = index.lists
+
+    def try_chain(chain):
+        hop_lists = [lists[(chain[i], chain[i + 1])] for i in range(k - 1)]
+        river_list = lists[(chain[0], chain[-1])]
+        got = pathsystem._assign_roles(hop_lists, river_list, constraint)
+        if got is None:
+            return None
+        river, arcs = got
+        return BridgeWitness(k=k, chain=chain, river=river, arcs=arcs)
+
+    def extend(prefix, used_mask):
+        depth = len(prefix)
+        base = succ.get(prefix[-1], 0) & ~used_mask
+        if depth == k - 1:
+            base &= succ.get(prefix[0], 0)
+        for v in pathsystem._iter_bits(base):
+            prefix.append(v)
+            if depth == k - 1:
+                found = try_chain(tuple(prefix))
+            else:
+                found = extend(prefix, used_mask | (1 << v))
+            prefix.pop()
+            if found is not None:
+                return found
+        return None
+
+    for x1 in sorted(succ):
+        found = extend([x1], 1 << x1)
+        if found is not None:
+            return found
+    return None
 
 
 @st.composite
@@ -225,6 +269,46 @@ class TestFindKBridge:
         assert (find_k_bridge(s, k, LAST) is not None) == (
             find_k_bridge(r, k, FIRST) is not None
         )
+
+
+class TestPrunedSearch:
+    @given(
+        st.one_of(
+            path_systems(max_universe=10, max_paths=10, max_len=10),
+            # short paths leave most pairs on one path, where pruning bites
+            path_systems(max_universe=10, max_paths=10, max_len=3),
+        ),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_same_witness_as_unpruned_search(self, s, k, constraint):
+        found = find_k_bridge(s, k, constraint)
+        assert found == unpruned_find_k_bridge(s, k, constraint)
+        if found is not None:
+            assert validate_witness(s, found, constraint)
+
+    def test_index_is_built_once_per_system(self, monkeypatch):
+        builds = []
+
+        class CountingIndex(pathsystem._SystemIndex):
+            __slots__ = ()
+
+            def __init__(self, paths):
+                builds.append(paths)
+                super().__init__(paths)
+
+        monkeypatch.setattr(pathsystem, "_SystemIndex", CountingIndex)
+        s = PathSystem(5, ((0, 1, 2), (1, 2, 3), (0, 3), (2, 4)))
+        first = find_k_bridge(s, 3, FIRST)
+        assert find_k_bridge(s, 4, FIRST) is None
+        assert find_k_bridge(s, 3, FIRST) == first
+        assert len(builds) == 1
+        assert s.pair_index is s.pair_index
+
+    def test_index_groups_one_path_pairs(self):
+        s = PathSystem(4, ((0, 1, 2), (0, 1), (3, 2)))
+        assert s.pair_index.sole == {0: {0: 1 << 2}, 1: {0: 1 << 2}, 3: {2: 1 << 2}}
 
 
 class TestBridgeMonitor:

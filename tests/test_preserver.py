@@ -301,6 +301,44 @@ class TestVerifySession:
         assert report.unreachable_pairs == [(0, 2)]
         assert not report.ok
 
+    @given(
+        dag_with_pairs(),
+        st.sampled_from(["fw", "bw"]),
+        st.integers(min_value=0, max_value=20),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_served_pairs_match_bfs_with_and_without_a_dropped_edge(self, case, mode, drop):
+        g, pairs = case
+        session = PreserverSession(g, mode)
+        for s, t in pairs + pairs[:2]:
+            session.serve_pair(s, t)
+        served = [rec.pair for rec in session.log]
+        assert verify_session(session).unreachable_pairs == []
+        edges = sorted(session.h.edges)
+        if not edges:
+            return
+        session.h = store_with(g.n, [e for e in edges if e != edges[drop % len(edges)]])
+        expected = unreachable_pairs(session.h_graph(), served)
+        assert verify_session(session).unreachable_pairs == expected
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_served_pairs_match_bfs_for_each_dropped_edge(self, seed, mode):
+        g, stream = generate(InstanceFamily(kind="random-dag", n=30, seed=seed, pairs=40))
+        session = PreserverSession(g, mode)
+        for s, t in stream + stream[:5]:
+            session.serve_pair(s, t)
+        served = [rec.pair for rec in session.log]
+        assert verify_session(session).unreachable_pairs == unreachable_pairs(session.h_graph(), served) == []
+        honest = sorted(session.h.edges)
+        broken = 0
+        for dropped in honest:
+            session.h = store_with(g.n, [e for e in honest if e != dropped])
+            expected = unreachable_pairs(session.h_graph(), served)
+            assert verify_session(session).unreachable_pairs == expected
+            broken += bool(expected)
+        assert broken > 0
+
     @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]))
     @settings(max_examples=60, deadline=None)
     def test_honest_sessions_always_audit_clean(self, case, mode):
