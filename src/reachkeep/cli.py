@@ -163,12 +163,10 @@ def _pairs_text_from(params: dict) -> str:
     return _read(str(params["pairs"]))
 
 
-def _compute_preserve(params: dict, seed: int):
-    graph_text = _read(str(params["graph"]))
-    pairs_text = _pairs_text_from(params)
-    g = load_graph(graph_text)
-    pairs = parse_pairs(pairs_text)
-    mode = GrowthMode(str(params["mode"]))
+def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
+    """Serve the stream with the honest algorithm, then audit the run.
+    Returns the session, one record per pair, the audit's JSON fields
+    and whether the audit passed."""
     session = CondensingPreserver(g, mode)
     per_pair = []
     for s, t in pairs:
@@ -182,8 +180,21 @@ def _compute_preserve(params: dict, seed: int):
             }
         )
     report = verify_session(session.inner)
-    output = session.output_graph()
-    unpreserved = unreachable_pairs(output, pairs)
+    unpreserved = unreachable_pairs(session.output_graph(), pairs)
+    audit = {
+        "report": _report_json(report),
+        "unpreserved_pairs": [list(p) for p in unpreserved],
+    }
+    return session, per_pair, audit, report.ok and not unpreserved
+
+
+def _compute_preserve(params: dict, seed: int):
+    graph_text = _read(str(params["graph"]))
+    pairs_text = _pairs_text_from(params)
+    g = load_graph(graph_text)
+    pairs = parse_pairs(pairs_text)
+    mode = GrowthMode(str(params["mode"]))
+    session, per_pair, audit, ok = _serve_and_audit(g, mode, pairs)
     payload = {
         "n": g.n,
         "mode": mode.value,
@@ -191,15 +202,13 @@ def _compute_preserve(params: dict, seed: int):
         "h_size": session.h_size,
         "z_size": session.z_size,
         "tree_edge_count": session.cond.tree_edge_count,
-        "edges": [list(e) for e in sorted(output.edges)],
+        "edges": [list(e) for e in sorted(session.output_edges)],
         "per_pair": per_pair,
-        "report": _report_json(report),
-        "unpreserved_pairs": [list(p) for p in unpreserved],
+        **audit,
     }
     dump_text = canonical_json(_session_dump(g, mode, pairs)) + "\n"
     inputs = {"graph": hash_text(graph_text), "pairs": hash_text(pairs_text)}
     outputs = {"result": hash_json(payload), "session": hash_text(dump_text)}
-    ok = report.ok and not unpreserved
     return payload, inputs, outputs, {"session": dump_text}, 0 if ok else 1
 
 
@@ -426,18 +435,9 @@ def _load_session(path: str) -> tuple[DirectedGraph, GrowthMode, list[Pair]]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.session:
-        g, mode, pairs = _load_session(args.session)
-        session = CondensingPreserver(g, mode)
-        for s, t in pairs:
-            session.serve_pair(s, t)
-        report = verify_session(session.inner)
-        unpreserved = unreachable_pairs(session.output_graph(), pairs)
-        payload = {
-            "report": _report_json(report),
-            "unpreserved_pairs": [list(p) for p in unpreserved],
-        }
-        _emit(payload, args.json)
-        return 0 if report.ok and not unpreserved else 1
+        _, _, audit, ok = _serve_and_audit(*_load_session(args.session))
+        _emit(audit, args.json)
+        return 0 if ok else 1
 
     results = verify_all(args.manifest_dir, replay_manifest)
     payload = {

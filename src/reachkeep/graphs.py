@@ -193,7 +193,8 @@ def dump_graph(g: DirectedGraph) -> str:
 
 def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozenset[int]:
     """Vertices reachable from ``root`` (or reaching it when reverse).
-    The root itself is always included."""
+    The root itself is always included. g is anything with ``n`` and
+    ``out_neighbors`` / ``in_neighbors``, an ``EdgeStore`` too."""
     if not (0 <= root < g.n):
         raise BoundsError(f"root {root} outside range 0..{g.n - 1}")
     step = g.in_neighbors if reverse else g.out_neighbors
@@ -206,26 +207,6 @@ def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozens
                 seen.add(v)
                 queue.append(v)
     return frozenset(seen)
-
-
-def reaches(g, s: int, t: int) -> bool:
-    """Whether t is reachable from s in g, stopping at the first sight
-    of t. g is anything with ``out_neighbors``."""
-    if s == t:
-        return True
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.out_neighbors(u):
-                if v == t:
-                    return True
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return False
 
 
 class IncrementalClosure:

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     SizeLimitError,
 )
-from .graphs import DirectedGraph, Edge, reachable_set, reaches
+from .graphs import DirectedGraph, Edge, reachable_set
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
 # is), but perfbench/tracing.py wraps this module's binding of them.
 from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
@@ -35,7 +35,7 @@ def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
     h = EdgeStore(n)
     for e in edge_set:
         h.add(e)
-    return all(reaches(h, s, t) for s, t in pairs)
+    return all(t in reachable_set(h, s) for s, t in pairs)
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
@@ -54,11 +54,14 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
             f"got {g.edge_count}"
         )
     pair_list = sorted({(int(s), int(t)) for s, t in pairs})
+    src_reach: dict[int, frozenset[int]] = {}
     for s, t in pair_list:
         for v in (s, t):
             if not (0 <= v < g.n):
                 raise BoundsError(f"vertex {v} outside range 0..{g.n - 1}")
-        if t not in reachable_set(g, s):
+        if s not in src_reach:
+            src_reach[s] = reachable_set(g, s)
+        if t not in src_reach[s]:
             raise InfeasiblePairError(f"{t} not reachable from {s}")
     if not pair_list:
         return frozenset()
@@ -67,7 +70,6 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
     mandatory = {
         e for e in edges_sorted if not _preserves(g.n, g.edges - {e}, pair_list)
     }
-    src_reach = {s: reachable_set(g, s) for s in {s for s, _ in pair_list}}
     sink_reach = {
         t: reachable_set(g, t, reverse=True) for t in {t for _, t in pair_list}
     }

@@ -251,7 +251,15 @@ def _assign_roles(
     constraint: OrderConstraint,
 ) -> tuple[int, tuple[int, ...]] | None:
     """First valid (river, arcs) assignment, arcs explored in lex order
-    and the river chosen last. Roles must be pairwise distinct."""
+    and the river chosen last. Roles must be pairwise distinct, and
+    every list must be ascending.
+
+    At each arc position the search stops once as many unused
+    candidates have failed as there are roles after it, plus one. The
+    cut is exact: a solution through a later candidate leaves one of the
+    failed ones unused by the later roles, and that one is smaller, so
+    swapping it in keeps distinctness and the order constraint.
+    """
     k1 = len(hop_lists)
     arcs: list[int] = []
     used: set[int] = set()
@@ -271,6 +279,7 @@ def _assign_roles(
                 if river_ok(r):
                     return r, tuple(arcs)
             return None
+        tries = k1 - pos + 1
         for cand in hop_lists[pos]:
             if cand in used:
                 continue
@@ -281,6 +290,9 @@ def _assign_roles(
                 return found
             arcs.pop()
             used.discard(cand)
+            tries -= 1
+            if not tries:
+                break
         return None
 
     return rec(0)
@@ -382,33 +394,6 @@ def find_k_bridge(
     return None
 
 
-def _pick_distinct(cands: list[list[int]]) -> tuple[int, ...] | None:
-    """System of distinct representatives over small sorted lists."""
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def rec(pos: int) -> bool:
-        if pos == len(cands):
-            return True
-        limit = len(cands) + 1
-        tried = 0
-        for cand in cands[pos]:
-            if tried >= limit:
-                break
-            if cand in used:
-                continue
-            tried += 1
-            used.add(cand)
-            chosen.append(cand)
-            if rec(pos + 1):
-                return True
-            chosen.pop()
-            used.discard(cand)
-        return False
-
-    return tuple(chosen) if rec(0) else None
-
-
 class BridgeMonitor:
     """Incremental bridge detection for a growing ordered system.
 
@@ -430,6 +415,21 @@ class BridgeMonitor:
         self.constraint = OrderConstraint(order_constraint)
         self._index = _PairIndex()
         self._first_witness: BridgeWitness | None = None
+        # (k, role, chain positions of the new path's pair, fill order):
+        # role 0 is the river, role i the arc from x_i to x_{i+1}. The
+        # new path is the latest, so as the river any order constraint
+        # holds, and as the constrained arc none can.
+        self._plans: list[tuple[int, int, int, int, list[int]]] = []
+        for k in self.ks:
+            for role in range(k):
+                if role == 1 and self.constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER:
+                    continue
+                if role == k - 1 and self.constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER:
+                    continue
+                ia, ib = (0, k - 1) if role == 0 else (role - 1, role)
+                order = list(range(ia - 1, -1, -1))
+                order += [j for j in range(ia + 1, k) if j != ib]
+                self._plans.append((k, role, ia, ib, order))
 
     @property
     def paths_seen(self) -> int:
@@ -449,10 +449,8 @@ class BridgeMonitor:
             for j in range(i + 1, len(path))
         ]
         witness = None
-        for k in self.ks:
-            witness = self._scan_as_river(k, pairs_t)
-            if witness is None:
-                witness = self._scan_as_arc(k, pairs_t)
+        for plan in self._plans:
+            witness = self._scan(plan, pairs_t)
             if witness is not None:
                 break
         self._index.add_path(path)
@@ -460,161 +458,56 @@ class BridgeMonitor:
             self._first_witness = witness
         return witness
 
-    # The new path is always the latest, so with it as the river any
-    # order constraint holds automatically and every arc is older.
-    def _scan_as_river(self, k: int, pairs_t) -> BridgeWitness | None:
+    def _scan(
+        self, plan: tuple[int, int, int, int, list[int]], pairs_t: list[tuple[int, int]]
+    ) -> BridgeWitness | None:
+        """First witness with the new path in the plan's role, placed on
+        each of its pairs (a, b) in turn. The chain positions before a
+        are filled backwards through ``pred``, the others forwards
+        through ``succ``; the vertex just before b must precede b and
+        the last one must follow x_1. Every other role reads the old
+        occurrence lists."""
+        k, role, ia, ib, order = plan
         idx = self._index
         t = idx.count
-        for x1, xk in pairs_t:
-            if k == 2:
-                old = idx.lists.get((x1, xk))
-                if old:
-                    return BridgeWitness(2, (x1, xk), t, (old[0],))
-                continue
-            blocked = (1 << x1) | (1 << xk)
-            mids = idx.succ.get(x1, 0) & ~blocked
-            if k == 3:
-                mids &= idx.pred.get(xk, 0)
-                for x2 in _iter_bits(mids):
-                    arcs = _pick_distinct(
-                        [idx.lists[(x1, x2)], idx.lists[(x2, xk)]]
-                    )
-                    if arcs:
-                        return BridgeWitness(3, (x1, x2, xk), t, arcs)
-                continue
-            for x2 in _iter_bits(mids):
-                third = (
-                    idx.succ.get(x2, 0)
-                    & idx.pred.get(xk, 0)
-                    & ~(blocked | (1 << x2))
-                )
-                for x3 in _iter_bits(third):
-                    arcs = _pick_distinct(
-                        [
-                            idx.lists[(x1, x2)],
-                            idx.lists[(x2, x3)],
-                            idx.lists[(x3, xk)],
-                        ]
-                    )
-                    if arcs:
-                        return BridgeWitness(4, (x1, x2, x3, xk), t, arcs)
-        return None
+        chain = [0] * k
 
-    def _scan_as_arc(self, k: int, pairs_t) -> BridgeWitness | None:
-        idx = self._index
-        t = idx.count
-        for arc_pos in range(1, k):
-            if self.constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER and arc_pos == 1:
-                continue  # would need the new path earlier than the river
-            if self.constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER and arc_pos == k - 1:
-                continue
-            for u, v in pairs_t:
-                witness = self._complete_arc_chain(k, arc_pos, u, v, t)
-                if witness is not None:
-                    return witness
-        return None
-
-    def _complete_arc_chain(
-        self, k: int, arc_pos: int, u: int, v: int, t: int
-    ) -> BridgeWitness | None:
-        idx = self._index
-        left_hops = arc_pos - 1
-        right_hops = k - 1 - arc_pos
-
-        def lefts(prefix: list[int], mask: int):
-            if len(prefix) == left_hops:
-                yield list(reversed(prefix))
-                return
-            for w in _iter_bits(idx.pred.get(prefix[-1] if prefix else u, 0) & ~mask):
-                prefix.append(w)
-                yield from lefts(prefix, mask | (1 << w))
-                prefix.pop()
-
-        def rights(prefix: list[int], mask: int):
-            if len(prefix) == right_hops:
-                yield list(prefix)
-                return
-            for w in _iter_bits(idx.succ.get(prefix[-1] if prefix else v, 0) & ~mask):
-                prefix.append(w)
-                yield from rights(prefix, mask | (1 << w))
-                prefix.pop()
-
-        base_mask = (1 << u) | (1 << v)
-        for left in lefts([], base_mask):
-            lmask = base_mask
-            for w in left:
-                lmask |= 1 << w
-            for right in rights([], lmask):
-                chain = tuple(left) + (u, v) + tuple(right)
-                witness = self._assign_with_new_arc(k, arc_pos, chain, t)
-                if witness is not None:
-                    return witness
-        return None
-
-    def _assign_with_new_arc(
-        self, k: int, arc_pos: int, chain: tuple[int, ...], t: int
-    ) -> BridgeWitness | None:
-        idx = self._index
-        river_list = idx.lists.get((chain[0], chain[-1]))
-        if not river_list:
-            return None
-        other_lists: list[tuple[int, list[int]]] = []
-        for j in range(1, k):
-            if j == arc_pos:
-                continue
-            hop = idx.lists.get((chain[j - 1], chain[j]))
-            if not hop:
+        def assign() -> BridgeWitness | None:
+            pairs = [(chain[0], chain[-1])] + list(zip(chain, chain[1:]))
+            role_lists = [idx.lists.get(pair) for pair in pairs]
+            role_lists[role] = [t]
+            if not all(role_lists):
                 return None
-            other_lists.append((j, hop))
-
-        ineq_pos: int | None = None
-        if self.constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER:
-            ineq_pos = 1
-        elif self.constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER:
-            ineq_pos = k - 1
-        if ineq_pos == arc_pos:
-            ineq_pos = None  # filtered earlier, defensive
-
-        # Bounded complete search: the constrained arc can stay among
-        # its smallest few candidates and the river among its largest
-        # few; any valid assignment can be swapped into those slices
-        # without breaking distinctness or the inequality.
-        span = k + 1
-        river_cands = river_list[-span:][::-1]
-        arcs_map: dict[int, int] = {}
-        used: set[int] = set()
-
-        def rec(pos: int) -> BridgeWitness | None:
-            if pos == len(other_lists):
-                for r in river_cands:
-                    if r in used:
-                        continue
-                    if ineq_pos is not None and not arcs_map[ineq_pos] < r:
-                        continue
-                    arcs = tuple(
-                        t if j == arc_pos else arcs_map[j] for j in range(1, k)
-                    )
-                    return BridgeWitness(k, chain, r, arcs)
+            got = _assign_roles(role_lists[1:], role_lists[0], self.constraint)
+            if got is None:
                 return None
-            j, hop = other_lists[pos]
-            cands = hop[:span] if j == ineq_pos else hop
-            tried = 0
-            for cand in cands:
-                if j != ineq_pos and tried >= span:
-                    break
-                if cand in used:
-                    continue
-                tried += 1
-                used.add(cand)
-                arcs_map[j] = cand
-                found = rec(pos + 1)
+            return BridgeWitness(k, tuple(chain), *got)
+
+        def fill(pos: int, used: int) -> BridgeWitness | None:
+            if pos == len(order):
+                return assign()
+            j = order[pos]
+            if j < ia:
+                mask = idx.pred.get(chain[j + 1], 0)
+            else:
+                mask = idx.succ.get(chain[j - 1], 0)
+                if j + 1 == ib:
+                    mask &= idx.pred.get(chain[ib], 0)
+                if j == k - 1:
+                    mask &= idx.succ.get(chain[0], 0)
+            for v in _iter_bits(mask & ~used):
+                chain[j] = v
+                found = fill(pos + 1, used | (1 << v))
                 if found is not None:
                     return found
-                del arcs_map[j]
-                used.discard(cand)
             return None
 
-        return rec(0)
+        for a, b in pairs_t:
+            chain[ia], chain[ib] = a, b
+            found = fill(0, (1 << a) | (1 << b))
+            if found is not None:
+                return found
+        return None
 
 
 def clean(s: PathSystem) -> PathSystem:

@@ -61,11 +61,75 @@ def naive_bridge_exists(s: PathSystem, k: int, constraint: OrderConstraint) -> b
     return False
 
 
+def naive_bridge_using(s: PathSystem, k: int, constraint: OrderConstraint, q: int) -> bool:
+    """Exhaustive reference: whether some k-bridge of s has path q in
+    one of its roles. Every chain, every role for q, the others by the
+    uncut role assignment over the paths containing their pairs."""
+    for chain in itertools.permutations(sorted(s.support()), k):
+        pairs = [(chain[0], chain[-1])] + list(zip(chain, chain[1:]))
+        lists = [
+            [i for i, path in enumerate(s.paths) if i != q and contains_in_order(path, a, b)]
+            for a, b in pairs
+        ]
+        for role, (a, b) in enumerate(pairs):
+            if contains_in_order(s.paths[q], a, b):
+                pinned = list(lists)
+                pinned[role] = [q]
+                if uncut_assign_roles(pinned[1:], pinned[0], constraint) is not None:
+                    return True
+    return False
+
+
+ascending_ids = st.lists(st.integers(0, 11), max_size=12, unique=True).map(sorted)
+
+
+def uncut_assign_roles(
+    hop_lists: list[list[int]],
+    river_list: list[int],
+    constraint: OrderConstraint,
+) -> tuple[int, tuple[int, ...]] | None:
+    """Role assignment without the cut: every unused candidate of every
+    arc position is tried, in list order, the river chosen last."""
+    k1 = len(hop_lists)
+    arcs: list[int] = []
+    used: set[int] = set()
+
+    def river_ok(r: int) -> bool:
+        if r in used:
+            return False
+        if constraint is FIRST:
+            return arcs[0] < r
+        if constraint is LAST:
+            return arcs[-1] < r
+        return True
+
+    def rec(pos: int) -> tuple[int, tuple[int, ...]] | None:
+        if pos == k1:
+            for r in river_list:
+                if river_ok(r):
+                    return r, tuple(arcs)
+            return None
+        for cand in hop_lists[pos]:
+            if cand in used:
+                continue
+            used.add(cand)
+            arcs.append(cand)
+            found = rec(pos + 1)
+            if found is not None:
+                return found
+            arcs.pop()
+            used.discard(cand)
+        return None
+
+    return rec(0)
+
+
 def unpruned_find_k_bridge(
     s: PathSystem, k: int, constraint: OrderConstraint
 ) -> BridgeWitness | None:
-    """The search without chain pruning or a kept index: every chain
-    whose hops and river occur in some path goes to role assignment."""
+    """The search without chain pruning, a kept index or the cut in role
+    assignment: every chain whose hops and river occur in some path goes
+    to the uncut role assignment."""
     index = pathsystem._PairIndex()
     for p in s.paths:
         index.add_path(p)
@@ -75,7 +139,7 @@ def unpruned_find_k_bridge(
     def try_chain(chain):
         hop_lists = [lists[(chain[i], chain[i + 1])] for i in range(k - 1)]
         river_list = lists[(chain[0], chain[-1])]
-        got = pathsystem._assign_roles(hop_lists, river_list, constraint)
+        got = uncut_assign_roles(hop_lists, river_list, constraint)
         if got is None:
             return None
         river, arcs = got
@@ -288,6 +352,17 @@ class TestPrunedSearch:
         if found is not None:
             assert validate_witness(s, found, constraint)
 
+    @given(
+        st.lists(ascending_ids, min_size=1, max_size=3),
+        ascending_ids,
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=1000, deadline=None)
+    def test_role_assignment_cut_is_exact(self, hop_lists, river_list, constraint):
+        assert pathsystem._assign_roles(
+            hop_lists, river_list, constraint
+        ) == uncut_assign_roles(hop_lists, river_list, constraint)
+
     def test_index_is_built_once_per_system(self, monkeypatch):
         builds = []
 
@@ -318,6 +393,44 @@ class TestBridgeMonitor:
         w = mon.append((5, 1, 2))
         assert w == BridgeWitness(k=2, chain=(1, 2), river=1, arcs=(0,))
         assert mon.first_witness == w
+
+    def test_new_path_as_first_arc(self):
+        # arcs (0,1) (1,2) (2,3), river (0,3); the last arc precedes the river
+        mon = BridgeMonitor((4,), LAST)
+        for path in ((1, 2), (2, 3), (0, 3)):
+            assert mon.append(path) is None
+        w = mon.append((0, 1))
+        assert w == BridgeWitness(k=4, chain=(0, 1, 2, 3), river=2, arcs=(3, 0, 1))
+        prefix = PathSystem(4, ((1, 2), (2, 3), (0, 3), (0, 1)))
+        assert validate_witness(prefix, w, LAST)
+
+    def test_new_path_as_last_arc(self):
+        # the chain is filled backwards from the new path's pair (2, 3)
+        mon = BridgeMonitor((4,), FIRST)
+        for path in ((0, 1), (1, 2), (0, 3)):
+            assert mon.append(path) is None
+        w = mon.append((2, 3))
+        assert w == BridgeWitness(k=4, chain=(0, 1, 2, 3), river=2, arcs=(0, 1, 3))
+        prefix = PathSystem(4, ((0, 1), (1, 2), (0, 3), (2, 3)))
+        assert validate_witness(prefix, w, FIRST)
+
+    @given(
+        path_systems(),
+        st.sampled_from([NONE, FIRST, LAST]),
+        st.sampled_from([(2, 3, 4), (3,), (4,), (3, 4)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_append_matches_exhaustive_search(self, s, constraint, ks):
+        mon = BridgeMonitor(ks, constraint)
+        for q, path in enumerate(s.paths):
+            w = mon.append(path)
+            prefix = PathSystem(s.universe, s.paths[: q + 1])
+            assert (w is not None) == any(
+                naive_bridge_using(prefix, k, constraint, q) for k in ks
+            )
+            if w is not None:
+                assert w.k in ks and q in (w.river,) + w.arcs
+                assert validate_witness(prefix, w, constraint)
 
     def test_rejects_repeating_path(self):
         mon = BridgeMonitor()
