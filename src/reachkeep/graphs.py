@@ -11,7 +11,7 @@ and everything else reduces to the component DAG.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 
@@ -59,9 +59,6 @@ class DirectedGraph:
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         self._check_vertex(v)
         return self._in[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
 
     def __contains__(self, e: Edge) -> bool:
         return tuple(e) in self.edges
@@ -191,22 +188,36 @@ def dump_graph(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def bfs_parents(
+    step: Callable[[int], Iterable[int]],
+    root: int,
+    within: set[int] | None = None,
+    goal: int | None = None,
+) -> dict[int, int]:
+    """Breadth-first search from ``root`` along ``step(u)``, the
+    neighbours of u, visiting only vertices in ``within`` when given.
+    Returns the parent map ``{vertex: the vertex it was first reached
+    from, root: root}``. With a ``goal`` the search stops once that
+    vertex is reached; the parents on its chain to the root are the
+    same as in the full search."""
+    parent = {root: root}
+    queue = deque([root])
+    while queue and goal not in parent:
+        u = queue.popleft()
+        for v in step(u):
+            if v not in parent and (within is None or v in within):
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
 def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozenset[int]:
     """Vertices reachable from ``root`` (or reaching it when reverse).
     The root itself is always included. g is anything with ``n`` and
     ``out_neighbors`` / ``in_neighbors``, an ``EdgeStore`` too."""
     if not (0 <= root < g.n):
         raise BoundsError(f"root {root} outside range 0..{g.n - 1}")
-    step = g.in_neighbors if reverse else g.out_neighbors
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in step(u):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
+    return frozenset(bfs_parents(g.in_neighbors if reverse else g.out_neighbors, root))
 
 
 class IncrementalClosure:
@@ -415,27 +426,6 @@ def _strong_components(g: DirectedGraph) -> list[list[int]]:
     return components
 
 
-def _bfs_tree(
-    members: list[int], rep: int, step, reverse: bool
-) -> set[Edge]:
-    """BFS tree over ``members`` from ``rep``; edges stored in original
-    orientation. ``step`` yields neighbors inside the component."""
-    member_set = set(members)
-    seen = {rep}
-    queue = deque([rep])
-    tree: set[Edge] = set()
-    while queue:
-        u = queue.popleft()
-        for v in step(u):
-            if v in member_set and v not in seen:
-                seen.add(v)
-                tree.add((v, u) if reverse else (u, v))
-                queue.append(v)
-    if seen != member_set:
-        raise AssertionError("component not internally connected")
-    return tree
-
-
 def condense(g: DirectedGraph) -> Condensation:
     comps = _strong_components(g)
     comps.sort(key=lambda c: c[0])
@@ -450,8 +440,13 @@ def condense(g: DirectedGraph) -> Condensation:
         if len(members) == 1:
             continue
         rep = members[0]
-        out_tree |= _bfs_tree(members, rep, g.out_neighbors, reverse=False)
-        in_tree |= _bfs_tree(members, rep, g.in_neighbors, reverse=True)
+        within = set(members)
+        out_parent = bfs_parents(g.out_neighbors, rep, within)
+        in_parent = bfs_parents(g.in_neighbors, rep, within)
+        if out_parent.keys() != within or in_parent.keys() != within:
+            raise AssertionError("component not internally connected")
+        out_tree.update((u, v) for v, u in out_parent.items() if v != rep)
+        in_tree.update((v, u) for v, u in in_parent.items() if v != rep)
 
     dag_edges: set[Edge] = set()
     lift: dict[Edge, Edge] = {}

@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ParameterError
 from .oracle import InstanceFamily, generate
 from .preserver import CondensingPreserver, GrowthMode, size_envelope_source_restricted
 from .seeding import split_seed
@@ -196,7 +197,9 @@ def bench_sweep(
     constant: float = 16.0,
 ) -> list[dict[str, object]]:
     """Run every cell, capturing per-cell failures as rows rather than
-    aborting the sweep."""
+    aborting the sweep. A non-positive constant is rejected up front."""
+    if not constant > 0:  # NaN too
+        raise ParameterError(f"constant must be positive, got {constant}")
     rows: list[dict[str, object]] = []
     for family, mode in cells:
         try:

@@ -29,13 +29,20 @@ from .seeding import rng_for
 Pair = tuple[int, int]
 
 EXHAUSTIVE_EDGE_LIMIT = 20
+FAMILY_KINDS = ("random-dag", "random-digraph", "layered", "path-union", "sourcewise")
 
 
 def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
     h = EdgeStore(n)
     for e in edge_set:
         h.add(e)
-    return all(t in reachable_set(h, s) for s, t in pairs)
+    reach: dict[int, frozenset[int]] = {}
+    for s, t in pairs:
+        if s not in reach:
+            reach[s] = reachable_set(h, s)
+        if t not in reach[s]:
+            return False
+    return True
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
@@ -116,9 +123,8 @@ def greedy_adversary_step(
 class InstanceFamily:
     """Seeded description of a graph plus demand stream.
 
-    kind is one of random-dag, random-digraph, layered, path-union,
-    sourcewise. Unused knobs are ignored by kinds that do not need
-    them. The same family always generates the same bytes.
+    kind is one of FAMILY_KINDS. Unused knobs are ignored by kinds that
+    do not need them. The same family always generates the same bytes.
     """
 
     kind: str
@@ -132,6 +138,8 @@ class InstanceFamily:
     part_length: int = 4
 
     def __post_init__(self):
+        if self.kind not in FAMILY_KINDS:
+            raise ParameterError(f"unknown family kind {self.kind!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.pairs < 0:
@@ -255,5 +263,3 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
                 sources = sorted(reachable_set(g, t, reverse=True) - {t})
                 stream.append((stream_rng.choice(sources), t))
         return g, tuple(stream)
-
-    raise ParameterError(f"unknown family kind {family.kind!r}")

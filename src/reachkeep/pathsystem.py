@@ -432,10 +432,6 @@ class BridgeMonitor:
                 self._plans.append((k, role, ia, ib, order))
 
     @property
-    def paths_seen(self) -> int:
-        return self._index.count
-
-    @property
     def first_witness(self) -> BridgeWitness | None:
         return self._first_witness
 

@@ -346,7 +346,6 @@ class CondensingPreserver:
         self.inner = PreserverSession(self.cond.dag, mode)
         self.output_edges: set[Edge] = set()
         self._touched: set[int] = set()
-        self.log: list[Pair] = []
 
     @property
     def mode(self) -> GrowthMode:
@@ -387,7 +386,6 @@ class CondensingPreserver:
             if e not in self.output_edges:
                 self.output_edges.add(e)
                 added.append(e)
-        self.log.append((s, t))
         return tuple(added)
 
     def output_graph(self) -> DirectedGraph:

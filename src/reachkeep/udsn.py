@@ -20,7 +20,15 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import BoundsError, InfeasiblePairError, ParameterError
-from .graphs import Condensation, DirectedGraph, Edge, IncrementalClosure, condense, reachable_set
+from .graphs import (
+    Condensation,
+    DirectedGraph,
+    Edge,
+    IncrementalClosure,
+    bfs_parents,
+    condense,
+    reachable_set,
+)
 from .preserver import CondensingPreserver, GrowthMode
 from .seeding import rng_for
 
@@ -90,18 +98,7 @@ def bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
     real low-cost handler; results that lean on it are not certified."""
     if not 0 <= s < g.n or not 0 <= t < g.n:
         raise BoundsError(f"pair ({s}, {t}) out of range for n={g.n}")
-    if s == t:
-        return ()
-    parent: dict[int, int] = {s: s}
-    frontier = [s]
-    while frontier and t not in parent:
-        nxt = []
-        for u in frontier:
-            for v in g.out_neighbors(u):
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
+    parent = bfs_parents(g.out_neighbors, s, goal=t)
     if t not in parent:
         raise InfeasiblePairError(f"{t} is not reachable from {s}")
     edges = []

@@ -4,6 +4,8 @@ and no traceback; computation-level failures exit 1."""
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +48,24 @@ def test_bad_bench_list_is_a_usage_error(tmp_path, capsys):
     code, err = run(["bench", "--ns", "5,x"], tmp_path, capsys)
     assert code == 2
     assert err == ["error: --ns expects comma-separated integers, got '5,x'"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ns", "12", "--s-sizes", "1", "--constant", "0"],
+         "error: constant must be positive, got 0.0"),
+        (["--ns", "12", "--s-sizes", "1", "--constant", "-1"],
+         "error: constant must be positive, got -1.0"),
+        (["--kind", "nope", "--ns", "5"], "error: unknown family kind 'nope'"),
+    ],
+    ids=["constant-0", "constant-negative", "unknown-kind"],
+)
+def test_bad_bench_input_is_a_usage_error(argv, message, tmp_path, capsys):
+    code, err = run(["bench", *argv], tmp_path, capsys)
+    assert code == 2
+    assert err == [message]
+    assert not (tmp_path / "manifests").exists()
 
 
 def test_missing_table_entry_prints_without_quotes(tmp_path, capsys):
@@ -121,3 +141,21 @@ def test_infeasible_pair_is_a_usage_error(command, extra, message, tmp_path, cap
     assert code == 2
     assert err == [message]
     assert not (tmp_path / "manifests").exists()
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """The ``reachkeep ...`` commands of the README's CLI block, each
+    with its continuation lines joined, without the program name."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("reachkeep ")]
+
+
+def test_readme_cli_walkthrough_runs_clean(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_cli_lines()
+    assert len(commands) >= 10
+    for argv in commands:
+        code = cli_main(argv)
+        assert code == 0, (argv, capsys.readouterr().err)

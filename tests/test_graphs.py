@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reachkeep.errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
+from reachkeep.errors import (
+    BoundsError,
+    CyclicGraphError,
+    InfeasiblePairError,
+    MissingEntryError,
+    ParseError,
+)
 from reachkeep.graphs import (
     DirectedGraph,
     IncrementalClosure,
@@ -20,6 +27,7 @@ from reachkeep.graphs import (
     reachable_set,
 )
 from reachkeep.preserver import EdgeStore
+from reachkeep.udsn import bfs_route
 
 
 def closure_oracle(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -46,6 +54,71 @@ def scc_oracle(n: int, edges: set[tuple[int, int]]) -> list[frozenset[int]]:
 
 def bits(mask: int) -> set[int]:
     return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+
+def level_bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[tuple[int, int], ...]:
+    """Level-by-level BFS route, smallest-head tie-break; the route
+    ``bfs_route`` must return. Kept as the reference for it."""
+    if s == t:
+        return ()
+    parent: dict[int, int] = {s: s}
+    frontier = [s]
+    while frontier and t not in parent:
+        nxt = []
+        for u in frontier:
+            for v in g.out_neighbors(u):
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if t not in parent:
+        raise InfeasiblePairError(f"{t} is not reachable from {s}")
+    edges = []
+    v = t
+    while v != s:
+        edges.append((parent[v], v))
+        v = parent[v]
+    return tuple(reversed(edges))
+
+
+def component_bfs_tree(members, rep: int, step, reverse: bool) -> set[tuple[int, int]]:
+    """BFS tree over ``members`` from ``rep``, edges in original
+    orientation; the reference for the condensation's per-component
+    in and out trees."""
+    member_set = set(members)
+    seen = {rep}
+    queue = deque([rep])
+    tree: set[tuple[int, int]] = set()
+    while queue:
+        u = queue.popleft()
+        for v in step(u):
+            if v in member_set and v not in seen:
+                seen.add(v)
+                tree.add((v, u) if reverse else (u, v))
+                queue.append(v)
+    assert seen == member_set
+    return tree
+
+
+def tree_depths(tree, comp, rep: int, reverse: bool) -> dict[int, int]:
+    """Depth of each vertex of ``comp`` in the edges of ``tree`` inside
+    it: edges point away from ``rep``, or towards it when reverse."""
+    members = set(comp)
+    parent = {}
+    for u, v in tree:
+        if u in members:
+            child, up = (u, v) if reverse else (v, u)
+            assert child not in parent
+            parent[child] = up
+    depths = {}
+    for v in comp:
+        k, w = 0, v
+        while w != rep:
+            w = parent[w]
+            k += 1
+            assert k < len(comp)
+        depths[v] = k
+    return depths
 
 
 small_graphs = st.integers(min_value=1, max_value=7).flatmap(
@@ -249,6 +322,36 @@ class TestCondensation:
             assert set(comp) <= reachable_set(t, root, reverse=True)
 
 
+class TestSingleBfs:
+    """``bfs_route`` and the condensation's trees against the separate
+    BFS loops they replaced."""
+
+    @given(small_graphs)
+    @example((4, {(0, 1), (0, 2), (1, 3), (2, 3)}))  # 3 is found again from 2
+    @example((4, {(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)}))  # edges leave {0, 1}
+    @settings(max_examples=80, deadline=None)
+    def test_routes_and_trees_match_references(self, case):
+        n, edges = case
+        g = DirectedGraph(n, edges)
+        for s in range(n):
+            for t in range(n):
+                try:
+                    want = level_bfs_route(g, s, t)
+                except InfeasiblePairError as exc:
+                    with pytest.raises(InfeasiblePairError, match=str(exc)):
+                        bfs_route(g, s, t)
+                else:
+                    assert bfs_route(g, s, t) == want
+        c = condense(g)
+        out_tree, in_tree = set(), set()
+        for comp in c.components:
+            if len(comp) > 1:
+                out_tree |= component_bfs_tree(comp, comp[0], g.out_neighbors, False)
+                in_tree |= component_bfs_tree(comp, comp[0], g.in_neighbors, True)
+        assert c.out_tree == out_tree
+        assert c.in_tree == in_tree
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_condense_and_reach_mask_match_networkx(seed):
     nx = pytest.importorskip("networkx")
@@ -265,6 +368,23 @@ def test_condense_and_reach_mask_match_networkx(seed):
         assert {frozenset(comp) for comp in c.components} == {
             frozenset(comp) for comp in nx.strongly_connected_components(ng)
         }
+        for comp in c.components:
+            sub = ng.subgraph(comp)
+            rep = comp[0]
+            assert tree_depths(c.out_tree, comp, rep, False) == (
+                nx.single_source_shortest_path_length(sub, rep)
+            )
+            assert tree_depths(c.in_tree, comp, rep, True) == (
+                nx.single_source_shortest_path_length(sub.reverse(), rep)
+            )
+        for s in rng.sample(range(n), 8):
+            dist = nx.single_source_shortest_path_length(ng, s)
+            for t in range(n):
+                if t in dist:
+                    assert len(bfs_route(g, s, t)) == dist[t]
+                else:
+                    with pytest.raises(InfeasiblePairError):
+                        bfs_route(g, s, t)
         for dag in (c.dag, g) if g.is_dag else (c.dag,):
             nd = nx.DiGraph(list(dag.edges))
             nd.add_nodes_from(range(dag.n))
