@@ -12,20 +12,30 @@ budget in distinct edges.
 The index-sensitive variant stacks known-budget tables for doubling
 demand counts until the budget saturates at the complete-graph cap;
 the i-th demand is answered from the smallest level covering i.
+
+One greedy trajectory serves every level. The adversary's picks do not
+depend on the threshold, so the while-loop of a level with a higher
+threshold is a prefix of the while-loop of a lower one. New-edge counts
+are integers >= 0, so a table depends on its threshold only through
+floor(max(threshold, -1)): levels that share that floor are built once,
+each still getting its own PathTable. The adversary keeps one path per
+candidate pair and grows it again only when a committed edge could
+change its walk.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import MissingEntryError, ParameterError
-# reachable_set, grow_forwards and grow_backwards are not called here
-# (reachable_pairs and GrowthMode.grow are), but perfbench/tracing.py
-# wraps this module's binding of them.
+# reachable_set, grow_forwards, grow_backwards and greedy_adversary_step
+# are not called here (reachable_pairs and _GreedyAdversary are), but
+# perfbench/tracing.py wraps this module's binding of them.
 from .graphs import DirectedGraph, reachable_set
-from .oracle import greedy_adversary_step, reachable_pairs
+from .oracle import _GreedyAdversary, greedy_adversary_step, reachable_pairs
 from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
 
 Pair = tuple[int, int]
@@ -49,7 +59,10 @@ class ExtremalSurrogate:
         for name, value in (("n", n), ("p", p)):
             if int(value) != value or value < 1:
                 raise ParameterError(f"{name} must be an integer >= 1, got {value}")
-        return min(float(self.fn(n, p)), float(self.cap(n)))
+        value = float(self.fn(n, p))
+        if math.isnan(value):
+            raise ParameterError(f"surrogate {self.label!r} is NaN at n={n}, p={p}")
+        return min(value, float(self.cap(n)))
 
 
 def default_surrogate(n: int, scale: float = 4.0) -> ExtremalSurrogate:
@@ -76,6 +89,44 @@ class PathTable:
         return [p for p, tag in self.finalized_by.items() if tag == WHILE_LOOP]
 
 
+def _stop(threshold: float) -> int:
+    """The while-loop stops at the first pick whose new-edge count is
+    at most the threshold. Counts are integers >= 0, so that test reads
+    the threshold only through this value, and thresholds with equal
+    stops give equal tables."""
+    return math.floor(max(threshold, -1.0))
+
+
+def _build_tables(
+    g: DirectedGraph, levels: list[tuple[int, float]], selector: GrowthMode | str
+) -> tuple[PathTable, ...]:
+    """One table per (level, threshold), all from one greedy trajectory
+    over the reachable pairs of g, run through the distinct stops in
+    decreasing order."""
+    adversary = _GreedyAdversary(g, EdgeStore(g.n), selector, reachable_pairs(g))
+    committed: dict[Pair, tuple[int, ...]] = {}
+    built: dict[int, tuple[dict, dict]] = {}
+    for stop in sorted({_stop(threshold) for _, threshold in levels}, reverse=True):
+        while adversary:
+            pair, path, count = adversary.best()
+            if count <= stop:
+                break
+            adversary.discard(pair)
+            adversary.commit(path)
+            committed[pair] = path
+        entries = dict(committed)
+        finalized_by = dict.fromkeys(committed, WHILE_LOOP)
+        for pair, path in adversary.remaining():  # frozen residual phase
+            entries[pair] = path
+            finalized_by[pair] = RESIDUAL
+        built[stop] = entries, finalized_by
+    tables = []
+    for level, threshold in levels:
+        entries, finalized_by = built[_stop(threshold)]
+        tables.append(PathTable(level, threshold, dict(entries), dict(finalized_by)))
+    return tuple(tables)
+
+
 def precompute_known_p(
     g: DirectedGraph,
     p: int,
@@ -89,28 +140,7 @@ def precompute_known_p(
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
-    grow = GrowthMode(selector).grow
-    threshold = surrogate.evaluate(g.n, p) / p
-    table = PathTable(level=p, threshold=threshold)
-    h = EdgeStore(g.n)
-    unfinalized = set(reachable_pairs(g))
-
-    while unfinalized:
-        pair = greedy_adversary_step(g, h, selector, unfinalized)
-        path = grow(g, h, *pair)
-        count = sum(1 for e in zip(path, path[1:]) if e not in h)
-        if count <= threshold:
-            break
-        for e in zip(path, path[1:]):
-            h.add(e)
-        table.entries[pair] = path
-        table.finalized_by[pair] = WHILE_LOOP
-        unfinalized.discard(pair)
-
-    for pair in sorted(unfinalized):  # frozen residual phase
-        table.entries[pair] = grow(g, h, *pair)
-        table.finalized_by[pair] = RESIDUAL
-    return table
+    return _build_tables(g, [(p, surrogate.evaluate(g.n, p) / p)], selector)[0]
 
 
 def precompute_index_sensitive(
@@ -121,21 +151,29 @@ def precompute_index_sensitive(
 ) -> tuple[PathTable, ...]:
     """Known-budget tables for doubling levels p*, 2p*, 4p*, ... up to
     and including the first level whose budget hits the cap. Beyond
-    that the tables would repeat, so the stack stops there."""
+    that the tables would repeat, so the stack stops there. A surrogate
+    still below the cap past level sys.maxsize is rejected: no demand
+    index reaches such a level."""
     if g.n < 1:
         raise ParameterError("graph must have at least one vertex")
     base = p_star if p_star is not None else g.n
     if base < 1:
         raise ParameterError(f"p_star must be >= 1, got {base}")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
-    tables: list[PathTable] = []
+    cap = surrogate.cap(g.n)
+    levels: list[tuple[int, float]] = []
     q = base
     while True:
-        tables.append(precompute_known_p(g, q, surrogate, selector))
-        if surrogate.evaluate(g.n, q) >= surrogate.cap(g.n):
+        budget = surrogate.evaluate(g.n, q)
+        levels.append((q, budget / q))
+        if budget >= cap:
             break
+        if q > sys.maxsize:
+            raise ParameterError(
+                f"surrogate {surrogate.label!r} stays below the cap {cap} up to level {q}"
+            )
         q *= 2
-    return tuple(tables)
+    return _build_tables(g, levels, selector)
 
 
 def select_entry(
@@ -179,17 +217,14 @@ def surrogate_monitor(
     if p < 1:
         raise ParameterError(f"p must be >= 1, got {p}")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
-    grow = GrowthMode(selector).grow
     domain = reachable_pairs(g)
     if not domain:
         return MonitorReport(valid=True, final_edges=0, budget=surrogate.evaluate(g.n, p))
     h = EdgeStore(g.n)
+    adversary = _GreedyAdversary(g, h, selector, domain)
     rounds: list[int] = []
     for _ in range(p):
-        pair = greedy_adversary_step(g, h, selector, domain)
-        path = grow(g, h, *pair)
-        for e in zip(path, path[1:]):
-            h.add(e)
+        adversary.commit(adversary.best()[1])
         rounds.append(len(h))
     budget = surrogate.evaluate(g.n, p)
     return MonitorReport(

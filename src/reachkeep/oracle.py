@@ -97,26 +97,78 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
     raise AssertionError("unreachable: the full edge set preserves all pairs")
 
 
+class _GreedyAdversary:
+    """The greedy adversary over a candidate set, with one cached path
+    per candidate grown against the edge set h.
+
+    A growth walk reads h only at the vertices of its own path: forwards
+    growth reads the out-neighbours of each vertex, backwards growth the
+    in-neighbours. So a committed path can change a cached walk, or its
+    new-edge count, only if the cached path visits the tail (forwards)
+    or the head (backwards) of an edge the commit added; only those
+    candidates are grown again.
+    """
+
+    def __init__(self, g: DirectedGraph, h, selector, candidates: Iterable[Pair]):
+        cands = sorted({(int(s), int(t)) for s, t in candidates})
+        if not cands:
+            raise ParameterError("candidate set is empty")
+        self.g, self.h = g, h
+        mode = GrowthMode(selector)
+        self._grow = mode.grow
+        # Index in an edge of the end whose neighbour list the walk reads.
+        self._end = 0 if mode is GrowthMode.FORWARDS else 1
+        # pair -> (path, new-edge count, bitmask of the path's vertices)
+        self._cache: dict[Pair, tuple[tuple[int, ...], int, int]] = {}
+        for pair in cands:
+            self._regrow(pair)
+
+    def _regrow(self, pair: Pair) -> None:
+        h = self.h
+        path = self._grow(self.g, h, *pair)
+        count = sum(1 for e in zip(path, path[1:]) if e not in h)
+        self._cache[pair] = path, count, sum(1 << v for v in path)  # a DAG walk is simple
+
+    def __bool__(self) -> bool:
+        return bool(self._cache)
+
+    def best(self) -> tuple[Pair, tuple[int, ...], int]:
+        """(pair, path, new-edge count) of the candidate adding the most
+        new edges to h; ties break to the lexicographically smallest
+        pair."""
+        cache = self._cache
+        pair = min(cache, key=lambda q: (-cache[q][1], q))
+        path, count, _ = cache[pair]
+        return pair, path, count
+
+    def discard(self, pair: Pair) -> None:
+        del self._cache[pair]
+
+    def commit(self, path: tuple[int, ...]) -> None:
+        """Add path's edges to h and grow again every candidate whose
+        walk the new edges could change."""
+        touched = 0
+        for e in zip(path, path[1:]):
+            if self.h.add(e):
+                touched |= 1 << e[self._end]
+        if touched:
+            for pair, (_, _, mask) in self._cache.items():
+                if mask & touched:
+                    self._regrow(pair)
+
+    def remaining(self) -> list[tuple[Pair, tuple[int, ...]]]:
+        """Every remaining candidate with its path against h, in
+        lexicographic order."""
+        return sorted((pair, path) for pair, (path, _, _) in self._cache.items())
+
+
 def greedy_adversary_step(
     g: DirectedGraph, h, selector, candidates: Iterable[Pair]
 ) -> Pair:
     """The candidate pair whose selected path contributes the most new
     edges on top of h; ties break to the lexicographically smallest
     pair. Candidates must be reachable in g."""
-    cands = sorted({(int(s), int(t)) for s, t in candidates})
-    if not cands:
-        raise ParameterError("candidate set is empty")
-    grow = GrowthMode(selector).grow
-    best_pair: Pair | None = None
-    best_count = -1
-    for pair in cands:
-        path = grow(g, h, *pair)
-        count = sum(1 for e in zip(path, path[1:]) if e not in h)
-        if count > best_count:
-            best_pair = pair
-            best_count = count
-    assert best_pair is not None
-    return best_pair
+    return _GreedyAdversary(g, h, selector, candidates).best()[0]
 
 
 @dataclass(frozen=True)
@@ -146,6 +198,11 @@ class InstanceFamily:
             raise ParameterError(f"pairs must be >= 0, got {self.pairs}")
         if not (0.0 <= self.density <= 1.0):
             raise ParameterError(f"density must be in [0, 1], got {self.density}")
+        if self.kind == "sourcewise":
+            if self.n < 2:
+                raise ParameterError("sourcewise needs n >= 2")
+            if self.side not in ("source", "sink"):
+                raise ParameterError(f"side must be source or sink, got {self.side!r}")
 
 
 def reachable_pairs(g: DirectedGraph) -> list[Pair]:
@@ -234,8 +291,6 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         return g, tuple(stream)
 
     if kind == "sourcewise":
-        if n < 2:
-            raise ParameterError("sourcewise needs n >= 2")
         perm, edges = _random_dag_edges(n, family.density, graph_rng)
         pos = {v: i for i, v in enumerate(perm)}
         size = min(max(1, family.s_size), max(1, n - 1))
@@ -244,13 +299,11 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
             for s in shared:
                 if not any(u == s for u, _ in edges):
                     edges.add((s, perm[pos[s] + 1]))
-        elif family.side == "sink":
+        else:
             shared = sorted(graph_rng.sample(perm[1:], size))
             for t in shared:
                 if not any(v == t for _, v in edges):
                     edges.add((perm[pos[t] - 1], t))
-        else:
-            raise ParameterError(f"side must be source or sink, got {family.side!r}")
         g = DirectedGraph(n, edges)
         stream = []
         for _ in range(family.pairs):

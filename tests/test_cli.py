@@ -58,8 +58,9 @@ def test_bad_bench_list_is_a_usage_error(tmp_path, capsys):
         (["--ns", "12", "--s-sizes", "1", "--constant", "-1"],
          "error: constant must be positive, got -1.0"),
         (["--kind", "nope", "--ns", "5"], "error: unknown family kind 'nope'"),
+        (["--ns", "1", "--s-sizes", "1"], "error: sourcewise needs n >= 2"),
     ],
-    ids=["constant-0", "constant-negative", "unknown-kind"],
+    ids=["constant-0", "constant-negative", "unknown-kind", "sourcewise-n1"],
 )
 def test_bad_bench_input_is_a_usage_error(argv, message, tmp_path, capsys):
     code, err = run(["bench", *argv], tmp_path, capsys)

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from reachkeep import harness
 from reachkeep import (
     CondensingPreserver,
     GrowthMode,
     InfeasiblePairError,
     InstanceFamily,
+    ParameterError,
     PreserverSession,
     RunManifest,
     bench_cell,
@@ -163,9 +165,19 @@ class TestBench:
         assert row["envelope"] is None
         assert row["envelope_ratio"] is None
 
-    def test_sweep_captures_failures_as_rows(self):
+    def test_sweep_captures_failures_as_rows(self, monkeypatch):
+        # A family that cannot be generated is rejected on construction,
+        # so the failing cell is injected into the generator instead.
         good = InstanceFamily(kind="random-dag", n=8, seed=1, pairs=3)
-        bad = InstanceFamily(kind="sourcewise", n=1, seed=1, pairs=3)
+        bad = InstanceFamily(kind="sourcewise", n=8, seed=1, pairs=3)
+        real = harness.generate
+
+        def generate_or_fail(family):
+            if family is bad:
+                raise ParameterError("injected cell failure")
+            return real(family)
+
+        monkeypatch.setattr(harness, "generate", generate_or_fail)
         rows = bench_sweep([(good, "fw"), (bad, "fw")])
         assert "error" not in rows[0]
         assert "ParameterError" in rows[1]["error"]

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,16 +11,21 @@ from reachkeep import (
     RESIDUAL,
     WHILE_LOOP,
     DirectedGraph,
+    EdgeStore,
     ExtremalSurrogate,
+    GrowthMode,
     MissingEntryError,
     ParameterError,
+    PathTable,
     default_surrogate,
+    greedy_adversary_step,
     precompute_index_sensitive,
     precompute_known_p,
     reachable_set,
     select_entry,
     surrogate_monitor,
 )
+from reachkeep.oracle import reachable_pairs
 
 CHAIN4 = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
 
@@ -27,11 +35,27 @@ def linear_surrogate(slope: float) -> ExtremalSurrogate:
 
 
 @st.composite
-def small_dags(draw):
-    n = draw(st.integers(min_value=2, max_value=7))
+def small_dags(draw, max_n: int = 7, max_edges: int = 12):
+    n = draw(st.integers(min_value=2, max_value=max_n))
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=min(len(pool), 12)))
+    edges = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=min(len(pool), max_edges)))
     return DirectedGraph(n, edges)
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSurrogate:
@@ -62,6 +86,13 @@ class TestSurrogate:
 
     def test_scale_moves_the_budget(self):
         assert default_surrogate(10, scale=1.0).evaluate(10, 4) == pytest.approx(30.0)
+
+    def test_nan_value_is_rejected(self):
+        nan = ExtremalSurrogate(fn=lambda n, p: float("nan"), label="nan")
+        with pytest.raises(ParameterError):
+            nan.evaluate(4, 1)
+        with time_limit(10), pytest.raises(ParameterError):
+            precompute_index_sensitive(CHAIN4, surrogate=nan)
 
 
 class TestKnownP:
@@ -166,6 +197,25 @@ class TestIndexSensitive:
         with pytest.raises(ParameterError):
             precompute_index_sensitive(CHAIN4, p_star=0)
 
+    def test_never_saturating_surrogate_is_rejected(self):
+        # 10n = 120 stays below the cap n(n-1) = 132 at every level.
+        chain12 = DirectedGraph(12, {(v, v + 1) for v in range(11)})
+        flat = ExtremalSurrogate(fn=lambda n, p: 10 * n, label="flat")
+        with time_limit(10), pytest.raises(ParameterError):
+            precompute_index_sensitive(chain12, surrogate=flat)
+
+    def test_levels_sharing_a_floor_are_independent_objects(self):
+        # Thresholds 3.0, 3.0 and 3.0: one floor, three levels.
+        tables = precompute_index_sensitive(
+            CHAIN4, surrogate=linear_surrogate(3.0), p_star=1
+        )
+        assert [t.level for t in tables] == [1, 2, 4]
+        before = [(dict(t.entries), dict(t.finalized_by)) for t in tables]
+        tables[0].entries[(0, 3)] = (0, 3)
+        del tables[0].entries[(1, 2)]
+        tables[0].finalized_by.clear()
+        assert [(t.entries, t.finalized_by) for t in tables[1:]] == before[1:]
+
     def test_non_adaptive_rebuild_is_identical(self):
         a = precompute_index_sensitive(CHAIN4, surrogate=linear_surrogate(3.0), p_star=1)
         b = precompute_index_sensitive(CHAIN4, surrogate=linear_surrogate(3.0), p_star=1)
@@ -208,3 +258,119 @@ class TestSurrogateMonitor:
         assert report.valid
         assert len(report.rounds) == p
         assert report.rounds == sorted(report.rounds)
+
+
+# The per-level construction the single trajectory replaced: one
+# greedy_adversary_step (a fresh grow of every candidate) per while-loop
+# round, and one known-budget table per level. Reference only.
+
+
+def reference_adversary_step(g, h, selector, candidates):
+    grow = GrowthMode(selector).grow
+    best_pair, best_count = None, -1
+    for pair in sorted(set(candidates)):
+        path = grow(g, h, *pair)
+        count = sum(1 for e in zip(path, path[1:]) if e not in h)
+        if count > best_count:
+            best_pair, best_count = pair, count
+    return best_pair
+
+
+def reference_known_p(g, p, surrogate, selector):
+    grow = GrowthMode(selector).grow
+    threshold = surrogate.evaluate(g.n, p) / p
+    table = PathTable(level=p, threshold=threshold)
+    h = EdgeStore(g.n)
+    unfinalized = set(reachable_pairs(g))
+    while unfinalized:
+        pair = reference_adversary_step(g, h, selector, unfinalized)
+        path = grow(g, h, *pair)
+        count = sum(1 for e in zip(path, path[1:]) if e not in h)
+        if count <= threshold:
+            break
+        for e in zip(path, path[1:]):
+            h.add(e)
+        table.entries[pair] = path
+        table.finalized_by[pair] = WHILE_LOOP
+        unfinalized.discard(pair)
+    for pair in sorted(unfinalized):
+        table.entries[pair] = grow(g, h, *pair)
+        table.finalized_by[pair] = RESIDUAL
+    return table
+
+
+def reference_stack(g, surrogate, selector, p_star):
+    tables = []
+    q = p_star if p_star is not None else g.n
+    while True:
+        tables.append(reference_known_p(g, q, surrogate, selector))
+        if surrogate.evaluate(g.n, q) >= surrogate.cap(g.n):
+            return tables
+        q *= 2
+
+
+def reference_monitor_rounds(g, p, selector):
+    grow = GrowthMode(selector).grow
+    domain = reachable_pairs(g)
+    h = EdgeStore(g.n)
+    rounds = []
+    for _ in range(p):
+        pair = reference_adversary_step(g, h, selector, domain)
+        path = grow(g, h, *pair)
+        for e in zip(path, path[1:]):
+            h.add(e)
+        rounds.append(len(h))
+    return rounds
+
+
+SURROGATES = [
+    default_surrogate(9),
+    default_surrogate(9, scale=0.3),
+    default_surrogate(9, scale=0.1),
+    linear_surrogate(0.5),
+    linear_surrogate(2.5),
+    # Negative below level 2n, so the early levels finalize every pair
+    # in the while-loop; saturates at 4p >= n(n+7).
+    ExtremalSurrogate(fn=lambda n, p: 4 * p - 8 * n, label="negative-start"),
+]
+
+
+class TestOneTrajectory:
+    @given(
+        small_dags(max_n=9, max_edges=20),
+        st.sampled_from(["fw", "bw"]),
+        st.sampled_from(SURROGATES),
+        st.sampled_from([1, 2, 3, 5, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_stack_matches_per_level_construction(self, g, selector, surrogate, p_star):
+        got = precompute_index_sensitive(g, surrogate, selector, p_star)
+        want = reference_stack(g, surrogate, selector, p_star)
+        assert [t.level for t in got] == [t.level for t in want]
+        assert [t.threshold for t in got] == [t.threshold for t in want]
+        for a, b in zip(got, want):
+            assert list(a.entries.items()) == list(b.entries.items())
+            assert list(a.finalized_by.items()) == list(b.finalized_by.items())
+
+    @given(
+        small_dags(max_n=9, max_edges=20),
+        st.sampled_from(["fw", "bw"]),
+        st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_monitor_matches_per_round_adversary(self, g, selector, p):
+        report = surrogate_monitor(g, p, default_surrogate(g.n), selector)
+        assert report.rounds == reference_monitor_rounds(g, p, selector)
+
+    @given(small_dags(max_n=9, max_edges=20), st.sampled_from(["fw", "bw"]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_adversary_step_matches_fresh_grows_on_partial_h(self, g, selector, data):
+        h = EdgeStore(g.n)
+        for e in data.draw(st.lists(st.sampled_from(sorted(g.edges)), max_size=len(g.edges))):
+            h.add(e)
+        candidates = data.draw(
+            st.lists(st.sampled_from(reachable_pairs(g)), min_size=1, max_size=20)
+        )
+        assert greedy_adversary_step(g, h, selector, candidates) == reference_adversary_step(
+            g, h, selector, candidates
+        )

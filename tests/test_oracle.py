@@ -144,11 +144,11 @@ class TestInstanceFamily:
 
     def test_sourcewise_needs_two_vertices(self):
         with pytest.raises(ParameterError):
-            generate(InstanceFamily(kind="sourcewise", n=1, seed=1))
+            InstanceFamily(kind="sourcewise", n=1, seed=1)
 
     def test_bad_side_rejected(self):
         with pytest.raises(ParameterError):
-            generate(InstanceFamily(kind="sourcewise", n=4, seed=1, side="edge"))
+            InstanceFamily(kind="sourcewise", n=4, seed=1, side="edge")
 
     def test_same_family_same_bytes(self):
         fam = InstanceFamily(kind="random-dag", n=12, seed=7, pairs=6)
