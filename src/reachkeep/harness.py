@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -197,9 +198,10 @@ def bench_sweep(
     constant: float = 16.0,
 ) -> list[dict[str, object]]:
     """Run every cell, capturing per-cell failures as rows rather than
-    aborting the sweep. A non-positive constant is rejected up front."""
-    if not constant > 0:  # NaN too
-        raise ParameterError(f"constant must be positive, got {constant}")
+    aborting the sweep. A constant that is not finite and positive is
+    rejected up front."""
+    if not (math.isfinite(constant) and constant > 0):
+        raise ParameterError(f"constant must be finite and positive, got {constant}")
     rows: list[dict[str, object]] = []
     for family, mode in cells:
         try:

@@ -203,6 +203,11 @@ class InstanceFamily:
                 raise ParameterError("sourcewise needs n >= 2")
             if self.side not in ("source", "sink"):
                 raise ParameterError(f"side must be source or sink, got {self.side!r}")
+        if self.kind == "path-union" and self.n < max(2, self.part_length):
+            raise ParameterError(
+                f"path-union needs n >= max(2, part_length), got n={self.n}, "
+                f"part_length={self.part_length}"
+            )
 
 
 def reachable_pairs(g: DirectedGraph) -> list[Pair]:
@@ -275,7 +280,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
 
     if kind == "path-union":
         length = max(2, family.part_length)
-        parts = max(1, n // length)
+        parts = n // length
         edges = set()
         demands = []
         for part in range(parts):

@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import enum
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import ceil
 
-from .errors import BoundsError, ParameterError, ParseError
+from .errors import BoundsError, ParameterError
 from .graphs import DirectedGraph
 
 Path = tuple[int, ...]
@@ -51,15 +49,6 @@ class PathSystem:
         """Total number of vertex instances across all paths."""
         return sum(len(p) for p in self.paths)
 
-    def degree(self, v: int) -> int:
-        """Number of paths containing v."""
-        if not (0 <= v < self.universe):
-            raise BoundsError(f"vertex {v} outside 0..{self.universe - 1}")
-        return sum(1 for p in self.paths if v in p)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(v for p in self.paths for v in p)
-
     @cached_property
     def pair_index(self) -> _SystemIndex:
         """Ordered-pair occurrence index of all paths, built on first
@@ -71,41 +60,6 @@ def reversed_system(s: PathSystem) -> PathSystem:
     """Reverse every path while keeping the path order. Swaps the roles
     of the first-arc and last-arc order constraints."""
     return PathSystem(s.universe, tuple(tuple(reversed(p)) for p in s.paths))
-
-
-def load_path_system(text: str) -> PathSystem:
-    universe: int | None = None
-    paths: list[Path] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if universe is None:
-            if parts[0] != "universe" or len(parts) != 2:
-                raise ParseError("expected header 'universe <n>'", line_no)
-            try:
-                universe = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad universe {parts[1]!r}", line_no) from None
-            continue
-        try:
-            path = tuple(int(x) for x in parts)
-        except ValueError:
-            raise ParseError(f"non-integer vertex id in {line!r}", line_no) from None
-        paths.append(path)
-    if universe is None:
-        raise ParseError("missing 'universe <n>' header", 1)
-    try:
-        return PathSystem(universe, tuple(paths))
-    except BoundsError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def dump_path_system(s: PathSystem) -> str:
-    lines = [f"universe {s.universe}"]
-    lines.extend(" ".join(str(v) for v in p) for p in s.paths)
-    return "\n".join(lines) + "\n"
 
 
 def is_acyclic(s: PathSystem) -> tuple[bool, tuple[int, ...] | None]:
@@ -504,104 +458,6 @@ class BridgeMonitor:
             if found is not None:
                 return found
         return None
-
-
-def clean(s: PathSystem) -> PathSystem:
-    """Regularize a system around its input averages.
-
-    With d the input average degree over vertices that occur and l the
-    input average path length, repeatedly: drop vertices of degree
-    below d/4 and paths shorter than l/4, split vertices of degree
-    above d into two copies taking alternating occurrences in path
-    order, and split paths longer than l into balanced halves. The
-    result keeps degrees within [d/4, 4d], lengths within [l/4, 4l],
-    and at least half the original size.
-    """
-    if not s.paths:
-        raise ParameterError("clean requires a nonempty system")
-    original_size = s.size()
-    paths: list[list[int]] = [list(p) for p in s.paths]
-    support = {v for p in paths for v in p}
-    d = original_size / len(support)
-    ell = original_size / len(paths)
-    next_id = s.universe
-
-    def degrees() -> Counter:
-        deg: Counter = Counter()
-        for p in paths:
-            for v in p:
-                deg[v] += 1
-        return deg
-
-    while True:
-        changed = False
-
-        # deletion fixpoint
-        while True:
-            deg = degrees()
-            doomed = {v for v, c in deg.items() if c < d / 4}
-            step = False
-            if doomed:
-                paths = [[v for v in p if v not in doomed] for p in paths]
-                step = True
-            kept = [p for p in paths if len(p) >= ell / 4]
-            if len(kept) != len(paths):
-                step = True
-            paths = kept
-            if not step:
-                break
-            changed = True
-
-        # node splits, alternating occurrences in path order
-        while True:
-            deg = degrees()
-            heavy = sorted(v for v, c in deg.items() if c > d)
-            if not heavy:
-                break
-            changed = True
-            for v in heavy:
-                copy = next_id
-                next_id += 1
-                occurrence = 0
-                for p in paths:
-                    for pos, w in enumerate(p):
-                        if w == v:
-                            if occurrence % 2 == 1:
-                                p[pos] = copy
-                            occurrence += 1
-
-        # path splits into balanced halves, in order
-        split_out: list[list[int]] = []
-
-        def emit(q: list[int]) -> None:
-            if len(q) <= ell:
-                split_out.append(q)
-                return
-            half = ceil(len(q) / 2)
-            emit(q[:half])
-            emit(q[half:])
-
-        before = len(paths)
-        for p in paths:
-            emit(p)
-        if len(split_out) != before:
-            changed = True
-        paths = split_out
-
-        if not changed:
-            break
-
-    out = PathSystem(next_id, tuple(tuple(p) for p in paths))
-    deg = Counter(v for p in out.paths for v in p)
-    for v, c in deg.items():
-        if not (d / 4 <= c <= 4 * d):
-            raise AssertionError(f"degree {c} of vertex {v} left [d/4, 4d]")
-    for p in out.paths:
-        if not (ell / 4 <= len(p) <= 4 * ell):
-            raise AssertionError(f"length {len(p)} left [l/4, 4l]")
-    if out.size() < original_size / 2:
-        raise AssertionError("cleaning lost more than half the size")
-    return out
 
 
 def _first_meeting(path2: Path, other: set[int]) -> tuple[int, int] | None:

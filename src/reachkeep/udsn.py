@@ -52,9 +52,9 @@ class UdsnParams:
             raise ParameterError(f"tau must be >= 1, got {self.tau}")
         if self.T < 0:
             raise ParameterError(f"T must be >= 0, got {self.T}")
-        if self.sample_constant <= 0:
+        if not (math.isfinite(self.sample_constant) and self.sample_constant > 0):
             raise ParameterError(
-                f"sample_constant must be positive, got {self.sample_constant}"
+                f"sample_constant must be finite and positive, got {self.sample_constant}"
             )
 
     @staticmethod

@@ -54,13 +54,22 @@ def test_bad_bench_list_is_a_usage_error(tmp_path, capsys):
     "argv, message",
     [
         (["--ns", "12", "--s-sizes", "1", "--constant", "0"],
-         "error: constant must be positive, got 0.0"),
+         "error: constant must be finite and positive, got 0.0"),
         (["--ns", "12", "--s-sizes", "1", "--constant", "-1"],
-         "error: constant must be positive, got -1.0"),
+         "error: constant must be finite and positive, got -1.0"),
         (["--kind", "nope", "--ns", "5"], "error: unknown family kind 'nope'"),
         (["--ns", "1", "--s-sizes", "1"], "error: sourcewise needs n >= 2"),
+        (["--kind", "path-union", "--ns", "3", "--modes", "fw", "--pair-counts", "2"],
+         "error: path-union needs n >= max(2, part_length), got n=3, part_length=4"),
+        (["--ns", "12", "--s-sizes", "1", "--constant", "nan"],
+         "error: constant must be finite and positive, got nan"),
+        (["--ns", "12", "--s-sizes", "1", "--constant", "inf"],
+         "error: constant must be finite and positive, got inf"),
     ],
-    ids=["constant-0", "constant-negative", "unknown-kind", "sourcewise-n1"],
+    ids=[
+        "constant-0", "constant-negative", "unknown-kind", "sourcewise-n1",
+        "path-union-short", "constant-nan", "constant-inf",
+    ],
 )
 def test_bad_bench_input_is_a_usage_error(argv, message, tmp_path, capsys):
     code, err = run(["bench", *argv], tmp_path, capsys)
@@ -121,6 +130,22 @@ def test_udsn_sample_constant_applies_at_default_tau_and_T(tmp_path, capsys):
     assert small == sample("--sample-constant", "0.5", "--tau", "8")
     assert len(small) == 7
     assert len(sample()) == 26
+
+
+@pytest.mark.parametrize("constant", ["nan", "inf"])
+@pytest.mark.parametrize("extra", [["--T", "0"], []], ids=["T0", "default-T"])
+def test_non_finite_sample_constant_is_a_usage_error(constant, extra, tmp_path, capsys):
+    graph, pairs = tmp_path / "g.txt", tmp_path / "p.txt"
+    graph.write_text("n 3\n0 1\n1 2\n2 0\n")
+    pairs.write_text("0 2\n")
+    code, err = run(
+        ["udsn", "--graph", str(graph), "--pairs", str(pairs),
+         "--sample-constant", constant, *extra],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert err == [f"error: sample_constant must be finite and positive, got {constant}"]
+    assert not (tmp_path / "manifests").exists()
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,12 @@ class TestInstanceFamily:
         with pytest.raises(ParameterError):
             InstanceFamily(kind="sourcewise", n=4, seed=1, side="edge")
 
+    @pytest.mark.parametrize("n, part_length", [(3, 4), (1, 0), (1, 2)])
+    def test_path_union_shorter_than_a_part_rejected(self, n, part_length):
+        with pytest.raises(ParameterError, match="part_length") as info:
+            InstanceFamily(kind="path-union", n=n, seed=1, part_length=part_length)
+        assert f"n={n}" in str(info.value)
+
     def test_same_family_same_bytes(self):
         fam = InstanceFamily(kind="random-dag", n=12, seed=7, pairs=6)
         g1, stream1 = generate(fam)

@@ -1,4 +1,4 @@
-"""Ordered path systems: bridges, cleaning, R-set diagnostics."""
+"""Ordered path systems: bridges, R-set diagnostics."""
 
 from __future__ import annotations
 
@@ -9,17 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reachkeep import pathsystem
-from reachkeep.errors import BoundsError, ParameterError, ParseError
+from reachkeep.errors import BoundsError, ParameterError
 from reachkeep.pathsystem import (
     BridgeMonitor,
     BridgeWitness,
     OrderConstraint,
     PathSystem,
-    clean,
-    dump_path_system,
     find_k_bridge,
     is_acyclic,
-    load_path_system,
     r_set,
     reversed_system,
     validate_witness,
@@ -65,7 +62,8 @@ def naive_bridge_using(s: PathSystem, k: int, constraint: OrderConstraint, q: in
     """Exhaustive reference: whether some k-bridge of s has path q in
     one of its roles. Every chain, every role for q, the others by the
     uncut role assignment over the paths containing their pairs."""
-    for chain in itertools.permutations(sorted(s.support()), k):
+    support = sorted({v for path in s.paths for v in path})
+    for chain in itertools.permutations(support, k):
         pairs = [(chain[0], chain[-1])] + list(zip(chain, chain[1:]))
         lists = [
             [i for i, path in enumerate(s.paths) if i != q and contains_in_order(path, a, b)]
@@ -196,17 +194,6 @@ class TestPathSystem:
     def test_size_degree_support(self):
         s = PathSystem(5, ((0, 1, 2), (1, 3)))
         assert s.size() == 5
-        assert s.degree(1) == 2
-        assert s.degree(4) == 0
-        assert s.support() == {0, 1, 2, 3}
-
-    def test_text_roundtrip(self):
-        s = PathSystem(6, ((0, 1, 2), (5, 1)))
-        assert load_path_system(dump_path_system(s)) == s
-
-    def test_parse_error_line(self):
-        with pytest.raises(ParseError, match="line 2"):
-            load_path_system("universe 3\n0 x\n")
 
 
 class TestAcyclicity:
@@ -451,42 +438,6 @@ class TestBridgeMonitor:
             if full_hit:
                 assert validate_witness(prefix, mon.first_witness, constraint)
                 break
-
-
-class TestClean:
-    def test_fixed_point(self):
-        s = PathSystem(6, ((0, 1, 2), (3, 4, 5)))
-        assert clean(s).paths == s.paths
-
-    def test_long_path_split(self):
-        # average length 2, so the length-4 path splits in half
-        s = PathSystem(8, ((0, 1, 2, 3), (4, 5), (6, 7), (0, 4), (1, 5), (2, 6)))
-        out = clean(s)
-        assert (0, 1) in out.paths and (2, 3) in out.paths
-        assert (0, 1, 2, 3) not in out.paths
-
-    def test_heavy_vertex_split(self):
-        # vertex 0 lies on every path; copies appear as fresh ids
-        s = PathSystem(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
-        out = clean(s)
-        assert all(out.degree(v) <= 4 * s.size() / len(s.support()) for v in range(out.universe))
-        assert out.universe > s.universe
-
-    def test_empty_system_rejected(self):
-        with pytest.raises(ParameterError):
-            clean(PathSystem(3, ()))
-
-    @given(path_systems(max_universe=8, max_paths=6, max_len=6))
-    @settings(max_examples=80, deadline=None)
-    def test_invariants(self, s):
-        out = clean(s)
-        d = s.size() / len(s.support())
-        ell = s.size() / len(s.paths)
-        for v in out.support():
-            assert d / 4 <= out.degree(v) <= 4 * d
-        for path in out.paths:
-            assert ell / 4 <= len(path) <= 4 * ell
-        assert out.size() >= s.size() / 2
 
 
 class TestRSet:

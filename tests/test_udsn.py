@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,11 @@ class TestParams:
             UdsnParams(tau=1, T=1, sample_constant=0.0)
         with pytest.raises(ParameterError):
             UdsnParams.defaults_for(0)
+
+    @pytest.mark.parametrize("constant", [math.nan, math.inf])
+    def test_non_finite_sample_constant_rejected(self, constant):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            UdsnParams(tau=1, T=1, sample_constant=constant)
 
     def test_sample_size_clamps_to_n(self):
         assert UdsnParams(tau=4, T=0).sample_size(10) == 10
