@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParameterError
 from .oracle import InstanceFamily, generate
-from .preserver import CondensingPreserver, GrowthMode, size_envelope_source_restricted
+from .preserver import (
+    CondensingPreserver,
+    GrowthMode,
+    check_envelope_constant,
+    size_envelope_source_restricted,
+)
 from .seeding import split_seed
 
 
@@ -200,8 +203,7 @@ def bench_sweep(
     """Run every cell, capturing per-cell failures as rows rather than
     aborting the sweep. A constant that is not finite and positive is
     rejected up front."""
-    if not (math.isfinite(constant) and constant > 0):
-        raise ParameterError(f"constant must be finite and positive, got {constant}")
+    check_envelope_constant(constant)
     rows: list[dict[str, object]] = []
     for family, mode in cells:
         try:

@@ -285,11 +285,11 @@ class SessionReport:
         return "; ".join(problems)
 
 
-def verify_session(session: PreserverSession, ks: tuple[int, ...] = (2, 3, 4)) -> SessionReport:
+def verify_session(session: PreserverSession) -> SessionReport:
     """Full audit of a finished session: auxiliary system acyclic, size
-    identity exact, no mode-constrained bridge for each k, and every
-    served pair reachable in the preserver. Violations are reported
-    with witnesses instead of raised.
+    identity exact, no mode-constrained bridge of width 2, 3 or 4, and
+    every served pair reachable in the preserver. Violations are
+    reported with witnesses instead of raised.
 
     The served pairs are checked against the bitset closure of H, which
     is a DAG because every H edge comes from a path of the DAG g."""
@@ -297,9 +297,7 @@ def verify_session(session: PreserverSession, ks: tuple[int, ...] = (2, 3, 4)) -
     acyclic, _ = is_acyclic(z)
     expected = session.h_size + session.pairs_served
     actual = z.size()
-    bridges = {
-        k: find_k_bridge(z, k, session.mode.constraint) for k in ks
-    }
+    bridges = {k: find_k_bridge(z, k, session.mode.constraint) for k in (2, 3, 4)}
     h = session.h_graph()
     served = [rec.pair for rec in session.log]
     unreachable = [(s, t) for s, t in served if not h.reach_mask(s) >> t & 1]
@@ -313,6 +311,11 @@ def verify_session(session: PreserverSession, ks: tuple[int, ...] = (2, 3, 4)) -
     )
 
 
+def check_envelope_constant(constant: float) -> None:
+    if not (math.isfinite(constant) and constant > 0):
+        raise ParameterError(f"constant must be finite and positive, got {constant}")
+
+
 def size_envelope_source_restricted(
     n: int, p: int, sigma: int, constant: float = 16.0
 ) -> float:
@@ -321,8 +324,7 @@ def size_envelope_source_restricted(
     for name, value in (("n", n), ("p", p), ("sigma", sigma)):
         if int(value) != value or value < 1:
             raise ParameterError(f"{name} must be an integer >= 1, got {value}")
-    if constant <= 0:
-        raise ParameterError(f"constant must be positive, got {constant}")
+    check_envelope_constant(constant)
     return constant * (math.sqrt(n * p * sigma) + n)
 
 

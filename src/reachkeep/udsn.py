@@ -3,10 +3,10 @@
 Demand pairs arrive one at a time and every served pair must stay
 connected by the grown output subgraph forever after. Routing splits
 into four cases: pairs already connected by the current output are
-free; the first T nontrivial pairs go to a pluggable handler; later
+free; the first T nontrivial pairs take a fewest-edges route; later
 pairs that pass through a sampled relay vertex are served as two
 preserver legs meeting at the smallest such relay; the rest are
-checked to be tau-thin and sent to a second pluggable handler.
+checked to be tau-thin and take a fewest-edges route too.
 
 The two relay legs share one condensation of the input graph and keep
 their sink side (forwards leg) or source side (backwards leg) inside
@@ -16,8 +16,7 @@ the sample, which is what the leg size envelopes key on.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BoundsError, InfeasiblePairError, ParameterError
 from .graphs import (
@@ -33,7 +32,6 @@ from .preserver import CondensingPreserver, GrowthMode
 from .seeding import rng_for
 
 Pair = tuple[int, int]
-Handler = Callable[[DirectedGraph, int, int], tuple[Edge, ...]]
 
 TRIVIAL = "trivial"
 FIRST_T = "firstT"
@@ -94,8 +92,8 @@ def hit_by(cond: Condensation, s: int, t: int, sample: tuple[int, ...]) -> int |
 
 
 def bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
-    """Fewest-edges route, smallest-head tie-break. Placeholder for a
-    real low-cost handler; results that lean on it are not certified."""
+    """Fewest-edges route, smallest-head tie-break. It stands in for a
+    real low-cost router, so the ratios it yields are not certified."""
     if not 0 <= s < g.n or not 0 <= t < g.n:
         raise BoundsError(f"pair ({s}, {t}) out of range for n={g.n}")
     parent = bfs_parents(g.out_neighbors, s, goal=t)
@@ -107,10 +105,6 @@ def bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
         edges.append((parent[v], v))
         v = parent[v]
     return tuple(reversed(edges))
-
-
-def default_handlers() -> dict[str, Handler]:
-    return {FIRST_T: bfs_route, THIN: bfs_route}
 
 
 @dataclass(frozen=True)
@@ -128,27 +122,16 @@ class UdsnSession:
     edge set that is never shrunk."""
 
     def __init__(
-        self,
-        g: DirectedGraph,
-        params: UdsnParams | None = None,
-        seed: int = 0,
-        handlers: dict[str, Handler] | None = None,
-        handlers_certified: bool = False,
+        self, g: DirectedGraph, params: UdsnParams | None = None, seed: int = 0
     ) -> None:
         self.g = g
         self.params = params if params is not None else UdsnParams.defaults_for(g.n)
         self.seed = seed
-        self.handlers = handlers if handlers is not None else default_handlers()
-        self.handlers_certified = handlers_certified
-        for key in (FIRST_T, THIN):
-            if key not in self.handlers:
-                raise ParameterError(f"missing handler for route {key!r}")
         self.condensation: Condensation = condense(g)
         self.fw_leg = CondensingPreserver(g, GrowthMode.FORWARDS, self.condensation)
         self.bw_leg = CondensingPreserver(g, GrowthMode.BACKWARDS, self.condensation)
         self.output = IncrementalClosure(g.n)
         self.records: list[UdsnRecord] = []
-        self.sampling_failures: list[UdsnRecord] = []
         self.nontrivial_count = 0
         self.sample: tuple[int, ...] | None = None
         if self.params.T == 0:
@@ -159,18 +142,9 @@ class UdsnSession:
         size = self.params.sample_size(self.g.n)
         self.sample = tuple(sorted(rng.sample(range(self.g.n), size)))
 
-    def _apply_handler(self, route: str, s: int, t: int) -> int:
-        edges = self.handlers[route](self.g, s, t)
-        for e in edges:
-            if e not in self.g.edges:
-                raise ParameterError(f"handler for {route!r} returned edge {e} not in graph")
-        added = 0
-        for e in edges:
-            if self.output.add(e):
-                added += 1
-        if not self.output.reaches(s, t):
-            raise ParameterError(f"handler for {route!r} failed to connect ({s}, {t})")
-        return added
+    @property
+    def sampling_failures(self) -> list[UdsnRecord]:
+        return [r for r in self.records if r.thin_violation]
 
     def serve(self, s: int, t: int) -> UdsnRecord:
         if not 0 <= s < self.g.n or not 0 <= t < self.g.n:
@@ -181,36 +155,29 @@ class UdsnSession:
             self.records.append(record)
             return record
 
-        # A serve that raises must leave the phase counter alone, so the
-        # counter moves only after the route succeeded.
+        via = None
+        violation = False
         if self.nontrivial_count < self.params.T:
-            added = self._apply_handler(FIRST_T, s, t)
-            self.nontrivial_count += 1
-            record = UdsnRecord(index, (s, t), FIRST_T, None, added)
-            self.records.append(record)
-            if self.nontrivial_count == self.params.T:
-                self._draw_sample()
-            return record
-
-        assert self.sample is not None
-        v = hit_by(self.condensation, s, t, self.sample)
-        if v is not None:
-            fw_new = self.fw_leg.serve_pair(s, v)
-            bw_new = self.bw_leg.serve_pair(v, t)
-            for e in fw_new + bw_new:
-                self.output.add(e)
-            self.nontrivial_count += 1
-            record = UdsnRecord(index, (s, t), HIT, v, len(fw_new) + len(bw_new))
-            self.records.append(record)
-            return record
-
-        violation = not is_thin(self.g, s, t, self.params.tau)
-        added = self._apply_handler(THIN, s, t)
+            route, edges = FIRST_T, bfs_route(self.g, s, t)
+        else:
+            assert self.sample is not None
+            via = hit_by(self.condensation, s, t, self.sample)
+            if via is not None:
+                route = HIT
+                edges = self.fw_leg.serve_pair(s, via) + self.bw_leg.serve_pair(via, t)
+            else:
+                route = THIN
+                violation = not is_thin(self.g, s, t, self.params.tau)
+                edges = bfs_route(self.g, s, t)
+        added = sum(self.output.add(e) for e in edges)
+        # A hit's cost stays the legs' count: manifests hash it (ROADMAP item 4).
+        cost = len(edges) if route == HIT else added
+        # The phase counter moves only once the route succeeded.
         self.nontrivial_count += 1
-        record = UdsnRecord(index, (s, t), THIN, None, added, thin_violation=violation)
+        record = UdsnRecord(index, (s, t), route, via, cost, thin_violation=violation)
         self.records.append(record)
-        if violation:
-            self.sampling_failures.append(record)
+        if self.nontrivial_count == self.params.T:
+            self._draw_sample()
         return record
 
     def output_graph(self) -> DirectedGraph:
@@ -240,16 +207,8 @@ class UdsnSession:
 
     def leg_reports(self) -> dict[str, dict[str, int]]:
         return {
-            "fw": {
-                "pairs": self.fw_leg.pairs_served,
-                "h_size": self.fw_leg.h_size,
-                "z_size": self.fw_leg.z_size,
-            },
-            "bw": {
-                "pairs": self.bw_leg.pairs_served,
-                "h_size": self.bw_leg.h_size,
-                "z_size": self.bw_leg.z_size,
-            },
+            name: {"pairs": leg.pairs_served, "h_size": leg.h_size, "z_size": leg.z_size}
+            for name, leg in (("fw", self.fw_leg), ("bw", self.bw_leg))
         }
 
     def summary(self) -> dict[str, object]:
@@ -258,6 +217,8 @@ class UdsnSession:
             profile[r.route] += 1
         lb = self.opt_lower_bound
         out_edges = len(self.output)
+        # "handler_profile" and "ratio_certified" keep their names and
+        # values because recorded udsn manifests hash the summary.
         return {
             "n": self.g.n,
             "tau": self.params.tau,
@@ -270,6 +231,6 @@ class UdsnSession:
             "total_route_cost": self.total_route_cost,
             "opt_lower_bound": lb,
             "ratio": (out_edges / lb) if lb > 0 else None,
-            "ratio_certified": self.handlers_certified,
+            "ratio_certified": False,
             "sampling_failures": len(self.sampling_failures),
         }

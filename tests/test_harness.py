@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from reachkeep import (
     reachable_set,
     rng_for,
     save_manifest,
+    size_envelope_source_restricted,
     sourcewise_cells,
     verify_all,
     verify_session,
@@ -164,6 +166,14 @@ class TestBench:
         assert row["p"] == 0
         assert row["envelope"] is None
         assert row["envelope_ratio"] is None
+
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf, 0.0])
+    def test_constant_must_be_finite_and_positive(self, constant):
+        fam = InstanceFamily(kind="random-dag", n=8, seed=1, pairs=3)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            size_envelope_source_restricted(10, 10, 1, constant)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            bench_cell(fam, "fw", constant)
 
     def test_sweep_captures_failures_as_rows(self, monkeypatch):
         # A family that cannot be generated is rejected on construction,

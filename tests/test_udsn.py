@@ -19,7 +19,6 @@ from reachkeep import (
     UdsnSession,
     bfs_route,
     condense,
-    default_handlers,
     hit_by,
     is_thin,
     reachable_set,
@@ -246,50 +245,17 @@ class TestSampleTiming:
         session.serve(1, 2)
         assert session.sample is not None
 
-    def test_failed_serve_leaves_the_phase_untouched(self):
-        session = UdsnSession(CHAIN3, UdsnParams(tau=3, T=1), seed=1)
+    @pytest.mark.parametrize("T", [0, 1])
+    def test_failed_serve_leaves_the_phase_untouched(self, T):
+        # T=1 fails on the firstT route, T=0 on the thin route
+        session = UdsnSession(CHAIN3, UdsnParams(tau=3, T=T), seed=1)
+        sample = session.sample
         with pytest.raises(InfeasiblePairError):
             session.serve(2, 0)
         assert session.nontrivial_count == 0
         assert session.records == []
-        assert session.sample is None
-
-
-class TestHandlers:
-    def test_default_handlers_cover_both_routes(self):
-        handlers = default_handlers()
-        assert set(handlers) == {FIRST_T, THIN}
-
-    def test_missing_handler_rejected_at_init(self):
-        with pytest.raises(ParameterError):
-            UdsnSession(CHAIN3, UdsnParams(tau=3, T=1), handlers={FIRST_T: bfs_route})
-
-    def test_foreign_edges_rejected(self):
-        bad = lambda g, s, t: ((0, 2),)  # noqa: E731  (0, 2) is not an edge
-        session = UdsnSession(
-            CHAIN3,
-            UdsnParams(tau=3, T=1),
-            handlers={FIRST_T: bad, THIN: bfs_route},
-        )
-        with pytest.raises(ParameterError, match="not in graph"):
-            session.serve(0, 1)
-
-    def test_non_connecting_handler_rejected(self):
-        lazy = lambda g, s, t: ()  # noqa: E731
-        session = UdsnSession(
-            CHAIN3,
-            UdsnParams(tau=3, T=1),
-            handlers={FIRST_T: lazy, THIN: bfs_route},
-        )
-        with pytest.raises(ParameterError, match="failed to connect"):
-            session.serve(0, 1)
-
-    def test_certified_flag_passes_through(self):
-        session = UdsnSession(
-            CHAIN3, UdsnParams(tau=3, T=0), handlers_certified=True
-        )
-        session.serve(0, 2)
-        assert session.summary()["ratio_certified"] is True
+        assert session.sampling_failures == []
+        assert session.sample == sample
 
 
 class TestAggregates:
