@@ -26,7 +26,7 @@ from .errors import (
     ReachkeepError,
     SizeLimitError,
 )
-from .graphs import DirectedGraph, dump_graph, load_graph
+from .graphs import DirectedGraph, check_vertices, dump_graph, format_pairs, load_graph, parse_pairs
 from .harness import (
     RunManifest,
     bench_sweep,
@@ -50,7 +50,6 @@ from .oracle import InstanceFamily, generate, min_preserver
 from .preserver import (
     CondensingPreserver,
     GrowthMode,
-    _check_pair,
     unreachable_pairs,
     verify_session,
 )
@@ -69,47 +68,10 @@ USAGE_ERRORS = (
 )
 
 
-def parse_pairs(text: str) -> list[Pair]:
-    """Demand list: optional "p <count>" header, then "s t" lines.
-    Comments start with '#'."""
-    pairs: list[Pair] = []
-    declared: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "p":
-            if declared is not None:
-                raise ParseError("duplicate p header", line_no)
-            if pairs:
-                raise ParseError("p header must precede pairs", line_no)
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("expected 'p <count>'", line_no)
-            declared = int(parts[1])
-            continue
-        if len(parts) != 2:
-            raise ParseError(f"expected 's t', got {line!r}", line_no)
-        try:
-            s, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer pair {line!r}", line_no) from None
-        pairs.append((s, t))
-    if declared is not None and declared != len(pairs):
-        raise ParseError(f"header declared {declared} pairs, found {len(pairs)}")
-    return pairs
-
-
-def format_pairs(pairs: list[Pair]) -> str:
-    lines = [f"p {len(pairs)}"]
-    lines.extend(f"{s} {t}" for s, t in pairs)
-    return "\n".join(lines) + "\n"
-
-
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
@@ -238,7 +200,7 @@ def _compute_select(params: dict, seed: int):
     graph_text = _read(str(params["graph"]))
     g = load_graph(graph_text)
     s, t, i = int(params["s"]), int(params["t"]), int(params["index"])
-    _check_pair(g, s, t)
+    check_vertices(g.n, s, t)
     surrogate = default_surrogate(g.n, scale=float(params["scale"]))
     mode = GrowthMode(str(params["mode"]))
     p_star = params["p_star"]
@@ -543,9 +505,12 @@ _NOT_PARAMS = {"command", "seed", "manifest_dir", "json"}
 
 def _int_list(option: str, text: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x]
+        values = [int(x) for x in text.split(",") if x]
     except ValueError:
-        raise ParameterError(f"--{option} expects comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise ParameterError(f"--{option} expects comma-separated integers, got {text!r}")
+    return values
 
 
 def _params_for(args: argparse.Namespace) -> dict:
@@ -561,6 +526,8 @@ def _params_for(args: argparse.Namespace) -> dict:
         for key in ("ns", "s_sizes", "pair_counts"):
             params[key] = _int_list(key.replace("_", "-"), params[key])
         params["modes"] = [m for m in args.modes.split(",") if m]
+        if not params["modes"]:
+            raise ParameterError(f"--modes expects comma-separated modes, got {args.modes!r}")
     return params
 
 

@@ -16,6 +16,7 @@ from collections.abc import Callable, Iterable
 from .errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 
 Edge = tuple[int, int]
+Row = tuple[int, int, int]  # two ids and the line number they were read from
 
 
 class DirectedGraph:
@@ -52,20 +53,20 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    # The accessors sit on every search's inner loop, so they call
+    # check_vertices only once the inline test has failed.
     def out_neighbors(self, u: int) -> tuple[int, ...]:
-        self._check_vertex(u)
+        if not 0 <= u < self.n:
+            check_vertices(self.n, u)
         return self._out[u]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        self._check_vertex(v)
+        if not 0 <= v < self.n:
+            check_vertices(self.n, v)
         return self._in[v]
 
     def __contains__(self, e: Edge) -> bool:
         return tuple(e) in self.edges
-
-    def _check_vertex(self, v: int) -> None:
-        if not (0 <= v < self.n):
-            raise BoundsError(f"vertex {v} outside range 0..{self.n - 1}")
 
     def topological_order(self) -> tuple[int, ...] | None:
         """Kahn's algorithm with a min-id tie break. None when cyclic."""
@@ -101,7 +102,7 @@ class DirectedGraph:
         The first call per direction builds that direction's closure in
         one pass over the topological order and keeps it, n*n/8 bytes
         (0.5 MB at n=2000); ``reachable_set`` is the BFS reference."""
-        self._check_vertex(v)
+        check_vertices(self.n, v)
         masks = self._closure[reverse]
         if masks is None:
             order = self.topological_order()
@@ -132,60 +133,87 @@ class DirectedGraph:
         return f"DirectedGraph(n={self.n}, m={self.edge_count})"
 
 
-def load_graph(text: str) -> DirectedGraph:
-    """Parse the edge-list format.
+def check_vertices(n: int, *vertices: int) -> None:
+    """Raise BoundsError unless every vertex is in 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise BoundsError(f"vertex {v} outside range 0..{n - 1}")
 
-    Optional header line ``n <count>`` pins the vertex count; otherwise
-    it is one past the largest mentioned id. Each remaining line is
-    ``tail head``. ``#`` starts a comment, blank lines are skipped.
-    """
-    declared_n: int | None = None
-    raw_edges: list[tuple[int, int, int]] = []
+
+def read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[Row]]:
+    """Parse the text format graph and pair files share: an optional
+    ``<header> <count>`` line before any row, then rows of two
+    non-negative integers; ``#`` starts a comment, blank lines are
+    skipped. Returns the count (None without a header) and the rows as
+    (a, b, line number). Each failure is a ParseError with its line."""
+    count: int | None = None
+    rows: list[Row] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.split("#", 1)[0]
         parts = line.split()
-        if parts[0] == "n":
-            if declared_n is not None:
-                raise ParseError("duplicate 'n' header", line_no)
-            if raw_edges:
-                raise ParseError("'n' header must come before edges", line_no)
+        if not parts:
+            continue
+        if parts[0] == header:
+            if count is not None:
+                raise ParseError(f"duplicate '{header}' header", line_no)
+            if rows:
+                raise ParseError(f"'{header}' header must come before {rows_name}", line_no)
             if len(parts) != 2:
-                raise ParseError("header must be 'n <count>'", line_no)
+                raise ParseError(f"header must be '{header} <count>'", line_no)
             try:
-                declared_n = int(parts[1])
+                count = int(parts[1])
             except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", line_no) from None
-            if declared_n < 0:
-                raise ParseError("vertex count must be >= 0", line_no)
+                raise ParseError(f"bad count {parts[1]!r}", line_no) from None
+            if count < 0:
+                raise ParseError("count must be >= 0", line_no)
             continue
         if len(parts) != 2:
-            raise ParseError(f"expected 'tail head', got {line!r}", line_no)
+            raise ParseError(f"expected two ids, got {line.strip()!r}", line_no)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer endpoint in {line!r}", line_no) from None
-        if u < 0 or v < 0:
-            raise ParseError(f"negative vertex id in {line!r}", line_no)
-        raw_edges.append((u, v, line_no))
+            raise ParseError(f"non-integer id in {line.strip()!r}", line_no) from None
+        if a < 0 or b < 0:
+            raise ParseError(f"negative id in {line.strip()!r}", line_no)
+        rows.append((a, b, line_no))
+    return count, rows
 
-    if declared_n is None:
-        declared_n = max((max(u, v) for u, v, _ in raw_edges), default=-1) + 1
-    for u, v, line_no in raw_edges:
-        if u >= declared_n or v >= declared_n:
-            raise ParseError(
-                f"edge ({u}, {v}) outside declared range n={declared_n}", line_no
-            )
+
+def write_rows(header: str, count: int, rows: Iterable[Edge]) -> str:
+    """The text ``read_rows`` reads back: the header line, then the rows."""
+    return "".join([f"{header} {count}\n"] + [f"{a} {b}\n" for a, b in rows])
+
+
+def load_graph(text: str) -> DirectedGraph:
+    """Parse a graph file: rows are ``tail head`` edges and the optional
+    header ``n <count>`` pins the vertex count; without it the count is
+    one past the largest id."""
+    n, rows = read_rows(text, "n", "edges")
+    if n is None:
+        n = max((max(u, v) for u, v, _ in rows), default=-1) + 1
+    for u, v, line_no in rows:
+        if u >= n or v >= n:
+            raise ParseError(f"edge ({u}, {v}) outside declared range n={n}", line_no)
         if u == v:
             raise ParseError(f"self-loop ({u}, {v}) not allowed", line_no)
-    return DirectedGraph(declared_n, [(u, v) for u, v, _ in raw_edges])
+    return DirectedGraph(n, [(u, v) for u, v, _ in rows])
 
 
 def dump_graph(g: DirectedGraph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"
+    return write_rows("n", g.n, sorted(g.edges))
+
+
+def parse_pairs(text: str) -> list[tuple[int, int]]:
+    """Parse a demand file: rows are ``s t`` pairs, and the optional
+    header ``p <count>`` must match the number of pairs."""
+    count, rows = read_rows(text, "p", "pairs")
+    if count is not None and count != len(rows):
+        raise ParseError(f"header declared {count} pairs, found {len(rows)}")
+    return [(s, t) for s, t, _ in rows]
+
+
+def format_pairs(pairs: list[tuple[int, int]]) -> str:
+    return write_rows("p", len(pairs), pairs)
 
 
 def bfs_parents(
@@ -215,8 +243,7 @@ def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozens
     """Vertices reachable from ``root`` (or reaching it when reverse).
     The root itself is always included. g is anything with ``n`` and
     ``out_neighbors`` / ``in_neighbors``, an ``EdgeStore`` too."""
-    if not (0 <= root < g.n):
-        raise BoundsError(f"root {root} outside range 0..{g.n - 1}")
+    check_vertices(g.n, root)
     return frozenset(bfs_parents(g.in_neighbors if reverse else g.out_neighbors, root))
 
 
@@ -306,8 +333,7 @@ class IncrementalClosure:
 
     def reaches(self, s: int, t: int) -> bool:
         """Whether t is reachable from s over the edges added so far."""
-        if not (0 <= s < self.n and 0 <= t < self.n):
-            raise BoundsError(f"pair ({s}, {t}) out of range for n={self.n}")
+        check_vertices(self.n, s, t)
         return s == t or bool(self._desc.get(self._comp[s], 0) >> t & 1)
 
     def __len__(self) -> int:

@@ -17,6 +17,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ParameterError
 from .oracle import InstanceFamily, generate
 from .preserver import (
     CondensingPreserver,
@@ -114,8 +115,11 @@ class VerificationResult:
 def verify_all(directory: str | Path, runner: Runner) -> list[VerificationResult]:
     """Replay every manifest in the directory. A result is recorded per
     file; a stored id that no longer matches the content counts as a
-    failure, as does any output hash that replays differently."""
+    failure, as does any output hash that replays differently. A path
+    that is not a directory raises ParameterError."""
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ParameterError(f"manifest directory {directory} is not a directory")
     results: list[VerificationResult] = []
     for path in sorted(directory.glob("*.json")):
         try:

@@ -14,13 +14,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (
-    BoundsError,
-    InfeasiblePairError,
-    ParameterError,
-    SizeLimitError,
-)
-from .graphs import DirectedGraph, Edge, reachable_set
+from .errors import InfeasiblePairError, ParameterError, SizeLimitError
+from .graphs import DirectedGraph, Edge, check_vertices, reachable_set
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
 # is), but perfbench/tracing.py wraps this module's binding of them.
 from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
@@ -63,9 +58,7 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
     pair_list = sorted({(int(s), int(t)) for s, t in pairs})
     src_reach: dict[int, frozenset[int]] = {}
     for s, t in pair_list:
-        for v in (s, t):
-            if not (0 <= v < g.n):
-                raise BoundsError(f"vertex {v} outside range 0..{g.n - 1}")
+        check_vertices(g.n, s, t)
         if s not in src_reach:
             src_reach[s] = reachable_set(g, s)
         if t not in src_reach[s]:
@@ -176,7 +169,8 @@ class InstanceFamily:
     """Seeded description of a graph plus demand stream.
 
     kind is one of FAMILY_KINDS. Unused knobs are ignored by kinds that
-    do not need them. The same family always generates the same bytes.
+    do not need them; a used knob outside its domain is rejected, never
+    adjusted. The same family always generates the same bytes.
     """
 
     kind: str
@@ -203,11 +197,24 @@ class InstanceFamily:
                 raise ParameterError("sourcewise needs n >= 2")
             if self.side not in ("source", "sink"):
                 raise ParameterError(f"side must be source or sink, got {self.side!r}")
-        if self.kind == "path-union" and self.n < max(2, self.part_length):
+            if not 1 <= self.s_size < self.n:
+                raise ParameterError(
+                    f"sourcewise needs 1 <= s_size <= n-1, got s_size={self.s_size}, n={self.n}"
+                )
+        if self.kind == "layered" and self.layers != 0 and not 2 <= self.layers <= self.n:
             raise ParameterError(
-                f"path-union needs n >= max(2, part_length), got n={self.n}, "
-                f"part_length={self.part_length}"
+                f"layered needs layers 0 (auto) or 2..n, got layers={self.layers}, n={self.n}"
             )
+        if self.kind == "path-union":
+            if self.n < max(2, self.part_length):
+                raise ParameterError(
+                    f"path-union needs n >= max(2, part_length), got n={self.n}, "
+                    f"part_length={self.part_length}"
+                )
+            if self.part_length < 2:
+                raise ParameterError(
+                    f"path-union needs part_length >= 2, got part_length={self.part_length}"
+                )
 
 
 def reachable_pairs(g: DirectedGraph) -> list[Pair]:
@@ -260,8 +267,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         return g, _stream_from(g, family.pairs, stream_rng)
 
     if kind == "layered":
-        layer_count = family.layers if family.layers >= 2 else max(2, round(math.sqrt(n)))
-        layer_count = min(layer_count, n)
+        layer_count = family.layers or min(n, max(2, round(math.sqrt(n))))
         layers: list[list[int]] = [[] for _ in range(layer_count)]
         for v in range(n):
             layers[v * layer_count // n].append(v)
@@ -279,7 +285,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         return g, _stream_from(g, family.pairs, stream_rng)
 
     if kind == "path-union":
-        length = max(2, family.part_length)
+        length = family.part_length
         parts = n // length
         edges = set()
         demands = []
@@ -298,14 +304,13 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
     if kind == "sourcewise":
         perm, edges = _random_dag_edges(n, family.density, graph_rng)
         pos = {v: i for i, v in enumerate(perm)}
-        size = min(max(1, family.s_size), max(1, n - 1))
         if family.side == "source":
-            shared = sorted(graph_rng.sample(perm[: n - 1], size))
+            shared = sorted(graph_rng.sample(perm[: n - 1], family.s_size))
             for s in shared:
                 if not any(u == s for u, _ in edges):
                     edges.add((s, perm[pos[s] + 1]))
         else:
-            shared = sorted(graph_rng.sample(perm[1:], size))
+            shared = sorted(graph_rng.sample(perm[1:], family.s_size))
             for t in shared:
                 if not any(v == t for _, v in edges):
                     edges.add((perm[pos[t] - 1], t))

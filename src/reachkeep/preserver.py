@@ -20,13 +20,16 @@ from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import (
-    BoundsError,
-    CyclicGraphError,
-    InfeasiblePairError,
-    ParameterError,
+from .errors import CyclicGraphError, InfeasiblePairError, ParameterError
+from .graphs import (
+    Condensation,
+    DirectedGraph,
+    Edge,
+    check_vertices,
+    condense,
+    lift_edge,
+    reachable_set,
 )
-from .graphs import Condensation, DirectedGraph, Edge, condense, lift_edge, reachable_set
 from .pathsystem import (
     BridgeWitness,
     OrderConstraint,
@@ -100,12 +103,6 @@ def _require_dag(g: DirectedGraph) -> None:
         raise CyclicGraphError("growth requires a DAG input")
 
 
-def _check_pair(g: DirectedGraph, s: int, t: int) -> None:
-    for v in (s, t):
-        if not (0 <= v < g.n):
-            raise BoundsError(f"vertex {v} outside range 0..{g.n - 1}")
-
-
 def _walk(start: int, goal: int, member: int, h_step, g_step) -> list[int]:
     """Greedy walk from start to goal through the vertices whose bit is
     set in member: each step takes the first such h_step neighbour, else
@@ -134,7 +131,7 @@ def grow_forwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     whose head still reaches t wins; otherwise any g edge does. Ties go
     to the smallest head id. h must be a subgraph of g."""
     _require_dag(g)
-    _check_pair(g, s, t)
+    check_vertices(g.n, s, t)
     member = g.reach_mask(t, reverse=True)
     if not member >> s & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
@@ -145,7 +142,7 @@ def grow_backwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
     """Mirror of grow_forwards, extending from t towards s and
     preferring h edges whose tail s already reaches."""
     _require_dag(g)
-    _check_pair(g, s, t)
+    check_vertices(g.n, s, t)
     member = g.reach_mask(s)
     if not member >> t & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
@@ -366,7 +363,7 @@ class CondensingPreserver:
         return self.inner.pairs_served
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
-        _check_pair(self.g, s, t)
+        check_vertices(self.g.n, s, t)
         cs = self.cond.component_of[s]
         ct = self.cond.component_of[t]
         try:

@@ -18,13 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundsError, InfeasiblePairError, ParameterError
+from .errors import InfeasiblePairError, ParameterError
 from .graphs import (
     Condensation,
     DirectedGraph,
     Edge,
     IncrementalClosure,
     bfs_parents,
+    check_vertices,
     condense,
     reachable_set,
 )
@@ -81,8 +82,7 @@ def hit_by(cond: Condensation, s: int, t: int, sample: tuple[int, ...]) -> int |
     None. A vertex lies on such a path exactly when its component does
     on the condensation's DAG, so this reads that DAG's closure."""
     n = cond.graph.n
-    if not 0 <= s < n or not 0 <= t < n:
-        raise BoundsError(f"pair ({s}, {t}) out of range for n={n}")
+    check_vertices(n, s, t)
     comp = cond.component_of
     between = cond.dag.reach_mask(comp[s]) & cond.dag.reach_mask(comp[t], reverse=True)
     for v in sample:
@@ -94,8 +94,7 @@ def hit_by(cond: Condensation, s: int, t: int, sample: tuple[int, ...]) -> int |
 def bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
     """Fewest-edges route, smallest-head tie-break. It stands in for a
     real low-cost router, so the ratios it yields are not certified."""
-    if not 0 <= s < g.n or not 0 <= t < g.n:
-        raise BoundsError(f"pair ({s}, {t}) out of range for n={g.n}")
+    check_vertices(g.n, s, t)
     parent = bfs_parents(g.out_neighbors, s, goal=t)
     if t not in parent:
         raise InfeasiblePairError(f"{t} is not reachable from {s}")
@@ -147,9 +146,8 @@ class UdsnSession:
         return [r for r in self.records if r.thin_violation]
 
     def serve(self, s: int, t: int) -> UdsnRecord:
-        if not 0 <= s < self.g.n or not 0 <= t < self.g.n:
-            raise BoundsError(f"pair ({s}, {t}) out of range for n={self.g.n}")
         index = len(self.records)
+        # reaches checks that s and t are vertices before anything changes.
         if self.output.reaches(s, t):
             record = UdsnRecord(index, (s, t), TRIVIAL, None, 0)
             self.records.append(record)

@@ -65,10 +65,14 @@ def test_bad_bench_list_is_a_usage_error(tmp_path, capsys):
          "error: constant must be finite and positive, got nan"),
         (["--ns", "12", "--s-sizes", "1", "--constant", "inf"],
          "error: constant must be finite and positive, got inf"),
+        (["--ns", ""], "error: --ns expects comma-separated integers, got ''"),
+        (["--ns", ","], "error: --ns expects comma-separated integers, got ','"),
+        (["--modes", ""], "error: --modes expects comma-separated modes, got ''"),
     ],
     ids=[
         "constant-0", "constant-negative", "unknown-kind", "sourcewise-n1",
-        "path-union-short", "constant-nan", "constant-inf",
+        "path-union-short", "constant-nan", "constant-inf", "ns-empty", "ns-comma",
+        "modes-empty",
     ],
 )
 def test_bad_bench_input_is_a_usage_error(argv, message, tmp_path, capsys):
@@ -76,6 +80,40 @@ def test_bad_bench_input_is_a_usage_error(argv, message, tmp_path, capsys):
     assert code == 2
     assert err == [message]
     assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("bad", ["graph", "pairs"])
+def test_undecodable_input_file_is_a_usage_error(bad, tmp_path, capsys):
+    files = {"graph": tmp_path / "g.txt", "pairs": tmp_path / "p.txt"}
+    files["graph"].write_text("n 3\n0 1\n1 2\n")
+    files["pairs"].write_text("0 2\n")
+    files[bad].write_bytes(b"\xff0 1\n")
+    code, err = run(
+        ["preserve", "--graph", str(files["graph"]), "--pairs", str(files["pairs"])],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read {files[bad]}: ")
+    assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("target", ["missing", "file", "empty-dir"])
+def test_verify_needs_a_manifest_directory(target, tmp_path, capsys):
+    path = tmp_path / target
+    if target == "file":
+        path.write_text("{}")
+    elif target == "empty-dir":
+        path.mkdir()
+    code = cli_main(["verify", "--manifest-dir", str(path), "--json"])
+    captured = capsys.readouterr()
+    if target == "empty-dir":
+        assert code == 0
+        assert json.loads(captured.out) == {"checked": 0, "failed": 0, "results": []}
+    else:
+        assert code == 2
+        assert captured.err.splitlines() == [
+            f"error: manifest directory {path} is not a directory"
+        ]
 
 
 def test_missing_table_entry_prints_without_quotes(tmp_path, capsys):

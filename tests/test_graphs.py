@@ -22,8 +22,10 @@ from reachkeep.graphs import (
     IncrementalClosure,
     condense,
     dump_graph,
+    format_pairs,
     lift_edge,
     load_graph,
+    parse_pairs,
     reachable_set,
 )
 from reachkeep.preserver import EdgeStore
@@ -227,6 +229,60 @@ class TestTextFormat:
         n, edges = case
         g = DirectedGraph(n, edges)
         assert load_graph(dump_graph(g)) == g
+
+
+class TestPairFormat:
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("p 1\np 1\n0 1\n", "line 2: duplicate 'p' header"),
+            ("0 1\np 1\n", "line 2: 'p' header must come before pairs"),
+            ("p ²\n", "line 1: bad count"),
+            ("p 1 2\n0 1\n", "line 1: header must be 'p <count>'"),
+            ("p 2\n0 1\n", "header declared 2 pairs, found 1"),
+            ("0 1\n0 one\n", "line 2: non-integer id"),
+            ("0 1\n1 2 3\n", "line 2: expected two ids"),
+            ("# demands\n\n-1 2\n", "line 3: negative id"),
+        ],
+        ids=[
+            "duplicate-header", "header-after-pairs", "bad-count", "bad-header",
+            "count-mismatch", "non-integer", "three-columns", "negative",
+        ],
+    )
+    def test_malformed_pairs_rejected(self, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse_pairs(text)
+
+    def test_header_and_comments(self):
+        assert parse_pairs("# demo\np 2\n0 1  # first\n\n2 0\n") == [(0, 1), (2, 0)]
+        assert parse_pairs("3 1\n3 1\n") == [(3, 1), (3, 1)]
+
+    @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip(self, pairs):
+        assert parse_pairs(format_pairs(pairs)) == pairs
+
+
+# Tokens joined by spaces never merge, so every id stays below 100 and a
+# parsed graph stays small.
+_tokens = st.one_of(
+    st.sampled_from(["n", "p", "0", "1", "2", "7", "-1", "+5", "²", "١٢", "1_0", "x", "#"]),
+    st.text(max_size=2),
+)
+_any_text = st.lists(st.lists(_tokens, max_size=4).map(" ".join), max_size=6).map("\n".join)
+
+
+@given(_any_text)
+@example("p ²\n0 1\n")
+@example("n ²\n")
+@example("n +5\n١٢ 3\n")
+@settings(max_examples=200, deadline=None)
+def test_any_text_fails_only_with_parse_error(text):
+    for reader in (load_graph, parse_pairs):
+        try:
+            reader(text)
+        except ParseError:
+            pass
 
 
 class TestCondensation:

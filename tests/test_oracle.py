@@ -156,6 +156,35 @@ class TestInstanceFamily:
             InstanceFamily(kind="path-union", n=n, seed=1, part_length=part_length)
         assert f"n={n}" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "knobs, name",
+        [
+            ({"kind": "sourcewise", "s_size": 0}, "s_size"),
+            ({"kind": "sourcewise", "s_size": 10}, "s_size"),
+            ({"kind": "layered", "layers": -1}, "layers"),
+            ({"kind": "layered", "layers": 1}, "layers"),
+            ({"kind": "layered", "layers": 11}, "layers"),
+            ({"kind": "path-union", "part_length": 1}, "part_length"),
+        ],
+    )
+    def test_knob_outside_its_domain_rejected(self, knobs, name):
+        with pytest.raises(ParameterError, match=f"{name}={knobs[name]}"):
+            InstanceFamily(n=10, seed=1, **knobs)
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"kind": "sourcewise", "s_size": 1},
+            {"kind": "sourcewise", "s_size": 9},
+            {"kind": "layered", "layers": 0},
+            {"kind": "layered", "layers": 2},
+            {"kind": "layered", "layers": 10},
+            {"kind": "path-union", "part_length": 2},
+        ],
+    )
+    def test_knob_domain_edges_accepted(self, knobs):
+        generate(InstanceFamily(n=10, seed=1, **knobs))
+
     def test_same_family_same_bytes(self):
         fam = InstanceFamily(kind="random-dag", n=12, seed=7, pairs=6)
         g1, stream1 = generate(fam)
