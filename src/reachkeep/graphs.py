@@ -347,8 +347,9 @@ class Condensation:
     """Result of collapsing strong components.
 
     ``dag`` lives on component ids assigned in increasing order of each
-    component's minimum original vertex (so a DAG input keeps identity
-    labels). ``in_tree`` and ``out_tree`` hold original edges forming,
+    component's minimum original vertex. A DAG input is its own ``dag``:
+    one-vertex components with identity ids, no trees and an identity
+    lift. ``in_tree`` and ``out_tree`` hold original edges forming,
     per non-trivial component, a BFS tree into and out of the min-id
     representative. The two trees may share edges, so they are kept
     apart; ``tree_edge_count`` is the 2(|C|-1) accounting and
@@ -454,6 +455,11 @@ def _strong_components(g: DirectedGraph) -> list[list[int]]:
 
 def condense(g: DirectedGraph) -> Condensation:
     comps = _strong_components(g)
+    if len(comps) == g.n:
+        # Every component is one vertex: g is a DAG and its own condensation.
+        ids, no_tree = tuple(range(g.n)), frozenset()
+        lift = dict(zip(g.edges, g.edges))
+        return Condensation(g, ids, tuple((v,) for v in ids), g, no_tree, no_tree, lift)
     comps.sort(key=lambda c: c[0])
     component_of = [0] * g.n
     for cid, members in enumerate(comps):

@@ -27,7 +27,6 @@ from .graphs import (
     Edge,
     check_vertices,
     condense,
-    lift_edge,
     reachable_set,
 )
 from .pathsystem import (
@@ -205,10 +204,8 @@ class PreserverSession:
         when the pair is infeasible; otherwise adds the chosen path's
         missing edges to the preserver and appends one auxiliary path."""
         path = self._choose_path(s, t)
-        new: list[Edge] = []
-        for u, v in zip(path, path[1:]):
-            if (u, v) not in self.h:
-                new.append((u, v))
+        h_edges = self.h.edges
+        new = tuple((u, v) for u, v in zip(path, path[1:]) if (u, v) not in h_edges)
         for e in new:
             self.h.add(e)
         if self.mode is GrowthMode.FORWARDS:
@@ -220,16 +217,8 @@ class PreserverSession:
         self.pairs_served += 1
         self.sources_seen.add(s)
         self.sinks_seen.add(t)
-        self.log.append(
-            PairRecord(
-                pair=(s, t),
-                path=path,
-                new_edges=tuple(new),
-                h_size=self.h_size,
-                z_size=self.z_size,
-            )
-        )
-        return tuple(new)
+        self.log.append(PairRecord((s, t), path, new, len(h_edges), self._z_size))
+        return new
 
     def h_graph(self) -> DirectedGraph:
         return self.h.to_graph()
@@ -332,6 +321,8 @@ class CondensingPreserver:
     the component DAG; chosen DAG edges are lifted back to single
     original edges, and the first time a component appears on a chosen
     path its internal in/out trees are added so the lift is walkable.
+    On a DAG, which is its own condensation, there are no trees and no
+    path is scanned for them.
     """
 
     def __init__(
@@ -340,11 +331,16 @@ class CondensingPreserver:
         mode: GrowthMode | str = GrowthMode.FORWARDS,
         condensation: Condensation | None = None,
     ):
+        if condensation is None:
+            condensation = condense(g)
+        elif not (condensation.graph is g or condensation.graph == g):
+            raise ParameterError("condensation is of another graph")
         self.g = g
-        self.cond = condensation if condensation is not None else condense(g)
-        self.inner = PreserverSession(self.cond.dag, mode)
+        self.cond = condensation
+        self.inner = PreserverSession(condensation.dag, mode)
         self.output_edges: set[Edge] = set()
-        self._touched: set[int] = set()
+        # The components whose trees are not in the output yet.
+        self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
 
     @property
     def mode(self) -> GrowthMode:
@@ -364,27 +360,24 @@ class CondensingPreserver:
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
         check_vertices(self.g.n, s, t)
-        cs = self.cond.component_of[s]
-        ct = self.cond.component_of[t]
+        cond = self.cond
         try:
-            new_dag_edges = self.inner.serve_pair(cs, ct)
+            new_dag_edges = self.inner.serve_pair(cond.component_of[s], cond.component_of[t])
         except InfeasiblePairError:
             raise InfeasiblePairError(f"{t} not reachable from {s}") from None
+        # Every edge below is new to the output: tree edges stay inside one
+        # component and are added once per component, and each new DAG
+        # edge lifts to its own edge between two components.
         added: list[Edge] = []
-        comp_path = self.inner.log[-1].path
-        for comp in comp_path:
-            if comp in self._touched:
-                continue
-            self._touched.add(comp)
-            for e in self.cond.tree_edges_of(comp):
-                if e not in self.output_edges:
-                    self.output_edges.add(e)
-                    added.append(e)
-        for de in new_dag_edges:
-            e = lift_edge(self.cond, de)
-            if e not in self.output_edges:
-                self.output_edges.add(e)
-                added.append(e)
+        pending = self._pending
+        if pending:
+            for comp in self.inner.log[-1].path:
+                if comp in pending:
+                    pending.remove(comp)
+                    added.extend(cond.tree_edges_of(comp))
+        lift = cond._lift
+        added.extend([lift[de] for de in new_dag_edges])
+        self.output_edges.update(added)
         return tuple(added)
 
     def output_graph(self) -> DirectedGraph:

@@ -300,6 +300,29 @@ class TestCondensation:
         assert c.tree_edge_count == 0
         assert c.dag.edges == g.edges
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dag_is_its_own_condensation(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 60)
+        perm = rng.sample(range(n), n)  # so that ids do not follow the topological order
+        edges = set()
+        for _ in range(3 * n):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((perm[u], perm[v]))
+        g = DirectedGraph(n, edges)
+        c = condense(g)
+        assert c.dag is g
+        assert c.component_of == tuple(range(n))
+        assert c.components == tuple((v,) for v in range(n))
+        assert c.representative == tuple(range(n))
+        assert c.in_tree == c.out_tree == frozenset()
+        assert all(c.tree_edges_of(v) == () for v in range(n))
+        for e in g.edges:
+            assert lift_edge(c, e) == e
+        u, v = next(iter(g.edges))
+        with pytest.raises(MissingEntryError):
+            lift_edge(c, (v, u))  # a DAG has no edge both ways
+
     def test_lift_roundtrip(self):
         g = DirectedGraph(5, [(0, 1), (1, 0), (1, 2), (0, 2), (2, 3), (3, 4), (4, 3)])
         c = condense(g)

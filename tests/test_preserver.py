@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import random
+
 from reachkeep import preserver
 from reachkeep import (
     BoundsError,
@@ -20,6 +22,7 @@ from reachkeep import (
     generate,
     grow_backwards,
     grow_forwards,
+    lift_edge,
     reachable_set,
     size_envelope_source_restricted,
     verify_session,
@@ -70,6 +73,38 @@ def digraph_with_pairs(draw):
     ]
     pairs = draw(st.lists(st.sampled_from(feasible), min_size=1, max_size=8))
     return g, pairs
+
+
+def touched_loop_serve(session: CondensingPreserver, touched: set, s: int, t: int):
+    """``CondensingPreserver.serve_pair`` as it was before the wrapper kept
+    only the components still pending: every component seen on a path is
+    remembered, each path is scanned in full, and every edge is tested
+    against the output before it is added. Kept as the reference."""
+    cond = session.cond
+    new_dag_edges = session.inner.serve_pair(cond.component_of[s], cond.component_of[t])
+    added = []
+    for comp in session.inner.log[-1].path:
+        if comp in touched:
+            continue
+        touched.add(comp)
+        for e in cond.tree_edges_of(comp):
+            if e not in session.output_edges:
+                session.output_edges.add(e)
+                added.append(e)
+    for de in new_dag_edges:
+        e = lift_edge(cond, de)
+        if e not in session.output_edges:
+            session.output_edges.add(e)
+            added.append(e)
+    return tuple(added)
+
+
+def random_pairs(rng: random.Random, g: DirectedGraph, count: int):
+    pairs = []
+    while len(pairs) < count:
+        s = rng.randrange(g.n)
+        pairs.append((s, rng.choice(sorted(reachable_set(g, s)))))
+    return pairs
 
 
 class TestGrowth:
@@ -434,3 +469,73 @@ class TestCondensingPreserver:
         expected = sum(2 * (len(comp) - 1) for comp in cond.components)
         assert cond.tree_edge_count == expected
         assert cond.tree_edge_count < 2 * g.n
+
+    def test_rejects_a_condensation_of_another_graph(self):
+        other = condense(DirectedGraph(3, {(0, 2), (2, 1)}))
+        with pytest.raises(ParameterError, match="another graph"):
+            CondensingPreserver(CHAIN3, "fw", other)
+
+    def test_accepts_a_condensation_of_an_equal_graph(self):
+        cond = condense(DirectedGraph(3, {(0, 1), (1, 2)}))
+        session = CondensingPreserver(CHAIN3, "fw", cond)
+        assert session.serve_pair(0, 2) == ((0, 1), (1, 2))
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_trees_and_lifts_match_the_touched_loop(self, seed, mode):
+        rng = random.Random(seed)
+        n = rng.randint(10, 60)
+        edges = {tuple(rng.sample(range(n), 2)) for _ in range(int(1.6 * n))}
+        g = DirectedGraph(n, edges)
+        session, reference = CondensingPreserver(g, mode), CondensingPreserver(g, mode)
+        touched: set[int] = set()
+        cond = session.cond
+        first_pair: dict[int, int] = {}
+        tree_edges_added: dict[int, list] = {}
+        for i, (s, t) in enumerate(random_pairs(rng, g, 3 * n)):
+            added = session.serve_pair(s, t)
+            assert added == touched_loop_serve(reference, touched, s, t)
+            for comp in session.inner.log[-1].path:
+                first_pair.setdefault(comp, i)
+            for u, v in added:
+                if cond.component_of[u] == cond.component_of[v]:
+                    tree_edges_added.setdefault(cond.component_of[u], []).append((i, (u, v)))
+        assert session.output_edges == reference.output_edges
+        assert any(len(comp) > 1 for comp in cond.components)
+        # Each component's trees come once, with the first pair whose path passes it.
+        for comp, members in enumerate(cond.components):
+            got = tree_edges_added.get(comp, [])
+            if len(members) == 1 or comp not in first_pair:
+                assert got == []
+            else:
+                assert got == [(first_pair[comp], e) for e in cond.tree_edges_of(comp)]
+
+    @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]))
+    @settings(max_examples=60, deadline=None)
+    def test_on_a_dag_matches_a_bare_session(self, case, mode):
+        g, pairs = case
+        wrapped, bare = CondensingPreserver(g, mode), PreserverSession(g, mode)
+        assert wrapped.inner.g is g
+        for s, t in pairs:
+            assert wrapped.serve_pair(s, t) == bare.serve_pair(s, t)
+        assert wrapped.output_edges == bare.h.edges
+        assert wrapped.inner.z_paths == bare.z_paths
+        assert wrapped.inner.log == bare.log
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_on_a_shuffled_dag_matches_a_bare_session(self, seed, mode):
+        rng = random.Random(seed)
+        n = rng.randint(20, 80)
+        perm = rng.sample(range(n), n)  # so that ids do not follow the topological order
+        edges = set()
+        for _ in range(3 * n):
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((perm[u], perm[v]))
+        g = DirectedGraph(n, edges)
+        wrapped, bare = CondensingPreserver(g, mode), PreserverSession(g, mode)
+        for s, t in random_pairs(rng, g, 4 * n):
+            assert wrapped.serve_pair(s, t) == bare.serve_pair(s, t)
+        assert wrapped.output_edges == bare.h.edges
+        assert wrapped.inner.z_paths == bare.z_paths
+        assert wrapped.inner.log == bare.log
