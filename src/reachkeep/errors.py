@@ -4,6 +4,8 @@ Everything raised on bad input derives from ValueError so callers that
 do not care about the fine-grained class can catch one thing.
 """
 
+import math
+
 
 class ReachkeepError(ValueError):
     pass
@@ -45,3 +47,9 @@ class MissingEntryError(ReachkeepError, KeyError):
     def __str__(self) -> str:
         # KeyError's own __str__ would print the message in quotes
         return Exception.__str__(self)
+
+
+def check_finite_positive(name: str, value: float) -> None:
+    """Reject a real knob that is NaN, infinite, zero or negative."""
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")

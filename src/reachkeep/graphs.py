@@ -18,6 +18,11 @@ from .errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # two ids and the line number they were read from
 
+# A graph costs about 170 bytes per vertex before its edges (adjacency
+# lists and tuples), so at this cap even an edgeless graph read from a
+# 9-byte header stays under about 180 MB.
+MAX_VERTICES = 1 << 20
+
 
 class DirectedGraph:
     """Immutable digraph on vertices 0..n-1. Self-loops are rejected,
@@ -28,6 +33,8 @@ class DirectedGraph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
             raise BoundsError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_VERTICES:
+            raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
         edge_set = set()
         for e in edges:
             u, v = int(e[0]), int(e[1])

@@ -17,12 +17,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite_positive
 from .oracle import InstanceFamily, generate
 from .preserver import (
     CondensingPreserver,
     GrowthMode,
-    check_envelope_constant,
     size_envelope_source_restricted,
 )
 from .seeding import split_seed
@@ -207,7 +206,7 @@ def bench_sweep(
     """Run every cell, capturing per-cell failures as rows rather than
     aborting the sweep. A constant that is not finite and positive is
     rejected up front."""
-    check_envelope_constant(constant)
+    check_finite_positive("constant", constant)
     rows: list[dict[str, object]] = []
     for family, mode in cells:
         try:

@@ -30,7 +30,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import MissingEntryError, ParameterError
+from .errors import MissingEntryError, ParameterError, check_finite_positive
 # reachable_set, grow_forwards, grow_backwards and greedy_adversary_step
 # are not called here (reachable_pairs and _GreedyAdversary are), but
 # perfbench/tracing.py wraps this module's binding of them.
@@ -69,8 +69,7 @@ def default_surrogate(n: int, scale: float = 4.0) -> ExtremalSurrogate:
     """scale * (n * sqrt(p) + n), capped at n(n-1)."""
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    if scale <= 0:
-        raise ParameterError(f"scale must be positive, got {scale}")
+    check_finite_positive("scale", scale)
     return ExtremalSurrogate(
         fn=lambda n_, p_: scale * (n_ * math.sqrt(p_) + n_),
         label=f"default(scale={scale})",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 
 from .errors import InfeasiblePairError, ParameterError, SizeLimitError
@@ -24,7 +24,15 @@ from .seeding import rng_for
 Pair = tuple[int, int]
 
 EXHAUSTIVE_EDGE_LIMIT = 20
-FAMILY_KINDS = ("random-dag", "random-digraph", "layered", "path-union", "sourcewise")
+# The knobs (InstanceFamily fields with a default) each kind reads.
+_KIND_KNOBS = {
+    "random-dag": ("density", "pairs"),
+    "random-digraph": ("density", "pairs"),
+    "layered": ("density", "pairs", "layers"),
+    "path-union": ("pairs", "part_length"),
+    "sourcewise": ("density", "pairs", "s_size", "side"),
+}
+FAMILY_KINDS = tuple(_KIND_KNOBS)
 
 
 def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
@@ -168,9 +176,10 @@ def greedy_adversary_step(
 class InstanceFamily:
     """Seeded description of a graph plus demand stream.
 
-    kind is one of FAMILY_KINDS. Unused knobs are ignored by kinds that
-    do not need them; a used knob outside its domain is rejected, never
-    adjusted. The same family always generates the same bytes.
+    kind is one of FAMILY_KINDS. A knob the kind does not read must keep
+    its default, so one instance never carries two descriptions; a used
+    knob outside its domain is rejected, never adjusted. The same family
+    always generates the same bytes.
     """
 
     kind: str
@@ -186,6 +195,11 @@ class InstanceFamily:
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            unused = f.default is not MISSING and f.name not in _KIND_KNOBS[self.kind]
+            if unused and value != f.default:
+                raise ParameterError(f"{self.kind} does not use {f.name}, got {f.name}={value!r}")
         if self.n < 1:
             raise ParameterError(f"n must be >= 1, got {self.n}")
         if self.pairs < 0:

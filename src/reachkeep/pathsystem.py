@@ -100,15 +100,6 @@ class BridgeWitness:
             "arcs": list(self.arcs),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BridgeWitness":
-        return cls(
-            k=int(data["k"]),
-            chain=tuple(int(x) for x in data["chain"]),
-            river=int(data["river"]),
-            arcs=tuple(int(x) for x in data["arcs"]),
-        )
-
 
 def _contains_before(path: Path, a: int, b: int) -> bool:
     seen_a = False
@@ -146,44 +137,30 @@ def validate_witness(
     return True
 
 
-class _PairIndex:
-    """Ordered-pair occurrence index over a path prefix.
+class _SystemIndex:
+    """Ordered-pair occurrence index of a finished system.
 
     For every ordered pair (a, b) that some path contains as a
     subsequence, ``lists[(a, b)]`` holds the ascending path indices
     containing it, and succ/pred expose the pair relation as bitmasks.
+    ``sole[a][q]`` is the bitmask of the vertices b whose pair (a, b)
+    lies on path q and on no other.
     """
 
-    __slots__ = ("lists", "succ", "pred", "count")
+    __slots__ = ("lists", "succ", "pred", "sole")
 
-    def __init__(self):
+    def __init__(self, paths: tuple[Path, ...]):
         self.lists: dict[tuple[int, int], list[int]] = {}
         self.succ: dict[int, int] = {}
         self.pred: dict[int, int] = {}
-        self.count = 0
-
-    def add_path(self, path: Path) -> None:
-        idx = self.count
-        for i in range(len(path)):
-            a = path[i]
-            for j in range(i + 1, len(path)):
-                b = path[j]
-                self.lists.setdefault((a, b), []).append(idx)
-                self.succ[a] = self.succ.get(a, 0) | (1 << b)
-                self.pred[b] = self.pred.get(b, 0) | (1 << a)
-        self.count = idx + 1
-
-
-class _SystemIndex(_PairIndex):
-    """Pair index of a finished system. ``sole[a][q]`` is the bitmask of
-    the vertices b whose pair (a, b) lies on path q and on no other."""
-
-    __slots__ = ("sole",)
-
-    def __init__(self, paths: tuple[Path, ...]):
-        super().__init__()
-        for p in paths:
-            self.add_path(p)
+        for idx, path in enumerate(paths):
+            for i in range(len(path)):
+                a = path[i]
+                for j in range(i + 1, len(path)):
+                    b = path[j]
+                    self.lists.setdefault((a, b), []).append(idx)
+                    self.succ[a] = self.succ.get(a, 0) | (1 << b)
+                    self.pred[b] = self.pred.get(b, 0) | (1 << a)
         self.sole: dict[int, dict[int, int]] = {}
         for (a, b), occurrences in self.lists.items():
             if len(occurrences) == 1:
@@ -346,118 +323,6 @@ def find_k_bridge(
             if found is not None:
                 return found
     return None
-
-
-class BridgeMonitor:
-    """Incremental bridge detection for a growing ordered system.
-
-    Appending a path scans only witnesses that involve it. When every
-    earlier prefix came back clean this is equivalent to a full scan,
-    because a bridge of the extended system either existed before or
-    uses the new path in one of its roles.
-    """
-
-    def __init__(
-        self,
-        ks: tuple[int, ...] = (2, 3, 4),
-        order_constraint: OrderConstraint | str = OrderConstraint.NONE,
-    ):
-        for k in ks:
-            if k not in (2, 3, 4):
-                raise ParameterError(f"k must be in 2..4, got {k}")
-        self.ks = tuple(sorted(ks))
-        self.constraint = OrderConstraint(order_constraint)
-        self._index = _PairIndex()
-        self._first_witness: BridgeWitness | None = None
-        # (k, role, chain positions of the new path's pair, fill order):
-        # role 0 is the river, role i the arc from x_i to x_{i+1}. The
-        # new path is the latest, so as the river any order constraint
-        # holds, and as the constrained arc none can.
-        self._plans: list[tuple[int, int, int, int, list[int]]] = []
-        for k in self.ks:
-            for role in range(k):
-                if role == 1 and self.constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER:
-                    continue
-                if role == k - 1 and self.constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER:
-                    continue
-                ia, ib = (0, k - 1) if role == 0 else (role - 1, role)
-                order = list(range(ia - 1, -1, -1))
-                order += [j for j in range(ia + 1, k) if j != ib]
-                self._plans.append((k, role, ia, ib, order))
-
-    @property
-    def first_witness(self) -> BridgeWitness | None:
-        return self._first_witness
-
-    def append(self, path: Path) -> BridgeWitness | None:
-        """Scan for bridges involving ``path``, then integrate it."""
-        if len(set(path)) != len(path):
-            raise BoundsError(f"path repeats a vertex: {path}")
-        pairs_t = [
-            (path[i], path[j])
-            for i in range(len(path))
-            for j in range(i + 1, len(path))
-        ]
-        witness = None
-        for plan in self._plans:
-            witness = self._scan(plan, pairs_t)
-            if witness is not None:
-                break
-        self._index.add_path(path)
-        if witness is not None and self._first_witness is None:
-            self._first_witness = witness
-        return witness
-
-    def _scan(
-        self, plan: tuple[int, int, int, int, list[int]], pairs_t: list[tuple[int, int]]
-    ) -> BridgeWitness | None:
-        """First witness with the new path in the plan's role, placed on
-        each of its pairs (a, b) in turn. The chain positions before a
-        are filled backwards through ``pred``, the others forwards
-        through ``succ``; the vertex just before b must precede b and
-        the last one must follow x_1. Every other role reads the old
-        occurrence lists."""
-        k, role, ia, ib, order = plan
-        idx = self._index
-        t = idx.count
-        chain = [0] * k
-
-        def assign() -> BridgeWitness | None:
-            pairs = [(chain[0], chain[-1])] + list(zip(chain, chain[1:]))
-            role_lists = [idx.lists.get(pair) for pair in pairs]
-            role_lists[role] = [t]
-            if not all(role_lists):
-                return None
-            got = _assign_roles(role_lists[1:], role_lists[0], self.constraint)
-            if got is None:
-                return None
-            return BridgeWitness(k, tuple(chain), *got)
-
-        def fill(pos: int, used: int) -> BridgeWitness | None:
-            if pos == len(order):
-                return assign()
-            j = order[pos]
-            if j < ia:
-                mask = idx.pred.get(chain[j + 1], 0)
-            else:
-                mask = idx.succ.get(chain[j - 1], 0)
-                if j + 1 == ib:
-                    mask &= idx.pred.get(chain[ib], 0)
-                if j == k - 1:
-                    mask &= idx.succ.get(chain[0], 0)
-            for v in _iter_bits(mask & ~used):
-                chain[j] = v
-                found = fill(pos + 1, used | (1 << v))
-                if found is not None:
-                    return found
-            return None
-
-        for a, b in pairs_t:
-            chain[ia], chain[ib] = a, b
-            found = fill(0, (1 << a) | (1 << b))
-            if found is not None:
-                return found
-        return None
 
 
 def _first_meeting(path2: Path, other: set[int]) -> tuple[int, int] | None:

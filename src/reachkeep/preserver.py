@@ -20,7 +20,7 @@ from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .errors import CyclicGraphError, InfeasiblePairError, ParameterError
+from .errors import CyclicGraphError, InfeasiblePairError, ParameterError, check_finite_positive
 from .graphs import (
     Condensation,
     DirectedGraph,
@@ -297,11 +297,6 @@ def verify_session(session: PreserverSession) -> SessionReport:
     )
 
 
-def check_envelope_constant(constant: float) -> None:
-    if not (math.isfinite(constant) and constant > 0):
-        raise ParameterError(f"constant must be finite and positive, got {constant}")
-
-
 def size_envelope_source_restricted(
     n: int, p: int, sigma: int, constant: float = 16.0
 ) -> float:
@@ -310,7 +305,7 @@ def size_envelope_source_restricted(
     for name, value in (("n", n), ("p", p), ("sigma", sigma)):
         if int(value) != value or value < 1:
             raise ParameterError(f"{name} must be an integer >= 1, got {value}")
-    check_envelope_constant(constant)
+    check_finite_positive("constant", constant)
     return constant * (math.sqrt(n * p * sigma) + n)
 
 

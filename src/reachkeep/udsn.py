@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasiblePairError, ParameterError
+from .errors import InfeasiblePairError, ParameterError, check_finite_positive
 from .graphs import (
     Condensation,
     DirectedGraph,
@@ -51,10 +51,7 @@ class UdsnParams:
             raise ParameterError(f"tau must be >= 1, got {self.tau}")
         if self.T < 0:
             raise ParameterError(f"T must be >= 0, got {self.T}")
-        if not (math.isfinite(self.sample_constant) and self.sample_constant > 0):
-            raise ParameterError(
-                f"sample_constant must be finite and positive, got {self.sample_constant}"
-            )
+        check_finite_positive("sample_constant", self.sample_constant)
 
     @staticmethod
     def defaults_for(n: int) -> UdsnParams:

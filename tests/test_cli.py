@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from reachkeep.cli import main as cli_main
+from reachkeep.graphs import MAX_VERTICES
 
 
 def run(argv, tmp_path, capsys) -> tuple[int, list[str]]:
@@ -184,6 +186,64 @@ def test_non_finite_sample_constant_is_a_usage_error(constant, extra, tmp_path, 
     assert code == 2
     assert err == [f"error: sample_constant must be finite and positive, got {constant}"]
     assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "command",
+    [["precompute", "--p", "2"], ["select", "--s", "0", "--t", "2", "--index", "1"]],
+    ids=["precompute", "select"],
+)
+def test_non_finite_scale_is_a_usage_error(command, scale, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 1\n1 2\n")
+    code, err = run(
+        [command[0], "--graph", str(graph), *command[1:], "--scale", scale], tmp_path, capsys
+    )
+    assert code == 2
+    assert err == [f"error: scale must be finite and positive, got {scale}"]
+
+
+def test_knob_the_kind_ignores_is_a_usage_error(tmp_path, capsys):
+    # random-dag never reads s_size, so 0 and 1 would name one instance twice
+    code, err = run(
+        ["gen", "--kind", "random-dag", "--n", "10", "--pairs", "3", "--s-size", "0"],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert err == ["error: random-dag does not use s_size, got s_size=0"]
+    assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("g.txt", f"n {MAX_VERTICES + 1}\n"),
+        ("g.txt", f"0 {MAX_VERTICES}\n"),
+        ("session.json", json.dumps(
+            {"n": MAX_VERTICES + 1, "edges": [[0, 1]], "mode": "fw", "pairs": [[0, 1]]}
+        )),
+    ],
+    ids=["header", "headerless-id", "session-dump"],
+)
+def test_vertex_count_above_the_cap_is_a_usage_error(name, text, tmp_path, capsys):
+    source, pairs = tmp_path / name, tmp_path / "p.txt"
+    source.write_text(text)
+    pairs.write_text("0 1\n")
+    if name == "session.json":
+        argv = ["verify", "--session", str(source)]
+    else:
+        argv = ["preserve", "--graph", str(source), "--pairs", str(pairs)]
+    tracemalloc.start()
+    try:
+        code, err = run(argv, tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == [f"error: vertex count must be <= {MAX_VERTICES}, got {MAX_VERTICES + 1}"]
+    # a graph at the cap would take over 100 MB
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,25 @@ class TestInstanceFamily:
             InstanceFamily(n=10, seed=1, **knobs)
 
     @pytest.mark.parametrize(
+        "kind, knob, value",
+        [
+            ("random-dag", "s_size", 0),
+            ("random-dag", "side", "sink"),
+            ("random-digraph", "layers", 3),
+            ("random-digraph", "part_length", 5),
+            ("layered", "s_size", 2),
+            ("layered", "part_length", 2),
+            ("path-union", "density", 0.5),
+            ("path-union", "layers", 2),
+            ("sourcewise", "layers", 2),
+            ("sourcewise", "part_length", 3),
+        ],
+    )
+    def test_knob_the_kind_ignores_rejected(self, kind, knob, value):
+        with pytest.raises(ParameterError, match=f"{kind} does not use {knob}"):
+            InstanceFamily(kind=kind, n=10, seed=1, **{knob: value})
+
+    @pytest.mark.parametrize(
         "knobs",
         [
             {"kind": "sourcewise", "s_size": 1},
