@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -141,7 +142,7 @@ def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
                 "z_size": session.z_size,
             }
         )
-    report = verify_session(session.inner)
+    report = verify_session(session)
     unpreserved = unreachable_pairs(session.output_graph(), pairs)
     audit = {
         "report": _report_json(report),
@@ -291,8 +292,18 @@ def _compute_gen(params: dict, seed: int):
     return payload, {}, outputs, {"graph": graph_text, "pairs": pairs_text}, 0
 
 
+# The bench knobs that one kind ignores, with their defaults: s_sizes and
+# pair_factor shape sourcewise sweeps only, pair_counts the other kinds.
+# Another value where it is ignored would give one sweep two manifest ids.
+_BENCH_KNOBS = {"s_sizes": [1, 2, 4], "pair_factor": 20, "pair_counts": [10, 50]}
+
+
 def _bench_cells(params: dict, seed: int):
     kind = str(params["kind"])
+    ignored = ("pair_counts",) if kind == "sourcewise" else ("s_sizes", "pair_factor")
+    for key in ignored:
+        if params[key] != _BENCH_KNOBS[key]:
+            raise ParameterError(f"{kind} does not use {key}, got {key}={params[key]!r}")
     ns = [int(x) for x in params["ns"]]
     modes = [GrowthMode(str(m)) for m in params["modes"]]
     if kind == "sourcewise":
@@ -383,12 +394,17 @@ def _run_command(args: argparse.Namespace, params: dict) -> int:
 
 
 def _load_session(path: str) -> tuple[DirectedGraph, GrowthMode, list[Pair]]:
-    """Graph, mode and demand stream of a dump written by --out-session."""
+    """Graph, mode and demand stream of a dump written by --out-session.
+    Vertex counts and ids must be JSON integers and the mode a string."""
     try:
         dump = json.loads(_read(path))
-        g = DirectedGraph(int(dump["n"]), [(int(u), int(v)) for u, v in dump["edges"]])
-        pairs = [(int(s), int(t)) for s, t in dump["pairs"]]
-        return g, GrowthMode(str(dump["mode"])), pairs
+        edges = [(u, v) for u, v in dump["edges"]]
+        pairs = [(s, t) for s, t in dump["pairs"]]
+        ids = (dump["n"], *chain(*edges, *pairs))
+        # type(), not isinstance(): a bool is an int, and a float would be truncated.
+        if any(type(x) is not int for x in ids) or not isinstance(dump["mode"], str):
+            raise TypeError("n, edge and pair ends must be integers and mode a string")
+        return DirectedGraph(dump["n"], edges), GrowthMode(dump["mode"]), pairs
     except ReachkeepError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

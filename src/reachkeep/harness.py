@@ -180,7 +180,7 @@ def bench_cell(
         session.serve_pair(s, t)
     wall = time.perf_counter() - t0
     p = session.pairs_served
-    sigma = session.inner.restricted_side_size
+    sigma = session.restricted_side_size
     envelope = None
     if p >= 1 and sigma >= 1:
         envelope = size_envelope_source_restricted(g.n, p, sigma, constant)

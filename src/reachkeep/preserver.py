@@ -4,12 +4,14 @@ Pairs arrive one at a time and every edge added is kept forever. Each
 pair is answered with a path grown greedily: forwards growth extends
 from the source and prefers edges already in the preserver whose head
 still reaches the sink, backwards growth mirrors this from the sink.
-Alongside the preserver the session records one auxiliary path per
-pair (the tails of the new edges plus the sink under forwards growth,
-the source plus the heads of the new edges under backwards growth).
-The auxiliary system is what the verification machinery audits: it
-stays acyclic, its size equals the edge count plus the pair count, and
-it never contains a bridge whose constrained arc precedes its river.
+On a digraph with cycles the preserver grows on the DAG of strong
+components and is lifted back to original edges. Alongside the
+preserver the session records one auxiliary path per pair (the tails
+of the new edges plus the sink under forwards growth, the source plus
+the heads of the new edges under backwards growth). The auxiliary
+system is what the verification machinery audits: it stays acyclic,
+its size equals the DAG edge count plus the pair count, and it never
+contains a bridge whose constrained arc precedes its river.
 """
 
 from __future__ import annotations
@@ -166,73 +168,123 @@ def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
 
 @dataclass(frozen=True)
 class PairRecord:
+    """A served pair, its grown path and the H edges it added, on component ids."""
+
     pair: Pair
     path: tuple[int, ...]
     new_edges: tuple[Edge, ...]
-    h_size: int
-    z_size: int
 
 
-class PreserverSession:
-    """Irrevocable online session over a DAG."""
+class CondensingPreserver:
+    """Irrevocable online session over any digraph.
 
-    def __init__(self, g: DirectedGraph, mode: GrowthMode | str = GrowthMode.FORWARDS):
-        _require_dag(g)
+    Strong components are collapsed once up front, and H grows on the
+    component DAG, where the auxiliary paths live too. Each grown path
+    is lifted to the output: every new DAG edge becomes one original
+    edge, and the first path through a component adds its internal
+    in/out trees so the lift is walkable. On a DAG, which is its own
+    condensation, there are no trees and no path is scanned for them.
+    """
+
+    def __init__(
+        self,
+        g: DirectedGraph,
+        mode: GrowthMode | str = GrowthMode.FORWARDS,
+        condensation: Condensation | None = None,
+    ):
+        if condensation is None:
+            condensation = condense(g)
+        elif not (condensation.graph is g or condensation.graph == g):
+            raise ParameterError("condensation is of another graph")
         self.g = g
+        self.cond = condensation
+        self.dag = condensation.dag
         self.mode = GrowthMode(mode)
-        self.h = EdgeStore(g.n)
+        # H, the auxiliary paths and the log are on component ids.
+        self.h = EdgeStore(self.dag.n)
         self.z_paths: list[tuple[int, ...]] = []
         self._z_size = 0
         self.log: list[PairRecord] = []
         self.pairs_served = 0
         self.sources_seen: set[int] = set()
         self.sinks_seen: set[int] = set()
+        self.output_edges: set[Edge] = set()
+        # The components whose trees are not in the output yet.
+        self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
+
+    # Read only by perfbench/workloads.py; ROADMAP item 7 deletes it.
+    inner = property(lambda self: self)
 
     @property
     def h_size(self) -> int:
-        return len(self.h)
+        """Edges in the output, trees included."""
+        return len(self.output_edges)
 
     @property
     def z_size(self) -> int:
         return self._z_size
 
     def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
-        return self.mode.grow(self.g, self.h, s, t)
+        return self.mode.grow(self.dag, self.h, s, t)
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
-        """Serve one demand pair. Raises without touching any state
-        when the pair is infeasible; otherwise adds the chosen path's
-        missing edges to the preserver and appends one auxiliary path."""
-        path = self._choose_path(s, t)
+        """Serve one demand pair and return the output edges it adds.
+        Raises without touching any state when the pair is infeasible;
+        otherwise grows a path on the component DAG, adds its missing
+        edges to H with one auxiliary path, and lifts it to the output."""
+        check_vertices(self.g.n, s, t)
+        cond = self.cond
+        cs, ct = cond.component_of[s], cond.component_of[t]
+        try:
+            path = self._choose_path(cs, ct)
+        except InfeasiblePairError:
+            raise InfeasiblePairError(f"{t} not reachable from {s}") from None
         h_edges = self.h.edges
         new = tuple((u, v) for u, v in zip(path, path[1:]) if (u, v) not in h_edges)
         for e in new:
             self.h.add(e)
         if self.mode is GrowthMode.FORWARDS:
-            z_path = tuple(u for u, _ in new) + (t,)
+            z_path = tuple(u for u, _ in new) + (ct,)
         else:
-            z_path = (s,) + tuple(v for _, v in new)
+            z_path = (cs,) + tuple(v for _, v in new)
         self.z_paths.append(z_path)
         self._z_size += len(z_path)
         self.pairs_served += 1
-        self.sources_seen.add(s)
-        self.sinks_seen.add(t)
-        self.log.append(PairRecord((s, t), path, new, len(h_edges), self._z_size))
-        return new
+        self.sources_seen.add(cs)
+        self.sinks_seen.add(ct)
+        self.log.append(PairRecord((cs, ct), path, new))
+        # Every edge below is new to the output: tree edges stay inside one
+        # component and are added once per component, and each new DAG
+        # edge lifts to its own edge between two components.
+        added: list[Edge] = []
+        pending = self._pending
+        if pending:
+            for comp in path:
+                if comp in pending:
+                    pending.remove(comp)
+                    added.extend(cond.tree_edges_of(comp))
+        added.extend(map(cond._lift.__getitem__, new))
+        self.output_edges.update(added)
+        return tuple(added)
 
-    def h_graph(self) -> DirectedGraph:
-        return self.h.to_graph()
+    def output_graph(self) -> DirectedGraph:
+        return DirectedGraph(self.g.n, self.output_edges)
 
     def z_system(self) -> PathSystem:
-        return PathSystem(self.g.n, tuple(self.z_paths))
+        return PathSystem(self.dag.n, tuple(self.z_paths))
 
     @property
     def restricted_side_size(self) -> int:
-        """Measured size of the shared-terminal side: distinct sinks
-        under forwards growth, distinct sources under backwards."""
+        """Measured size of the shared-terminal side: distinct sink components
+        under forwards growth, distinct source components under backwards."""
         if self.mode is GrowthMode.FORWARDS:
             return len(self.sinks_seen)
         return len(self.sources_seen)
+
+
+# Read only by perfbench/tracing.py, which wraps methods through this
+# name; ROADMAP item 7 deletes it.
+PreserverSession = CondensingPreserver
 
 
 @dataclass
@@ -271,20 +323,21 @@ class SessionReport:
         return "; ".join(problems)
 
 
-def verify_session(session: PreserverSession) -> SessionReport:
+def verify_session(session: CondensingPreserver) -> SessionReport:
     """Full audit of a finished session: auxiliary system acyclic, size
-    identity exact, no mode-constrained bridge of width 2, 3 or 4, and
-    every served pair reachable in the preserver. Violations are
-    reported with witnesses instead of raised.
+    identity |Z| = |H| + p exact, no mode-constrained bridge of width 2,
+    3 or 4, and every served pair reachable in H. All of it is read on
+    the component DAG, where H and Z live. Violations are reported with
+    witnesses instead of raised.
 
     The served pairs are checked against the bitset closure of H, which
-    is a DAG because every H edge comes from a path of the DAG g."""
+    is a DAG because every H edge comes from a path of the DAG."""
     z = session.z_system()
     acyclic, _ = is_acyclic(z)
-    expected = session.h_size + session.pairs_served
+    expected = len(session.h) + session.pairs_served
     actual = z.size()
     bridges = {k: find_k_bridge(z, k, session.mode.constraint) for k in (2, 3, 4)}
-    h = session.h_graph()
+    h = session.h.to_graph()
     served = [rec.pair for rec in session.log]
     unreachable = [(s, t) for s, t in served if not h.reach_mask(s) >> t & 1]
     return SessionReport(
@@ -307,73 +360,3 @@ def size_envelope_source_restricted(
             raise ParameterError(f"{name} must be an integer >= 1, got {value}")
     check_finite_positive("constant", constant)
     return constant * (math.sqrt(n * p * sigma) + n)
-
-
-class CondensingPreserver:
-    """Public session for arbitrary digraphs.
-
-    Strong components are collapsed once up front. Pairs are served on
-    the component DAG; chosen DAG edges are lifted back to single
-    original edges, and the first time a component appears on a chosen
-    path its internal in/out trees are added so the lift is walkable.
-    On a DAG, which is its own condensation, there are no trees and no
-    path is scanned for them.
-    """
-
-    def __init__(
-        self,
-        g: DirectedGraph,
-        mode: GrowthMode | str = GrowthMode.FORWARDS,
-        condensation: Condensation | None = None,
-    ):
-        if condensation is None:
-            condensation = condense(g)
-        elif not (condensation.graph is g or condensation.graph == g):
-            raise ParameterError("condensation is of another graph")
-        self.g = g
-        self.cond = condensation
-        self.inner = PreserverSession(condensation.dag, mode)
-        self.output_edges: set[Edge] = set()
-        # The components whose trees are not in the output yet.
-        self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
-
-    @property
-    def mode(self) -> GrowthMode:
-        return self.inner.mode
-
-    @property
-    def h_size(self) -> int:
-        return len(self.output_edges)
-
-    @property
-    def z_size(self) -> int:
-        return self.inner.z_size
-
-    @property
-    def pairs_served(self) -> int:
-        return self.inner.pairs_served
-
-    def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
-        check_vertices(self.g.n, s, t)
-        cond = self.cond
-        try:
-            new_dag_edges = self.inner.serve_pair(cond.component_of[s], cond.component_of[t])
-        except InfeasiblePairError:
-            raise InfeasiblePairError(f"{t} not reachable from {s}") from None
-        # Every edge below is new to the output: tree edges stay inside one
-        # component and are added once per component, and each new DAG
-        # edge lifts to its own edge between two components.
-        added: list[Edge] = []
-        pending = self._pending
-        if pending:
-            for comp in self.inner.log[-1].path:
-                if comp in pending:
-                    pending.remove(comp)
-                    added.extend(cond.tree_edges_of(comp))
-        lift = cond._lift
-        added.extend([lift[de] for de in new_dag_edges])
-        self.output_edges.update(added)
-        return tuple(added)
-
-    def output_graph(self) -> DirectedGraph:
-        return DirectedGraph(self.g.n, self.output_edges)

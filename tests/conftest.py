@@ -45,7 +45,6 @@ def _drive_session(kind, n, p, seed, mode, density, s_size) -> SessionTrace:
     )
     g, stream = generate(family)
     session = CondensingPreserver(g, mode)
-    inner = session.inner
     trace = SessionTrace(kind, n, p, mode)
     tag = f"{kind} n={n} p={p} seed={seed} {mode}"
     # recount the paths, so the session's running z_size is not
@@ -55,23 +54,23 @@ def _drive_session(kind, n, p, seed, mode, density, s_size) -> SessionTrace:
     seen: list[tuple[int, ...]] = []
     for idx, (s, t) in enumerate(stream):
         session.serve_pair(s, t)
-        z_path = inner.z_paths[-1]
+        z_path = session.z_paths[-1]
         seen.append(z_path)
         z_size += len(z_path)
-        if z_size != inner.h_size + inner.pairs_served or inner.z_size != z_size:
+        if z_size != len(session.h) + session.pairs_served or session.z_size != z_size:
             trace.violations.append(
-                f"{tag} pair {idx}: size {z_size} (running {inner.z_size}) != "
-                f"{inner.h_size} + {inner.pairs_served}"
+                f"{tag} pair {idx}: size {z_size} (running {session.z_size}) != "
+                f"{len(session.h)} + {session.pairs_served}"
             )
     # A bridge or a cycle of a prefix stays in every longer system, as
     # long as no recorded path changed: one audit of the finished
     # session covers every prefix.
-    if inner.z_paths != seen:
+    if session.z_paths != seen:
         trace.violations.append(f"{tag}: an earlier auxiliary path changed")
-    report = verify_session(inner)
+    report = verify_session(session)
     if not report.ok:
         trace.violations.append(f"{tag}: {report.describe()}")
-    trace.z = inner.z_system()
+    trace.z = session.z_system()
     return trace
 
 

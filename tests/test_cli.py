@@ -28,6 +28,8 @@ def run(argv, tmp_path, capsys) -> tuple[int, list[str]]:
         '{"n": 3, "edges": [[0]], "mode": "fw", "pairs": []}',
         '{"n": 3, "edges": [[0, 1, 2]], "mode": "fw", "pairs": []}',
         '[1, 2]',
+        '{"n": 3.7, "edges": [[0, 1]], "mode": "fw", "pairs": [[0, 1]]}',
+        '{"n": true, "edges": [], "mode": "fw", "pairs": [[0, 0]]}',
     ],
     ids=[
         "truncated",
@@ -36,6 +38,8 @@ def run(argv, tmp_path, capsys) -> tuple[int, list[str]]:
         "one-element-edge",
         "three-element-edge",
         "not-an-object",
+        "float-n",
+        "boolean-n",
     ],
 )
 def test_malformed_session_dump_is_a_usage_error(text, tmp_path, capsys):
@@ -70,11 +74,18 @@ def test_bad_bench_list_is_a_usage_error(tmp_path, capsys):
         (["--ns", ""], "error: --ns expects comma-separated integers, got ''"),
         (["--ns", ","], "error: --ns expects comma-separated integers, got ','"),
         (["--modes", ""], "error: --modes expects comma-separated modes, got ''"),
+        # A knob the kind does not read would name one sweep twice.
+        (["--kind", "random-dag", "--ns", "10", "--pair-counts", "3", "--modes", "fw",
+          "--s-sizes", "3"], "error: random-dag does not use s_sizes, got s_sizes=[3]"),
+        (["--kind", "layered", "--ns", "10", "--pair-factor", "5"],
+         "error: layered does not use pair_factor, got pair_factor=5"),
+        (["--ns", "10", "--s-sizes", "1", "--modes", "fw", "--pair-counts", "7"],
+         "error: sourcewise does not use pair_counts, got pair_counts=[7]"),
     ],
     ids=[
         "constant-0", "constant-negative", "unknown-kind", "sourcewise-n1",
         "path-union-short", "constant-nan", "constant-inf", "ns-empty", "ns-comma",
-        "modes-empty",
+        "modes-empty", "random-dag-s-sizes", "layered-pair-factor", "sourcewise-pair-counts",
     ],
 )
 def test_bad_bench_input_is_a_usage_error(argv, message, tmp_path, capsys):

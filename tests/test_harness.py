@@ -13,7 +13,6 @@ from reachkeep import (
     InfeasiblePairError,
     InstanceFamily,
     ParameterError,
-    PreserverSession,
     RunManifest,
     bench_cell,
     bench_sweep,
@@ -214,7 +213,7 @@ class TestBench:
         assert len(seeds) == 8  # every cell draws from its own stream
 
 
-class FaultySession(PreserverSession):
+class FaultySession(CondensingPreserver):
     """Self-test chooser that walks random eligible edges and never
     prefers edges it already owns. Used to confirm the verifier actually
     rejects sessions that ignore the reuse rule."""
@@ -224,21 +223,22 @@ class FaultySession(PreserverSession):
         self._rng = rng_for(seed, "fault-injection")
 
     def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
+        dag = self.dag
         if self.mode is GrowthMode.FORWARDS:
-            member = reachable_set(self.g, t, reverse=True)
+            member = reachable_set(dag, t, reverse=True)
             if s not in member:
                 raise InfeasiblePairError(f"{t} not reachable from {s}")
             path = [s]
             while path[-1] != t:
-                options = [v for v in self.g.out_neighbors(path[-1]) if v in member]
+                options = [v for v in dag.out_neighbors(path[-1]) if v in member]
                 path.append(self._rng.choice(options))
             return tuple(path)
-        member = reachable_set(self.g, s)
+        member = reachable_set(dag, s)
         if t not in member:
             raise InfeasiblePairError(f"{t} not reachable from {s}")
         path = [t]
         while path[0] != s:
-            options = [u for u in self.g.in_neighbors(path[0]) if u in member]
+            options = [u for u in dag.in_neighbors(path[0]) if u in member]
             path.insert(0, self._rng.choice(options))
         return tuple(path)
 
@@ -262,7 +262,7 @@ class TestFaultySession:
         session = CondensingPreserver(g, "fw")
         for s, t in stream:
             session.serve_pair(s, t)
-        assert verify_session(session.inner).ok
+        assert verify_session(session).ok
 
     def test_faulty_chooser_is_deterministic(self):
         fam = InstanceFamily(kind="random-dag", n=14, seed=0, density=0.5, pairs=14)

@@ -16,8 +16,8 @@ from reachkeep import (
     GrowthMode,
     InfeasiblePairError,
     InstanceFamily,
+    PairRecord,
     ParameterError,
-    PreserverSession,
     condense,
     generate,
     grow_backwards,
@@ -75,26 +75,50 @@ def digraph_with_pairs(draw):
     return g, pairs
 
 
-def touched_loop_serve(session: CondensingPreserver, touched: set, s: int, t: int):
-    """``CondensingPreserver.serve_pair`` as it was before the wrapper kept
-    only the components still pending: every component seen on a path is
-    remembered, each path is scanned in full, and every edge is tested
-    against the output before it is added. Kept as the reference."""
-    cond = session.cond
-    new_dag_edges = session.inner.serve_pair(cond.component_of[s], cond.component_of[t])
+class BareDagSession:
+    """A session on a DAG alone, with no condensation and no lift: grow
+    on g, add the new edges, build the auxiliary path, append a
+    ``PairRecord``. Kept as the reference for ``CondensingPreserver``."""
+
+    def __init__(self, g: DirectedGraph, mode: str):
+        self.g, self.mode = g, GrowthMode(mode)
+        self.h = EdgeStore(g.n)
+        self.z_paths: list[tuple[int, ...]] = []
+        self.log: list[PairRecord] = []
+
+    def serve_pair(self, s: int, t: int):
+        path = self.mode.grow(self.g, self.h, s, t)
+        new = tuple((u, v) for u, v in zip(path, path[1:]) if (u, v) not in self.h)
+        for e in new:
+            self.h.add(e)
+        if self.mode is GrowthMode.FORWARDS:
+            self.z_paths.append(tuple(u for u, _ in new) + (t,))
+        else:
+            self.z_paths.append((s,) + tuple(v for _, v in new))
+        self.log.append(PairRecord((s, t), path, new))
+        return new
+
+
+def touched_loop_serve(bare: BareDagSession, cond, output: set, touched: set, s: int, t: int):
+    """``CondensingPreserver.serve_pair`` as it was before the session
+    kept only the components still pending: ``bare`` serves the pair on
+    ``cond.dag``, every component seen on a path is remembered in
+    ``touched``, each path is scanned in full, and every edge is tested
+    against ``output`` before it is added. Kept as the reference."""
+    new_dag_edges = bare.serve_pair(cond.component_of[s], cond.component_of[t])
     added = []
-    for comp in session.inner.log[-1].path:
+    for comp in bare.log[-1].path:
         if comp in touched:
             continue
         touched.add(comp)
         for e in cond.tree_edges_of(comp):
-            if e not in session.output_edges:
-                session.output_edges.add(e)
+            if e not in output:
+                output.add(e)
                 added.append(e)
     for de in new_dag_edges:
         e = lift_edge(cond, de)
-        if e not in session.output_edges:
-            session.output_edges.add(e)
+        if e not in output:
+            output.add(e)
             added.append(e)
     return tuple(added)
 
@@ -211,14 +235,14 @@ class TestGrowthMode:
 
 class TestPreserverSession:
     def test_backwards_serve_records_auxiliary_path(self):
-        session = PreserverSession(CHAIN3, "bw")
+        session = CondensingPreserver(CHAIN3, "bw")
         new = session.serve_pair(0, 2)
         assert set(new) == {(0, 1), (1, 2)}
         assert session.z_paths[-1] == (0, 1, 2)
         assert session.z_size == 3
 
     def test_repeat_pair_adds_singleton_auxiliary_path(self):
-        session = PreserverSession(CHAIN3, "bw")
+        session = CondensingPreserver(CHAIN3, "bw")
         session.serve_pair(0, 2)
         new = session.serve_pair(0, 2)
         assert new == ()
@@ -227,14 +251,14 @@ class TestPreserverSession:
         assert session.h_size == 2
 
     def test_forwards_auxiliary_path_is_tails_plus_sink(self):
-        session = PreserverSession(DIAMOND, "fw")
+        session = CondensingPreserver(DIAMOND, "fw")
         session.serve_pair(0, 3)
         assert session.z_paths[-1] == (0, 1, 2, 3)
         session.serve_pair(0, 3)
         assert session.z_paths[-1] == (3,)
 
     def test_infeasible_pair_leaves_state_untouched(self):
-        session = PreserverSession(CHAIN3, "bw")
+        session = CondensingPreserver(CHAIN3, "bw")
         session.serve_pair(0, 2)
         before = (
             set(session.h.edges),
@@ -253,44 +277,36 @@ class TestPreserverSession:
         assert before == after
 
     def test_log_snapshots_running_sizes(self):
-        session = PreserverSession(CHAIN3, "bw")
+        session = CondensingPreserver(CHAIN3, "bw")
         session.serve_pair(0, 2)
         session.serve_pair(0, 1)
         rec = session.log[-1]
         assert rec.pair == (0, 1)
         assert rec.path == (0, 1)
         assert rec.new_edges == ()
-        assert rec.h_size == 2
-        assert rec.z_size == session.z_size
 
     @pytest.mark.parametrize("mode", ["fw", "bw"])
     def test_running_z_size_matches_recount_after_every_pair(self, mode):
         g, stream = generate(InstanceFamily(kind="random-dag", n=30, seed=3, pairs=60))
-        session = PreserverSession(g, mode)
+        session = CondensingPreserver(g, mode)
         for s, t in stream:
             session.serve_pair(s, t)
             recount = sum(len(p) for p in session.z_paths)
             assert session.z_size == recount
-            assert session.log[-1].z_size == recount
 
     def test_restricted_side_tracks_mode(self):
-        fw = PreserverSession(DIAMOND, "fw")
+        fw = CondensingPreserver(DIAMOND, "fw")
         fw.serve_pair(0, 3)
         fw.serve_pair(1, 3)
         assert fw.restricted_side_size == 1
-        bw = PreserverSession(DIAMOND, "bw")
+        bw = CondensingPreserver(DIAMOND, "bw")
         bw.serve_pair(0, 3)
         bw.serve_pair(0, 2)
         assert bw.restricted_side_size == 1
 
-    def test_cyclic_graph_rejected_at_construction(self):
-        g = DirectedGraph(2, {(0, 1), (1, 0)})
-        with pytest.raises(CyclicGraphError):
-            PreserverSession(g)
-
     def test_determinism_identical_streams(self):
-        a = PreserverSession(DIAMOND, "fw")
-        b = PreserverSession(DIAMOND, "fw")
+        a = CondensingPreserver(DIAMOND, "fw")
+        b = CondensingPreserver(DIAMOND, "fw")
         for s, t in [(0, 3), (1, 2), (0, 2), (0, 3)]:
             a.serve_pair(s, t)
             b.serve_pair(s, t)
@@ -301,23 +317,23 @@ class TestPreserverSession:
 
 class TestVerifySession:
     def test_empty_session_audits_clean(self):
-        report = verify_session(PreserverSession(DIAMOND))
+        report = verify_session(CondensingPreserver(DIAMOND))
         assert report.ok
         assert report.expected_size == 0 == report.actual_size
         assert report.describe() == "session audit clean"
 
     def test_driven_session_audits_clean(self):
-        session = PreserverSession(DIAMOND, "bw")
+        session = CondensingPreserver(DIAMOND, "bw")
         for s, t in [(0, 3), (0, 2), (1, 3), (0, 3)]:
             session.serve_pair(s, t)
         report = verify_session(session)
         assert report.ok
         assert report.size_ok
-        assert report.actual_size == session.h_size + session.pairs_served
+        assert report.actual_size == len(session.h) + session.pairs_served
 
     def test_reversed_auxiliary_path_is_caught(self):
         g = DirectedGraph(4, {(0, 1), (1, 2), (1, 3), (3, 2)})
-        session = PreserverSession(g, "bw")
+        session = CondensingPreserver(g, "bw")
         for s, t in [(0, 2), (1, 3), (3, 2)]:
             session.serve_pair(s, t)
         assert verify_session(session).ok
@@ -328,7 +344,7 @@ class TestVerifySession:
         assert "cyclic" in report.describe()
 
     def test_dropped_edge_breaks_size_identity(self):
-        session = PreserverSession(CHAIN3, "bw")
+        session = CondensingPreserver(CHAIN3, "bw")
         session.serve_pair(0, 2)
         session.h.edges.discard((0, 1))
         report = verify_session(session)
@@ -344,7 +360,7 @@ class TestVerifySession:
     @settings(max_examples=80, deadline=None)
     def test_served_pairs_match_bfs_with_and_without_a_dropped_edge(self, case, mode, drop):
         g, pairs = case
-        session = PreserverSession(g, mode)
+        session = CondensingPreserver(g, mode)
         for s, t in pairs + pairs[:2]:
             session.serve_pair(s, t)
         served = [rec.pair for rec in session.log]
@@ -353,23 +369,23 @@ class TestVerifySession:
         if not edges:
             return
         session.h = store_with(g.n, [e for e in edges if e != edges[drop % len(edges)]])
-        expected = unreachable_pairs(session.h_graph(), served)
+        expected = unreachable_pairs(session.h.to_graph(), served)
         assert verify_session(session).unreachable_pairs == expected
 
     @pytest.mark.parametrize("mode", ["fw", "bw"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_served_pairs_match_bfs_for_each_dropped_edge(self, seed, mode):
         g, stream = generate(InstanceFamily(kind="random-dag", n=30, seed=seed, pairs=40))
-        session = PreserverSession(g, mode)
+        session = CondensingPreserver(g, mode)
         for s, t in stream + stream[:5]:
             session.serve_pair(s, t)
         served = [rec.pair for rec in session.log]
-        assert verify_session(session).unreachable_pairs == unreachable_pairs(session.h_graph(), served) == []
+        assert verify_session(session).unreachable_pairs == unreachable_pairs(session.h.to_graph(), served) == []
         honest = sorted(session.h.edges)
         broken = 0
         for dropped in honest:
             session.h = store_with(g.n, [e for e in honest if e != dropped])
-            expected = unreachable_pairs(session.h_graph(), served)
+            expected = unreachable_pairs(session.h.to_graph(), served)
             assert verify_session(session).unreachable_pairs == expected
             broken += bool(expected)
         assert broken > 0
@@ -378,7 +394,7 @@ class TestVerifySession:
     @settings(max_examples=60, deadline=None)
     def test_honest_sessions_always_audit_clean(self, case, mode):
         g, pairs = case
-        session = PreserverSession(g, mode)
+        session = CondensingPreserver(g, mode)
         for s, t in pairs:
             session.serve_pair(s, t)
             report = verify_session(session)
@@ -402,7 +418,7 @@ class TestSizeEnvelope:
     @settings(max_examples=40, deadline=None)
     def test_small_sessions_fit_the_default_budget(self, case, mode):
         g, pairs = case
-        session = PreserverSession(g, mode)
+        session = CondensingPreserver(g, mode)
         for s, t in pairs:
             session.serve_pair(s, t)
         sigma = max(1, session.restricted_side_size)
@@ -458,7 +474,7 @@ class TestCondensingPreserver:
         assert session.output_edges <= g.edges
         for s, t in pairs:
             assert t in reachable_set(out, s)
-        report = verify_session(session.inner)
+        report = verify_session(session)
         assert report.ok, report.describe()
 
     @given(digraph_with_pairs())
@@ -487,20 +503,23 @@ class TestCondensingPreserver:
         n = rng.randint(10, 60)
         edges = {tuple(rng.sample(range(n), 2)) for _ in range(int(1.6 * n))}
         g = DirectedGraph(n, edges)
-        session, reference = CondensingPreserver(g, mode), CondensingPreserver(g, mode)
-        touched: set[int] = set()
+        session = CondensingPreserver(g, mode)
         cond = session.cond
+        bare, reference, touched = BareDagSession(cond.dag, mode), set(), set()
         first_pair: dict[int, int] = {}
         tree_edges_added: dict[int, list] = {}
         for i, (s, t) in enumerate(random_pairs(rng, g, 3 * n)):
             added = session.serve_pair(s, t)
-            assert added == touched_loop_serve(reference, touched, s, t)
-            for comp in session.inner.log[-1].path:
+            assert added == touched_loop_serve(bare, cond, reference, touched, s, t)
+            for comp in session.log[-1].path:
                 first_pair.setdefault(comp, i)
             for u, v in added:
                 if cond.component_of[u] == cond.component_of[v]:
                     tree_edges_added.setdefault(cond.component_of[u], []).append((i, (u, v)))
-        assert session.output_edges == reference.output_edges
+        assert session.output_edges == reference
+        assert session.h.edges == bare.h.edges
+        assert session.z_paths == bare.z_paths
+        assert session.log == bare.log
         assert any(len(comp) > 1 for comp in cond.components)
         # Each component's trees come once, with the first pair whose path passes it.
         for comp, members in enumerate(cond.components):
@@ -514,13 +533,13 @@ class TestCondensingPreserver:
     @settings(max_examples=60, deadline=None)
     def test_on_a_dag_matches_a_bare_session(self, case, mode):
         g, pairs = case
-        wrapped, bare = CondensingPreserver(g, mode), PreserverSession(g, mode)
-        assert wrapped.inner.g is g
+        wrapped, bare = CondensingPreserver(g, mode), BareDagSession(g, mode)
+        assert wrapped.dag is g
         for s, t in pairs:
             assert wrapped.serve_pair(s, t) == bare.serve_pair(s, t)
         assert wrapped.output_edges == bare.h.edges
-        assert wrapped.inner.z_paths == bare.z_paths
-        assert wrapped.inner.log == bare.log
+        assert wrapped.z_paths == bare.z_paths
+        assert wrapped.log == bare.log
 
     @pytest.mark.parametrize("mode", ["fw", "bw"])
     @pytest.mark.parametrize("seed", range(4))
@@ -533,9 +552,9 @@ class TestCondensingPreserver:
             u, v = sorted(rng.sample(range(n), 2))
             edges.add((perm[u], perm[v]))
         g = DirectedGraph(n, edges)
-        wrapped, bare = CondensingPreserver(g, mode), PreserverSession(g, mode)
+        wrapped, bare = CondensingPreserver(g, mode), BareDagSession(g, mode)
         for s, t in random_pairs(rng, g, 4 * n):
             assert wrapped.serve_pair(s, t) == bare.serve_pair(s, t)
         assert wrapped.output_edges == bare.h.edges
-        assert wrapped.inner.z_paths == bare.z_paths
-        assert wrapped.inner.log == bare.log
+        assert wrapped.z_paths == bare.z_paths
+        assert wrapped.log == bare.log

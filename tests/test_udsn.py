@@ -193,8 +193,8 @@ class TestSessionRouting:
         session = scripted_session()
         for pair in [(0, 5), (0, 3), (0, 19), (20, 22)]:
             session.serve(*pair)
-        assert set(session.fw_leg.inner.sinks_seen) <= set(session.sample)
-        assert set(session.bw_leg.inner.sources_seen) <= set(session.sample)
+        assert set(session.fw_leg.sinks_seen) <= set(session.sample)
+        assert set(session.bw_leg.sources_seen) <= set(session.sample)
 
     def test_served_pairs_stay_connected(self):
         session = scripted_session()
