@@ -11,7 +11,8 @@ and everything else reduces to the component DAG.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
+from typing import NoReturn
 
 from .errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
 
@@ -264,7 +265,10 @@ class IncrementalClosure:
     (u, v) ORs v's descendants into the ancestors of u that do not reach
     v yet, and u's ancestors into the descendants of v that u does not
     reach yet; when v already reached u, the components on the new cycle
-    are contracted into one. At most 2*n*n/8 bytes of bitsets."""
+    are contracted into one. ``add_all`` inserts a batch: each strong
+    component of the batch's own edges is merged in one such step, and
+    the other edges go through ``add``. At most 2*n*n/8 bytes of
+    bitsets."""
 
     __slots__ = ("n", "edges", "_comp", "_members", "_reps", "_desc", "_anc")
 
@@ -277,13 +281,16 @@ class IncrementalClosure:
         self._desc: dict[int, int] = {}
         self._anc: dict[int, int] = {}
 
+    def _reject(self, u: int, v: int) -> NoReturn:
+        raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
+
     def add(self, edge: Edge) -> bool:
         """Insert edge; False when it was already present."""
         if edge in self.edges:
             return False
         u, v = edge
         if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-            raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
+            self._reject(u, v)
         self.edges.add(edge)
         comp, desc, anc = self._comp, self._desc, self._anc
         a, b = comp[u], comp[v]
@@ -295,23 +302,85 @@ class IncrementalClosure:
         # The components on a v-to-u path, a and b included, close a cycle
         # with the new edge; they get one bitset pair in _contract instead.
         cycle = desc_b & anc_a & reps if desc_b >> u & 1 else 0
+        up = anc_a & ~anc_b & reps & ~cycle
+        self._join(up, desc_b & ~desc_a & reps & ~cycle, desc_b, anc_a, cycle)
+        return True
+
+    def add_all(self, edges: Iterable[Edge]) -> int:
+        """Insert every edge and return how many were new; the edges,
+        the closure and the count are those of ``sum(map(self.add,
+        edges))``. The whole batch is bounds-checked before anything
+        changes.
+
+        The vertices of a strong component of the batch's edges, those
+        already present included, reach one another once the batch is
+        in, so that component is merged in one step instead of one
+        closure update per edge. Every other edge goes through ``add``."""
+        batch = list(dict.fromkeys(edges))
+        n = self.n
+        for u, v in batch:
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                self._reject(u, v)
+        vertex = list({w for e in batch for w in e})
+        rest, new = batch, 0
+        # Speed rule only, since add is exact on its own: a batch with
+        # fewer edges than endpoints (every firstT and thin route, most
+        # hit routes) rarely closes a cycle, and the search would cost
+        # more than it saves.
+        if len(batch) >= len(vertex):
+            local = {w: i for i, w in enumerate(vertex)}  # endpoint -> 0..k-1
+            out: list[list[int]] = [[] for _ in vertex]
+            for u, v in batch:
+                out[local[u]].append(local[v])
+            label = [0] * len(vertex)
+            for i, members in enumerate(_strong_components(len(vertex), out.__getitem__)):
+                if len(members) > 1:
+                    self._merge([vertex[j] for j in members])
+                for j in members:
+                    label[j] = i
+            rest = []
+            for e in batch:
+                if label[local[e[0]]] != label[local[e[1]]]:
+                    rest.append(e)
+                elif e not in self.edges:
+                    self.edges.add(e)
+                    new += 1
+        return new + sum(map(self.add, rest))
+
+    def _merge(self, vertices: list[int]) -> None:
+        """Make the given vertices one strong component, as edges
+        joining them into one cycle would."""
+        comp, desc, anc, reps = self._comp, self._desc, self._anc, self._reps
+        group = {comp[v] for v in vertices}
+        if len(group) == 1:
+            return
+        desc_all = anc_all = 0
+        for r in group:
+            desc_all |= desc.get(r, 1 << r)
+            anc_all |= anc.get(r, 1 << r)
+        cycle = desc_all & anc_all & reps
+        self._join(anc_all & reps & ~cycle, desc_all & reps & ~cycle, desc_all, anc_all, cycle)
+
+    def _join(self, up: int, down: int, desc_new: int, anc_new: int, cycle: int) -> None:
+        """OR desc_new into the descendants of each component whose
+        representative is a bit of up, and anc_new into the ancestors of
+        each one in down; then contract the components in cycle, which
+        reach desc_new and are reached from anc_new."""
+        desc, anc = self._desc, self._anc
         # Inline loops: a generator over the set bits made the closure
         # updates of a cyclic-udsn pass about 15% slower.
-        todo = anc_a & ~anc_b & reps & ~cycle
-        while todo:
-            bit = todo & -todo
+        while up:
+            bit = up & -up
             r = bit.bit_length() - 1
-            desc[r] = desc.get(r, bit) | desc_b
-            todo ^= bit
-        todo = desc_b & ~desc_a & reps & ~cycle
-        while todo:
-            bit = todo & -todo
+            desc[r] = desc.get(r, bit) | desc_new
+            up ^= bit
+        while down:
+            bit = down & -down
             r = bit.bit_length() - 1
-            anc[r] = anc.get(r, bit) | anc_a
-            todo ^= bit
+            anc[r] = anc.get(r, bit) | anc_new
+            down ^= bit
         if cycle:
-            self._contract(cycle, desc_b, anc_a)
-        return True
+            self._contract(cycle, desc_new, anc_new)
 
     def _contract(self, cycle: int, desc: int, anc: int) -> None:
         """Merge the components whose representatives are the bits of
@@ -411,15 +480,17 @@ class Condensation:
         return self._tree_of.get(comp, ())
 
 
-def _strong_components(g: DirectedGraph) -> list[list[int]]:
-    # Iterative Tarjan; neighbor order is sorted so output is reproducible.
-    index = [-1] * g.n
-    low = [0] * g.n
-    on_stack = [False] * g.n
+def _strong_components(n: int, step: Callable[[int], Sequence[int]]) -> list[list[int]]:
+    """Strong components of the digraph on 0..n-1 whose out-neighbours
+    of u are step(u), each sorted, sinks first (iterative Tarjan). With
+    sorted neighbour lists the output is reproducible."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     components: list[list[int]] = []
     counter = 0
-    for root in range(g.n):
+    for root in range(n):
         if index[root] != -1:
             continue
         work: list[tuple[int, int]] = [(root, 0)]
@@ -431,7 +502,7 @@ def _strong_components(g: DirectedGraph) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            out = g.out_neighbors(v)
+            out = step(v)
             while pi < len(out):
                 w = out[pi]
                 pi += 1
@@ -461,7 +532,7 @@ def _strong_components(g: DirectedGraph) -> list[list[int]]:
 
 
 def condense(g: DirectedGraph) -> Condensation:
-    comps = _strong_components(g)
+    comps = _strong_components(g.n, g._out.__getitem__)
     if len(comps) == g.n:
         # Every component is one vertex: g is a DAG and its own condensation.
         ids, no_tree = tuple(range(g.n)), frozenset()

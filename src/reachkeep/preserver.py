@@ -29,7 +29,7 @@ from .graphs import (
     Edge,
     check_vertices,
     condense,
-    reachable_set,
+    reachable_set,  # unused here; perfbench/tracing.py wraps this binding
 )
 from .pathsystem import (
     BridgeWitness,
@@ -154,14 +154,16 @@ def grow_backwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
 
 def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
     """The pairs (s, t) whose t is not reachable from s in g, in input
-    order, with one reachability sweep per distinct source. g may be
-    cyclic, as the CLI's output graphs can be."""
-    reach: dict[int, frozenset[int]] = {}
+    order. g may be cyclic, as the CLI's output graphs can be: it is
+    condensed once and each pair is one bit of the condensation's DAG
+    closure (n*n/8 bytes at most). A source outside g raises
+    BoundsError; a sink outside g is reported as unreachable."""
+    cond = condense(g)
+    comp, dag = cond.component_of, cond.dag
     bad = []
     for s, t in pairs:
-        if s not in reach:
-            reach[s] = reachable_set(g, s)
-        if t not in reach[s]:
+        check_vertices(g.n, s)
+        if not (0 <= t < g.n and dag.reach_mask(comp[s]) >> comp[t] & 1):
             bad.append((s, t))
     return bad
 

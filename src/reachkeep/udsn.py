@@ -164,8 +164,8 @@ class UdsnSession:
                 route = THIN
                 violation = not is_thin(self.g, s, t, self.params.tau)
                 edges = bfs_route(self.g, s, t)
-        added = sum(self.output.add(e) for e in edges)
-        # A hit's cost stays the legs' count: manifests hash it (ROADMAP item 4).
+        added = self.output.add_all(edges)
+        # A hit's cost stays the legs' count: manifests hash it (ROADMAP item 8).
         cost = len(edges) if route == HIT else added
         # The phase counter moves only once the route succeeded.
         self.nontrivial_count += 1

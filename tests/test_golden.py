@@ -24,7 +24,10 @@ from reachkeep.cli import replay_manifest
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Files each command writes through an --out-* option, by option value.
-ARTIFACTS = ("dag.txt", "dag-pairs.txt", "cyc.txt", "cyc-pairs.txt", "fw.json", "bw.json")
+ARTIFACTS = (
+    "dag.txt", "dag-pairs.txt", "cyc.txt", "cyc-pairs.txt", "fw.json", "bw.json",
+    "scc60.txt", "scc60-pairs.txt",
+)
 
 STDIN_PAIRS = "p 3\n0 5\n1 7\n2 9\n"
 
@@ -51,6 +54,13 @@ COMMANDS = [
     (["udsn", "--graph", "cyc.txt", "--pairs", "cyc-pairs.txt", "--T", "3",
       "--seed", "7"], None),
     (["oracle", "--graph", "dag.txt", "--pairs", "dag-pairs.txt"], None),
+    # A 52-vertex strong component: the udsn run below takes 4 hit routes,
+    # each lifting that component's trees into the output in one batch.
+    (["gen", "--kind", "random-digraph", "--n", "60", "--density", "0.05084745762711865",
+      "--pairs", "42", "--seed", "0",
+      "--out-graph", "{out}/scc60.txt", "--out-pairs", "{out}/scc60-pairs.txt"], None),
+    (["udsn", "--graph", "scc60.txt", "--pairs", "scc60-pairs.txt", "--T", "10",
+      "--seed", "0"], None),
     (["bench", "--ns", "12,20", "--s-sizes", "1,2", "--pair-factor", "3",
       "--seed", "8"], None),
     (["bench", "--kind", "random-dag", "--ns", "15", "--pair-counts", "5,10",

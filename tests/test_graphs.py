@@ -490,6 +490,25 @@ def insert_sequences(draw):
     return n, draw(noise) + rings + draw(noise) + [there] + draw(noise) + [back] + draw(noise)
 
 
+@st.composite
+def insert_batches(draw):
+    """``insert_sequences`` cut into random batches. A batch may also
+    take a ring on some of the vertices (strongly connected on its
+    own), repeat its own edges, and repeat edges of earlier batches."""
+    n, sequence = draw(insert_sequences())
+    batches: list[list[tuple[int, int]]] = []
+    while sequence:
+        k = draw(st.integers(min_value=1, max_value=len(sequence)))
+        batch, sequence = sequence[:k], sequence[k:]
+        if draw(st.booleans()):
+            ring = draw(st.permutations(range(n)))[: draw(st.integers(2, max(2, n // 2)))]
+            batch += [(u, ring[(i + 1) % len(ring)]) for i, u in enumerate(ring)]
+        earlier = [e for b in batches for e in b] + batch
+        batch += draw(st.lists(st.sampled_from(earlier), max_size=4))
+        batches.append(draw(st.permutations(batch)))
+    return n, batches
+
+
 class TestIncrementalClosure:
     @given(insert_sequences())
     @settings(max_examples=80, deadline=None)
@@ -509,6 +528,44 @@ class TestIncrementalClosure:
                 reach = reachable_set(g, s)
                 for t in range(n):
                     assert closure.reaches(s, t) == (t in reach)
+
+    @given(insert_batches())
+    @settings(max_examples=120, deadline=None)
+    def test_add_all_matches_per_edge_add(self, case):
+        n, batches = case
+        closure, reference = IncrementalClosure(n), IncrementalClosure(n)
+        for batch in batches:
+            assert closure.add_all(batch) == sum(map(reference.add, batch))
+            assert closure.edges == reference.edges
+            g = closure.to_graph()
+            for s in range(n):
+                reach = reachable_set(g, s)
+                for t in range(n):
+                    assert closure.reaches(s, t) == (t in reach)
+
+    def test_add_all_updates_what_the_merged_ring_reaches(self):
+        closure = IncrementalClosure(6)
+        closure.add_all([(0, 1), (3, 4)])
+        closure.add_all([(1, 2), (2, 3), (3, 1)])
+        # 0 reaches 4 only through the ring, so 4's ancestors must hold 0
+        # before 4 -> 5 goes in.
+        closure.add_all([(4, 5)])
+        assert closure.reaches(0, 5) and closure.reaches(2, 5)
+        assert not closure.reaches(5, 0)
+
+    @pytest.mark.parametrize("bad", [(0, 5), (-1, 2), (3, 3)])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_add_all_rejects_a_bad_edge_before_any_change(self, bad, at):
+        closure = IncrementalClosure(5)
+        closure.add_all([(0, 1), (1, 2)])
+        before = set(closure.edges)
+        reach = [[closure.reaches(s, t) for t in range(5)] for s in range(5)]
+        batch = [(2, 0), (2, 3), (3, 4), (4, 2)]
+        batch.insert(at, bad)
+        with pytest.raises(BoundsError):
+            closure.add_all(batch)
+        assert closure.edges == before
+        assert [[closure.reaches(s, t) for t in range(5)] for s in range(5)] == reach
 
     def test_rejects_out_of_range_and_self_loops(self):
         closure = IncrementalClosure(3)

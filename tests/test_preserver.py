@@ -201,21 +201,65 @@ class TestEdgeStore:
         assert g.n == 4 and g.edges == {(0, 1), (2, 3)}
 
 
+def bfs_unreachable_pairs(g: DirectedGraph, pairs) -> list:
+    """``unreachable_pairs`` as it was before it read the condensation's
+    closure: one ``reachable_set`` sweep per distinct source. Kept as
+    the reference."""
+    reach: dict[int, frozenset[int]] = {}
+    bad = []
+    for s, t in pairs:
+        if s not in reach:
+            reach[s] = reachable_set(g, s)
+        if t not in reach[s]:
+            bad.append((s, t))
+    return bad
+
+
+@st.composite
+def cyclic_digraph_with_any_pairs(draw):
+    """A digraph with a few rings, and pairs (repeats included) whose
+    sinks may fall outside the vertex range."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.sets(st.sampled_from(pool), max_size=14)) if pool else set()
+    for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+        ring = draw(st.permutations(range(n)))[: draw(st.integers(2, n))]
+        edges |= {(u, ring[(i + 1) % len(ring)]) for i, u in enumerate(ring)}
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-2, n + 1)), max_size=12))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return DirectedGraph(n, edges), draw(st.permutations(pairs))
+
+
 class TestUnreachablePairs:
     def test_reports_failures_in_input_order(self):
         pairs = [(2, 0), (0, 3), (3, 1), (0, 0), (2, 0)]
         assert unreachable_pairs(DIAMOND, pairs) == [(2, 0), (3, 1), (2, 0)]
 
-    def test_one_sweep_per_distinct_source(self, monkeypatch):
+    @given(cyclic_digraph_with_any_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_bfs_per_source(self, case):
+        g, pairs = case
+        assert unreachable_pairs(g, pairs) == bfs_unreachable_pairs(g, pairs)
+
+    def test_one_condensation_per_call(self, monkeypatch):
         calls = []
 
-        def counting(g, root, reverse=False):
-            calls.append(root)
-            return reachable_set(g, root, reverse)
+        def counting(g):
+            calls.append(g)
+            return condense(g)
 
-        monkeypatch.setattr(preserver, "reachable_set", counting)
-        assert unreachable_pairs(DIAMOND, [(0, 3), (1, 3), (0, 2), (1, 0)]) == [(1, 0)]
-        assert calls == [0, 1]
+        monkeypatch.setattr(preserver, "condense", counting)
+        cyclic = DirectedGraph(4, {(0, 1), (1, 0), (1, 2)})
+        assert unreachable_pairs(cyclic, [(0, 2), (2, 0), (1, 0), (3, 2), (0, 2)]) == [(2, 0), (3, 2)]
+        assert calls == [cyclic]
+
+    def test_sink_out_of_range_is_unreachable_and_source_raises(self):
+        assert unreachable_pairs(DIAMOND, [(0, 4), (0, 3), (0, -1)]) == [(0, 4), (0, -1)]
+        for s in (4, -1):
+            with pytest.raises(BoundsError):
+                unreachable_pairs(DIAMOND, [(0, 3), (s, 0)])
+            with pytest.raises(BoundsError):
+                bfs_unreachable_pairs(DIAMOND, [(0, 3), (s, 0)])
 
 
 class TestGrowthMode:

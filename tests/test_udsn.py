@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from reachkeep import (
     TRIVIAL,
     BoundsError,
     DirectedGraph,
+    IncrementalClosure,
     InfeasiblePairError,
     ParameterError,
     UdsnParams,
@@ -37,6 +39,40 @@ def scripted_session() -> UdsnSession:
     # seed 0 samples (6, 9, 10, 15): the spine is hit, the side chain is not
     g = two_chain_graph()
     return UdsnSession(g, UdsnParams(tau=2, T=1, sample_constant=0.1), seed=0)
+
+
+class PerEdgeClosure(IncrementalClosure):
+    """An output closure that takes a batch one ``add`` at a time."""
+
+    __slots__ = ()
+
+    def add_all(self, edges) -> int:
+        return sum(map(self.add, edges))
+
+
+def per_edge_session(g: DirectedGraph, params: UdsnParams, seed: int) -> UdsnSession:
+    """A session whose output takes each route one edge at a time, as
+    ``serve`` did before routes went in as one ``add_all`` batch. Kept
+    as the reference."""
+    session = UdsnSession(g, params, seed=seed)
+    session.output = PerEdgeClosure(g.n)
+    return session
+
+
+def ringed_digraph(rng: random.Random) -> DirectedGraph:
+    """Rings of 1 to 13 vertices, each with a few chords, joined by
+    random edges that may merge some of them into larger components."""
+    n = rng.randint(20, 50)
+    order = rng.sample(range(n), n)
+    edges = set()
+    while order:
+        size = rng.choice((1, 2, 3, 5, 8, 13))
+        ring, order = order[:size], order[size:]
+        if len(ring) > 1:
+            edges |= {(u, ring[(i + 1) % len(ring)]) for i, u in enumerate(ring)}
+            edges |= {tuple(rng.sample(ring, 2)) for _ in range(len(ring) // 2)}
+    edges |= {tuple(rng.sample(range(n), 2)) for _ in range(n)}
+    return DirectedGraph(n, edges)
 
 
 @st.composite
@@ -285,3 +321,21 @@ class TestAggregates:
             assert t in reachable_set(out, s)
         assert session.total_route_cost >= len(session.output)
         assert len(session.records) == len(pairs)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_batch_insertion_matches_the_per_edge_session(self, seed):
+        rng = random.Random(seed)
+        g = ringed_digraph(rng)
+        params = UdsnParams(tau=rng.choice((2, 4, g.n // 3)), T=rng.randint(1, 4), sample_constant=1.0)
+        session, reference = UdsnSession(g, params, seed=seed), per_edge_session(g, params, seed)
+        for _ in range(3 * g.n):
+            s = rng.randrange(g.n)
+            t = rng.choice(sorted(reachable_set(g, s)))
+            assert session.serve(s, t) == reference.serve(s, t)
+        assert session.records == reference.records
+        assert session.output.edges == reference.output.edges
+        for s in range(g.n):
+            for t in range(g.n):
+                assert session.output.reaches(s, t) == reference.output.reaches(s, t)
+        assert max(map(len, condense(g).components)) >= 5
+        assert any(r.route == HIT for r in session.records)
