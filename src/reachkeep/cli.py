@@ -128,19 +128,18 @@ def _pairs_text_from(params: dict) -> str:
 
 def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
     """Serve the stream with the honest algorithm, then audit the run.
-    Returns the session, one record per pair, the audit's JSON fields
-    and whether the audit passed."""
+    Returns the session, one row per pair read from its log, the audit's
+    JSON fields and whether the audit passed."""
     session = CondensingPreserver(g, mode)
-    per_pair = []
     for s, t in pairs:
-        new = session.serve_pair(s, t)
+        session.serve_pair(s, t)
+    # Running sums: every edge a pair adds is new to the output.
+    per_pair, h_size, z_size = [], 0, 0
+    for rec, z_path in zip(session.log, session.z_paths):
+        h_size += len(rec.added)
+        z_size += len(z_path)
         per_pair.append(
-            {
-                "pair": [s, t],
-                "new_edges": len(new),
-                "h_size": session.h_size,
-                "z_size": session.z_size,
-            }
+            {"pair": list(rec.pair), "new_edges": len(rec.added), "h_size": h_size, "z_size": z_size}
         )
     report = verify_session(session)
     unpreserved = unreachable_pairs(session.output_graph(), pairs)

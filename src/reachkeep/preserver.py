@@ -170,11 +170,14 @@ def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
 
 @dataclass(frozen=True)
 class PairRecord:
-    """A served pair, its grown path and the H edges it added, on component ids."""
+    """One served pair: the demand as given, on input vertex ids; its
+    grown path and the H edges it added, on component ids; and the
+    output edges it added, trees included, on input vertex ids."""
 
     pair: Pair
     path: tuple[int, ...]
     new_edges: tuple[Edge, ...]
+    added: tuple[Edge, ...]
 
 
 class CondensingPreserver:
@@ -202,14 +205,11 @@ class CondensingPreserver:
         self.cond = condensation
         self.dag = condensation.dag
         self.mode = GrowthMode(mode)
-        # H, the auxiliary paths and the log are on component ids.
+        # H, the auxiliary paths and the log's paths are on component ids.
         self.h = EdgeStore(self.dag.n)
         self.z_paths: list[tuple[int, ...]] = []
         self._z_size = 0
         self.log: list[PairRecord] = []
-        self.pairs_served = 0
-        self.sources_seen: set[int] = set()
-        self.sinks_seen: set[int] = set()
         self.output_edges: set[Edge] = set()
         # The components whose trees are not in the output yet.
         self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
@@ -226,6 +226,8 @@ class CondensingPreserver:
     def z_size(self) -> int:
         return self._z_size
 
+    pairs_served = property(lambda self: len(self.log))
+
     def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
         return self.mode.grow(self.dag, self.h, s, t)
 
@@ -233,7 +235,8 @@ class CondensingPreserver:
         """Serve one demand pair and return the output edges it adds.
         Raises without touching any state when the pair is infeasible;
         otherwise grows a path on the component DAG, adds its missing
-        edges to H with one auxiliary path, and lifts it to the output."""
+        edges to H with one auxiliary path, lifts it to the output and
+        logs one record."""
         check_vertices(self.g.n, s, t)
         cond = self.cond
         cs, ct = cond.component_of[s], cond.component_of[t]
@@ -251,10 +254,6 @@ class CondensingPreserver:
             z_path = (cs,) + tuple(v for _, v in new)
         self.z_paths.append(z_path)
         self._z_size += len(z_path)
-        self.pairs_served += 1
-        self.sources_seen.add(cs)
-        self.sinks_seen.add(ct)
-        self.log.append(PairRecord((cs, ct), path, new))
         # Every edge below is new to the output: tree edges stay inside one
         # component and are added once per component, and each new DAG
         # edge lifts to its own edge between two components.
@@ -267,7 +266,9 @@ class CondensingPreserver:
                     added.extend(cond.tree_edges_of(comp))
         added.extend(map(cond._lift.__getitem__, new))
         self.output_edges.update(added)
-        return tuple(added)
+        record = PairRecord((s, t), path, new, tuple(added))
+        self.log.append(record)
+        return record.added
 
     def output_graph(self) -> DirectedGraph:
         return DirectedGraph(self.g.n, self.output_edges)
@@ -278,10 +279,9 @@ class CondensingPreserver:
     @property
     def restricted_side_size(self) -> int:
         """Measured size of the shared-terminal side: distinct sink components
-        under forwards growth, distinct source components under backwards."""
-        if self.mode is GrowthMode.FORWARDS:
-            return len(self.sinks_seen)
-        return len(self.sources_seen)
+        in the log under forwards growth, distinct source ones under backwards."""
+        end = -1 if self.mode is GrowthMode.FORWARDS else 0
+        return len({rec.path[end] for rec in self.log})
 
 
 # Read only by perfbench/tracing.py, which wraps methods through this
@@ -330,18 +330,17 @@ def verify_session(session: CondensingPreserver) -> SessionReport:
     identity |Z| = |H| + p exact, no mode-constrained bridge of width 2,
     3 or 4, and every served pair reachable in H. All of it is read on
     the component DAG, where H and Z live. Violations are reported with
-    witnesses instead of raised.
+    witnesses instead of raised, unpreserved pairs as they were served.
 
-    The served pairs are checked against the bitset closure of H, which
-    is a DAG because every H edge comes from a path of the DAG."""
+    Each record's path ends are checked against the bitset closure of
+    H, which is a DAG because every H edge comes from a path of the DAG."""
     z = session.z_system()
     acyclic, _ = is_acyclic(z)
     expected = len(session.h) + session.pairs_served
     actual = z.size()
     bridges = {k: find_k_bridge(z, k, session.mode.constraint) for k in (2, 3, 4)}
     h = session.h.to_graph()
-    served = [rec.pair for rec in session.log]
-    unreachable = [(s, t) for s, t in served if not h.reach_mask(s) >> t & 1]
+    unreachable = [r.pair for r in session.log if not h.reach_mask(r.path[0]) >> r.path[-1] & 1]
     return SessionReport(
         acyclic=acyclic,
         size_ok=(expected == actual),

@@ -1,5 +1,6 @@
 """Command-line boundary: bad input exits 2 with one ``error:`` line
-and no traceback; computation-level failures exit 1."""
+and no traceback; computation-level failures exit 1. Also the
+per-pair rows that ``preserve`` reads from the session's log."""
 
 from __future__ import annotations
 
@@ -9,14 +10,60 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reachkeep import CondensingPreserver, GrowthMode
+from reachkeep.cli import _serve_and_audit
 from reachkeep.cli import main as cli_main
-from reachkeep.graphs import MAX_VERTICES
+from reachkeep.graphs import MAX_VERTICES, load_graph, parse_pairs
+from test_preserver import ringed_digraph_with_pairs
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(argv, tmp_path, capsys) -> tuple[int, list[str]]:
     code = cli_main(argv + ["--manifest-dir", str(tmp_path / "manifests")])
     return code, capsys.readouterr().err.splitlines()
+
+
+def snapshot_rows(g, mode, pairs) -> list[dict]:
+    """The per-pair rows of ``preserve`` as they were built before they
+    were read from the session's log: serve a pair, then snapshot the
+    session's running sizes. Kept as the reference."""
+    session = CondensingPreserver(g, mode)
+    rows = []
+    for s, t in pairs:
+        new = session.serve_pair(s, t)
+        rows.append(
+            {
+                "pair": [s, t],
+                "new_edges": len(new),
+                "h_size": session.h_size,
+                "z_size": session.z_size,
+            }
+        )
+    return rows
+
+
+@given(ringed_digraph_with_pairs(), st.sampled_from(list(GrowthMode)))
+@settings(max_examples=60, deadline=None)
+def test_per_pair_rows_match_the_snapshot_loop(case, mode):
+    g, pairs = case
+    _, rows, _, ok = _serve_and_audit(g, mode, pairs)
+    assert ok
+    assert rows == snapshot_rows(g, mode, pairs)
+
+
+@pytest.mark.parametrize("mode", list(GrowthMode))
+def test_per_pair_rows_match_the_snapshot_loop_on_a_large_component(mode):
+    g = load_graph((GOLDEN / "scc60.txt").read_text())
+    pairs = parse_pairs((GOLDEN / "scc60-pairs.txt").read_text())
+    _, rows, _, ok = _serve_and_audit(g, mode, pairs)
+    assert ok
+    assert rows == snapshot_rows(g, mode, pairs)
+    # The first pair adds the 52-vertex component's trees, 51 edges each.
+    assert rows[0]["new_edges"] > 51
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,8 @@ COMMANDS = [
       "--out-graph", "{out}/scc60.txt", "--out-pairs", "{out}/scc60-pairs.txt"], None),
     (["udsn", "--graph", "scc60.txt", "--pairs", "scc60-pairs.txt", "--T", "10",
       "--seed", "0"], None),
+    # Its first per-pair row carries the 52-vertex component's trees.
+    (["preserve", "--graph", "scc60.txt", "--pairs", "scc60-pairs.txt", "--mode", "bw"], None),
     (["bench", "--ns", "12,20", "--s-sizes", "1,2", "--pair-factor", "3",
       "--seed", "8"], None),
     (["bench", "--kind", "random-dag", "--ns", "15", "--pair-counts", "5,10",

@@ -75,10 +75,28 @@ def digraph_with_pairs(draw):
     return g, pairs
 
 
+@st.composite
+def ringed_digraph_with_pairs(draw):
+    """A digraph with at least one ring of 2 or more vertices, plus a
+    stream of feasible pairs in which some pairs repeat."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    order = draw(st.permutations(range(n)))
+    ring = order[: draw(st.integers(min_value=2, max_value=n))]
+    edges = set(zip(ring, ring[1:] + ring[:1]))
+    pool = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges |= draw(st.sets(st.sampled_from(pool), max_size=2 * n))
+    g = DirectedGraph(n, edges)
+    feasible = [(s, t) for s in range(n) for t in sorted(reachable_set(g, s))]
+    pairs = draw(st.lists(st.sampled_from(feasible), min_size=1, max_size=10))
+    return g, pairs + pairs[::2]
+
+
 class BareDagSession:
     """A session on a DAG alone, with no condensation and no lift: grow
     on g, add the new edges, build the auxiliary path, append a
-    ``PairRecord``. Kept as the reference for ``CondensingPreserver``."""
+    ``PairRecord``. With no trees and the identity lift, the output
+    edges a pair adds are its new edges. Kept as the reference for
+    ``CondensingPreserver``."""
 
     def __init__(self, g: DirectedGraph, mode: str):
         self.g, self.mode = g, GrowthMode(mode)
@@ -95,7 +113,7 @@ class BareDagSession:
             self.z_paths.append(tuple(u for u, _ in new) + (t,))
         else:
             self.z_paths.append((s,) + tuple(v for _, v in new))
-        self.log.append(PairRecord((s, t), path, new))
+        self.log.append(PairRecord((s, t), path, new, new))
         return new
 
 
@@ -104,10 +122,13 @@ def touched_loop_serve(bare: BareDagSession, cond, output: set, touched: set, s:
     kept only the components still pending: ``bare`` serves the pair on
     ``cond.dag``, every component seen on a path is remembered in
     ``touched``, each path is scanned in full, and every edge is tested
-    against ``output`` before it is added. Kept as the reference."""
+    against ``output`` before it is added. Returns the pair's record:
+    the stream's pair, the bare session's path and new edges, and the
+    edges this loop added. Kept as the reference."""
     new_dag_edges = bare.serve_pair(cond.component_of[s], cond.component_of[t])
+    path = bare.log[-1].path
     added = []
-    for comp in bare.log[-1].path:
+    for comp in path:
         if comp in touched:
             continue
         touched.add(comp)
@@ -120,7 +141,7 @@ def touched_loop_serve(bare: BareDagSession, cond, output: set, touched: set, s:
         if e not in output:
             output.add(e)
             added.append(e)
-    return tuple(added)
+    return PairRecord((s, t), path, new_dag_edges, tuple(added))
 
 
 def random_pairs(rng: random.Random, g: DirectedGraph, count: int):
@@ -320,7 +341,7 @@ class TestPreserverSession:
         )
         assert before == after
 
-    def test_log_snapshots_running_sizes(self):
+    def test_log_records_a_pair_on_reused_edges(self):
         session = CondensingPreserver(CHAIN3, "bw")
         session.serve_pair(0, 2)
         session.serve_pair(0, 1)
@@ -328,6 +349,29 @@ class TestPreserverSession:
         assert rec.pair == (0, 1)
         assert rec.path == (0, 1)
         assert rec.new_edges == ()
+        assert rec.added == ()
+
+    @given(ringed_digraph_with_pairs(), st.sampled_from(["fw", "bw"]))
+    @settings(max_examples=80, deadline=None)
+    def test_the_log_is_the_run(self, case, mode):
+        g, stream = case
+        session = CondensingPreserver(g, mode)
+        comp = session.cond.component_of
+        for s, t in stream:
+            assert session.serve_pair(s, t) is session.log[-1].added
+        log = session.log
+        assert [rec.pair for rec in log] == stream
+        assert [(rec.path[0], rec.path[-1]) for rec in log] == [(comp[s], comp[t]) for s, t in stream]
+        assert sum(len(rec.added) for rec in log) == len(session.output_edges)
+        assert set().union(*(rec.added for rec in log)) == session.output_edges
+        assert sum(len(rec.new_edges) for rec in log) == len(session.h)
+        assert session.pairs_served == len(stream)
+        # The count as the session kept it before the log: one set of
+        # source components and one of sink components, filled per pair.
+        sources = {comp[s] for s, _ in stream}
+        sinks = {comp[t] for _, t in stream}
+        expected = len(sinks) if mode == "fw" else len(sources)
+        assert session.restricted_side_size == expected
 
     @pytest.mark.parametrize("mode", ["fw", "bw"])
     def test_running_z_size_matches_recount_after_every_pair(self, mode):
@@ -386,6 +430,29 @@ class TestVerifySession:
         assert not report.ok
         assert not report.acyclic
         assert "cyclic" in report.describe()
+
+    def test_cleared_h_reports_the_pair_as_served(self):
+        # 0 and 1 share a strong component, so the served pair (0, 2) is
+        # the component pair (0, 1) on the condensation.
+        g = DirectedGraph(5, {(0, 1), (1, 0), (1, 4), (4, 3), (3, 2)})
+        session = CondensingPreserver(g, "fw")
+        session.serve_pair(0, 2)
+        session.h = EdgeStore(session.dag.n)
+        report = verify_session(session)
+        assert report.unreachable_pairs == [(0, 2)]
+        assert "pairs not preserved: [(0, 2)]" in report.describe()
+
+    def test_dropped_h_edge_on_a_cyclic_graph_reports_served_pairs(self):
+        g = DirectedGraph(5, {(0, 1), (1, 0), (1, 4), (4, 3), (3, 2)})
+        session = CondensingPreserver(g, "bw")
+        for s, t in [(1, 2), (0, 3), (4, 2), (1, 0)]:
+            session.serve_pair(s, t)
+        comp = session.cond.component_of
+        dropped = (comp[3], comp[2])
+        session.h = store_with(session.dag.n, [e for e in session.h.edges if e != dropped])
+        report = verify_session(session)
+        assert report.unreachable_pairs == [(1, 2), (4, 2)]
+        assert "pairs not preserved: [(1, 2), (4, 2)]" in report.describe()
 
     def test_dropped_edge_breaks_size_identity(self):
         session = CondensingPreserver(CHAIN3, "bw")
@@ -550,11 +617,13 @@ class TestCondensingPreserver:
         session = CondensingPreserver(g, mode)
         cond = session.cond
         bare, reference, touched = BareDagSession(cond.dag, mode), set(), set()
+        reference_log = []
         first_pair: dict[int, int] = {}
         tree_edges_added: dict[int, list] = {}
         for i, (s, t) in enumerate(random_pairs(rng, g, 3 * n)):
             added = session.serve_pair(s, t)
-            assert added == touched_loop_serve(bare, cond, reference, touched, s, t)
+            reference_log.append(touched_loop_serve(bare, cond, reference, touched, s, t))
+            assert added == reference_log[-1].added
             for comp in session.log[-1].path:
                 first_pair.setdefault(comp, i)
             for u, v in added:
@@ -563,7 +632,7 @@ class TestCondensingPreserver:
         assert session.output_edges == reference
         assert session.h.edges == bare.h.edges
         assert session.z_paths == bare.z_paths
-        assert session.log == bare.log
+        assert session.log == reference_log
         assert any(len(comp) > 1 for comp in cond.components)
         # Each component's trees come once, with the first pair whose path passes it.
         for comp, members in enumerate(cond.components):

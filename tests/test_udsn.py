@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +24,10 @@ from reachkeep import (
     condense,
     hit_by,
     is_thin,
+    load_graph,
     reachable_set,
 )
+from reachkeep.graphs import parse_pairs
 
 CHAIN3 = DirectedGraph(3, {(0, 1), (1, 2)})
 
@@ -225,12 +228,27 @@ class TestSessionRouting:
         assert summary["sampling_failures"] == 1
 
     def test_hit_legs_stay_inside_the_sample(self):
-        # the graph is a DAG, so condensation ids equal vertex ids
         session = scripted_session()
         for pair in [(0, 5), (0, 3), (0, 19), (20, 22)]:
             session.serve(*pair)
-        assert set(session.fw_leg.sinks_seen) <= set(session.sample)
-        assert set(session.bw_leg.sources_seen) <= set(session.sample)
+        assert {rec.pair[1] for rec in session.fw_leg.log} <= set(session.sample)
+        assert {rec.pair[0] for rec in session.bw_leg.log} <= set(session.sample)
+
+    def test_hit_legs_meet_at_the_relay_on_a_cyclic_graph(self):
+        # The golden n=60 instance: 52 of its vertices form one strong
+        # component, which holds the relay of each of the 4 hit routes.
+        golden = Path(__file__).resolve().parent / "golden"
+        g = load_graph((golden / "scc60.txt").read_text())
+        pairs = parse_pairs((golden / "scc60-pairs.txt").read_text())
+        session = UdsnSession(g, UdsnParams(tau=UdsnParams.defaults_for(g.n).tau, T=10), seed=0)
+        hits = [rec for rec in (session.serve(s, t) for s, t in pairs) if rec.route == HIT]
+        assert len(hits) == 4
+        assert len({session.condensation.component_of[rec.via] for rec in hits}) == 1
+        assert [rec.pair[1] for rec in session.fw_leg.log] == [rec.via for rec in hits]
+        assert [rec.pair[0] for rec in session.bw_leg.log] == [rec.via for rec in hits]
+        assert [rec.pair[0] for rec in session.fw_leg.log] == [rec.pair[0] for rec in hits]
+        assert [rec.pair[1] for rec in session.bw_leg.log] == [rec.pair[1] for rec in hits]
+        assert {rec.via for rec in hits} <= set(session.sample)
 
     def test_served_pairs_stay_connected(self):
         session = scripted_session()
