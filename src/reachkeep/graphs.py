@@ -257,7 +257,7 @@ def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozens
 
 class IncrementalClosure:
     """Insert-only edge set on vertices 0..n-1 with its exact
-    transitive closure, so ``reaches`` is one bit test.
+    transitive closure, so ``reaches`` is at most three bit tests.
 
     Each strong component of the edges added so far keeps one bitset of
     the vertices it reaches and one of the vertices reaching it; a
@@ -268,9 +268,23 @@ class IncrementalClosure:
     are contracted into one. ``add_all`` inserts a batch: each strong
     component of the batch's own edges is merged in one such step, and
     the other edges go through ``add``. At most 2*n*n/8 bytes of
-    bitsets."""
+    bitsets.
 
-    __slots__ = ("n", "edges", "_comp", "_members", "_reps", "_desc", "_anc")
+    The hub is the representative of the largest strong component with
+    two or more vertices; there is none while every component is one
+    vertex, so a DAG never has one. The hub stores its two sets whole.
+    Any other stored set that holds the hub's bit may leave out what the
+    hub's set of the same direction holds: its full set is ``stored |
+    hub's set``. So when the hub reaches the tail of a new edge, one OR
+    into the hub's descendants covers all of the hub's ancestors, and
+    when the head reaches the hub, one OR into the hub's ancestors covers
+    all of its descendants. A contraction with the hub on its cycle keeps
+    the hub as representative. A contraction that makes another
+    component strictly larger than the hub's first ORs the hub's sets
+    into every stored set holding its bit, and then that component's
+    representative becomes the hub."""
+
+    __slots__ = ("n", "edges", "_comp", "_members", "_reps", "_desc", "_anc", "_hub")
 
     def __init__(self, n: int):
         self.n = n
@@ -280,9 +294,20 @@ class IncrementalClosure:
         self._reps = (1 << n) - 1  # bitset of the representatives
         self._desc: dict[int, int] = {}
         self._anc: dict[int, int] = {}
+        self._hub = n  # n while there is no hub: no set holds bit n
 
     def _reject(self, u: int, v: int) -> NoReturn:
         raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
+
+    def _sets(self, r: int) -> tuple[int, int]:
+        """The full descendant and ancestor sets of component r."""
+        hub, bit = self._hub, 1 << r
+        desc, anc = self._desc.get(r, bit), self._anc.get(r, bit)
+        if desc >> hub & 1:
+            desc |= self._desc[hub]
+        if anc >> hub & 1:
+            anc |= self._anc[hub]
+        return desc, anc
 
     def add(self, edge: Edge) -> bool:
         """Insert edge; False when it was already present."""
@@ -292,15 +317,13 @@ class IncrementalClosure:
         if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
             self._reject(u, v)
         self.edges.add(edge)
-        comp, desc, anc = self._comp, self._desc, self._anc
-        a, b = comp[u], comp[v]
-        desc_a, anc_a = desc.get(a, 1 << a), anc.get(a, 1 << a)
-        desc_b, anc_b = desc.get(b, 1 << b), anc.get(b, 1 << b)
+        desc_a, anc_a = self._sets(self._comp[u])
         if desc_a >> v & 1:
             return True
+        desc_b, anc_b = self._sets(self._comp[v])
         reps = self._reps
-        # The components on a v-to-u path, a and b included, close a cycle
-        # with the new edge; they get one bitset pair in _contract instead.
+        # The components on a v-to-u path, u's and v's included, close a
+        # cycle with the new edge; they get one bitset pair in _contract.
         cycle = desc_b & anc_a & reps if desc_b >> u & 1 else 0
         up = anc_a & ~anc_b & reps & ~cycle
         self._join(up, desc_b & ~desc_a & reps & ~cycle, desc_b, anc_a, cycle)
@@ -350,14 +373,15 @@ class IncrementalClosure:
     def _merge(self, vertices: list[int]) -> None:
         """Make the given vertices one strong component, as edges
         joining them into one cycle would."""
-        comp, desc, anc, reps = self._comp, self._desc, self._anc, self._reps
+        comp, reps = self._comp, self._reps
         group = {comp[v] for v in vertices}
         if len(group) == 1:
             return
         desc_all = anc_all = 0
         for r in group:
-            desc_all |= desc.get(r, 1 << r)
-            anc_all |= anc.get(r, 1 << r)
+            desc, anc = self._sets(r)
+            desc_all |= desc
+            anc_all |= anc
         cycle = desc_all & anc_all & reps
         self._join(anc_all & reps & ~cycle, desc_all & reps & ~cycle, desc_all, anc_all, cycle)
 
@@ -365,8 +389,17 @@ class IncrementalClosure:
         """OR desc_new into the descendants of each component whose
         representative is a bit of up, and anc_new into the ancestors of
         each one in down; then contract the components in cycle, which
-        reach desc_new and are reached from anc_new."""
-        desc, anc = self._desc, self._anc
+        reach desc_new and are reached from anc_new.
+
+        When the hub is in up or in cycle, its own descendants end up
+        holding desc_new, so its ancestors in up, which hold its bit, are
+        left out; the same goes for down and the hub's descendants."""
+        desc, anc, hub = self._desc, self._anc, self._hub
+        hub_bit = 1 << hub  # in no mask while there is no hub
+        if (up | cycle) & hub_bit:
+            up &= ~anc[hub] | hub_bit
+        if (down | cycle) & hub_bit:
+            down &= ~desc[hub] | hub_bit
         # Inline loops: a generator over the set bits made the closure
         # updates of a cyclic-udsn pass about 15% slower.
         while up:
@@ -384,15 +417,18 @@ class IncrementalClosure:
 
     def _contract(self, cycle: int, desc: int, anc: int) -> None:
         """Merge the components whose representatives are the bits of
-        cycle into the largest of them, which reaches desc and is
-        reached from anc (the unions of the members' sets)."""
-        members = self._members
+        cycle into one, which reaches desc and is reached from anc (the
+        unions of the members' full sets). The hub stays representative
+        when it is on the cycle, the largest member otherwise; a merged
+        component larger than the hub's becomes the hub."""
+        members, hub = self._members, self._hub
         group = []
+        on_cycle = cycle >> hub & 1
         while cycle:
             bit = cycle & -cycle
             group.append(bit.bit_length() - 1)
             cycle ^= bit
-        keep = max(group, key=lambda r: len(members.get(r, ())))
+        keep = hub if on_cycle else max(group, key=lambda r: len(members.get(r, ())))
         into = members.setdefault(keep, [keep])
         for r in group:
             if r == keep:
@@ -406,11 +442,27 @@ class IncrementalClosure:
             self._reps ^= 1 << r
         self._desc[keep] = desc
         self._anc[keep] = anc
+        if len(into) > len(members.get(hub, ())):
+            if hub < self.n:  # make every set that leans on the old hub whole
+                for table in (self._desc, self._anc):
+                    whole = table[hub]
+                    for r, stored in table.items():
+                        if stored >> hub & 1:
+                            table[r] = stored | whole
+            self._hub = keep
 
     def reaches(self, s: int, t: int) -> bool:
         """Whether t is reachable from s over the edges added so far."""
-        check_vertices(self.n, s, t)
-        return s == t or bool(self._desc.get(self._comp[s], 0) >> t & 1)
+        # The whole cost of a trivial UDSN route, so bit tests only, with
+        # check_vertices called once the inline range test has failed.
+        n = self.n
+        if not (0 <= s < n and 0 <= t < n):
+            check_vertices(n, s, t)
+        desc = self._desc.get(self._comp[s], 0)
+        if s == t or desc >> t & 1:
+            return True
+        hub = self._hub
+        return desc >> hub & 1 == 1 and self._desc[hub] >> t & 1 == 1
 
     def __len__(self) -> int:
         return len(self.edges)

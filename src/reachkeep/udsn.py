@@ -62,8 +62,9 @@ class UdsnParams:
     def sample_size(self, n: int) -> int:
         if n < 2:
             return n
-        raw = math.ceil(self.sample_constant * n * math.log(n) / self.tau)
-        return min(n, raw)
+        # Compared before ceil: a huge constant makes the float infinite.
+        raw = self.sample_constant * n * math.log(n) / self.tau
+        return n if raw >= n else math.ceil(raw)
 
 
 def is_thin(g: DirectedGraph, s: int, t: int, tau: int) -> bool:

@@ -230,6 +230,16 @@ def test_udsn_sample_constant_applies_at_default_tau_and_T(tmp_path, capsys):
     assert len(sample()) == 26
 
 
+def test_udsn_huge_sample_constant_samples_every_vertex(tmp_path, capsys):
+    graph, pairs = tmp_path / "g.txt", tmp_path / "p.txt"
+    graph.write_text("n 3\n0 1\n1 2\n2 0\n")
+    pairs.write_text("0 2\n2 1\n")
+    argv = ["udsn", "--graph", str(graph), "--pairs", str(pairs), "--T", "1",
+            "--sample-constant", "1e308", "--json"]
+    assert cli_main(argv + ["--manifest-dir", str(tmp_path / "manifests")]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["sample"] == [0, 1, 2]
+
+
 @pytest.mark.parametrize("constant", ["nan", "inf"])
 @pytest.mark.parametrize("extra", [["--T", "0"], []], ids=["T0", "default-T"])
 def test_non_finite_sample_constant_is_a_usage_error(constant, extra, tmp_path, capsys):

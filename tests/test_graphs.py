@@ -509,6 +509,105 @@ def insert_batches(draw):
     return n, batches
 
 
+class HublessClosure:
+    """The closure without a hub: every component stores its full
+    descendant and ancestor sets, so an edge leaving a strong component
+    is ORed into each of its ancestors one at a time. Kept as the
+    reference for ``IncrementalClosure``; ``add_all`` is by definition
+    ``sum(map(add, batch))``."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.edges: set[tuple[int, int]] = set()
+        self.comp = list(range(n))
+        self.members: dict[int, list[int]] = {}
+        self.reps = (1 << n) - 1
+        self.desc: dict[int, int] = {}
+        self.anc: dict[int, int] = {}
+
+    def add(self, edge: tuple[int, int]) -> bool:
+        if edge in self.edges:
+            return False
+        u, v = edge
+        self.edges.add(edge)
+        a, b = self.comp[u], self.comp[v]
+        desc_a, anc_a = self.desc.get(a, 1 << a), self.anc.get(a, 1 << a)
+        desc_b, anc_b = self.desc.get(b, 1 << b), self.anc.get(b, 1 << b)
+        if desc_a >> v & 1:
+            return True
+        cycle = desc_b & anc_a & self.reps if desc_b >> u & 1 else 0
+        for r in bits(anc_a & ~anc_b & self.reps & ~cycle):
+            self.desc[r] = self.desc.get(r, 1 << r) | desc_b
+        for r in bits(desc_b & ~desc_a & self.reps & ~cycle):
+            self.anc[r] = self.anc.get(r, 1 << r) | anc_a
+        if cycle:
+            group = sorted(bits(cycle))
+            keep = max(group, key=lambda r: len(self.members.get(r, ())))
+            into = self.members.setdefault(keep, [keep])
+            for r in group:
+                if r != keep:
+                    moved = self.members.pop(r, [r])
+                    for w in moved:
+                        self.comp[w] = keep
+                    into.extend(moved)
+                    self.desc.pop(r, None)
+                    self.anc.pop(r, None)
+                    self.reps ^= 1 << r
+            self.desc[keep], self.anc[keep] = desc_b, anc_a
+        return True
+
+    def reaches(self, s: int, t: int) -> bool:
+        return s == t or bool(self.desc.get(self.comp[s], 0) >> t & 1)
+
+
+def assert_matches_bfs(closure: IncrementalClosure) -> None:
+    g = closure.to_graph()
+    for s in range(closure.n):
+        reach = reachable_set(g, s)
+        for t in range(closure.n):
+            assert closure.reaches(s, t) == (t in reach), (s, t)
+
+
+def bow_tie_batches(seed: int, n: int = 200, batches: int = 40):
+    """Route-like edge batches over a digraph in the shape of sparse
+    ones: a giant ring with chords, two smaller rings with chords, and
+    upstream and downstream singletons. Each batch is a fewest-edges
+    route between a random reachable pair, and every fourth also takes
+    an arc of a ring, as a strong component's trees would; the output's
+    pieces of the rings close and grow at different times."""
+    rng = random.Random(seed)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    cut = [0, n // 2, 7 * n // 10, 4 * n // 5, 9 * n // 10, n]
+    giant, second, third, upstream, downstream = (ids[a:b] for a, b in zip(cut, cut[1:]))
+    edges = set()
+    for ring in (giant, second, third):
+        edges |= {(u, ring[(i + 1) % len(ring)]) for i, u in enumerate(ring)}
+        edges |= {tuple(rng.sample(ring, 2)) for _ in range(len(ring) // 3)}
+    for i, u in enumerate(upstream):
+        edges.add((u, rng.choice(giant + second + upstream[i + 1 :])))
+        edges.add((u, rng.choice(third)))
+    for i, d in enumerate(downstream):
+        edges.add((rng.choice(giant + second + downstream[:i]), d))
+    edges.add((rng.choice(third), rng.choice(giant)))
+    edges.add((rng.choice(giant), rng.choice(second)))
+    g = DirectedGraph(n, edges)
+    out = []
+    while len(out) < batches:
+        s, t = rng.sample(range(n), 2)
+        if t not in reachable_set(g, s):
+            continue
+        batch = list(bfs_route(g, s, t))
+        if len(out) % 4 == 3:
+            ring = rng.choice((giant, second, third))
+            start = rng.randrange(len(ring))
+            arc = [ring[(start + i) % len(ring)] for i in range(rng.randint(2, len(ring) // 2))]
+            batch += list(zip(arc, arc[1:]))
+        rng.shuffle(batch)
+        out.append(batch)
+    return n, out
+
+
 class TestIncrementalClosure:
     @given(insert_sequences())
     @settings(max_examples=80, deadline=None)
@@ -522,12 +621,8 @@ class TestIncrementalClosure:
             size = len(closure)
             assert not closure.add(e)
             assert len(closure) == size == len(seen)
-            g = closure.to_graph()
-            assert g.edges == seen
-            for s in range(n):
-                reach = reachable_set(g, s)
-                for t in range(n):
-                    assert closure.reaches(s, t) == (t in reach)
+            assert closure.to_graph().edges == seen
+            assert_matches_bfs(closure)
 
     @given(insert_batches())
     @settings(max_examples=120, deadline=None)
@@ -537,11 +632,7 @@ class TestIncrementalClosure:
         for batch in batches:
             assert closure.add_all(batch) == sum(map(reference.add, batch))
             assert closure.edges == reference.edges
-            g = closure.to_graph()
-            for s in range(n):
-                reach = reachable_set(g, s)
-                for t in range(n):
-                    assert closure.reaches(s, t) == (t in reach)
+            assert_matches_bfs(closure)
 
     def test_add_all_updates_what_the_merged_ring_reaches(self):
         closure = IncrementalClosure(6)
@@ -552,6 +643,69 @@ class TestIncrementalClosure:
         closure.add_all([(4, 5)])
         assert closure.reaches(0, 5) and closure.reaches(2, 5)
         assert not closure.reaches(5, 0)
+
+    # Seeds whose hub moves at least once; the last assert keeps them so.
+    @pytest.mark.parametrize("seed", [2, 3, 4])
+    def test_matches_the_hubless_closure_on_route_batches(self, seed):
+        n, batches = bow_tie_batches(seed)
+        closure, reference = IncrementalClosure(n), HublessClosure(n)
+        hubs = set()
+        for batch in batches:
+            assert closure.add_all(batch) == sum(map(reference.add, batch))
+            assert closure.edges == reference.edges
+            hubs.add(closure._hub)
+            for s in range(n):
+                for t in range(n):
+                    assert closure.reaches(s, t) == reference.reaches(s, t), (s, t)
+        # The hub appeared and then moved at least once.
+        assert len(hubs - {n}) >= 2
+
+    def test_edge_out_of_the_hub_reaches_its_ancestors(self):
+        closure = IncrementalClosure(9)
+        closure.add_all([(0, 1), (1, 2), (2, 0)])
+        for e in [(3, 0), (4, 3), (4, 5), (2, 6), (6, 7)]:
+            closure.add(e)
+        # 4 reaches 8 through 5, which the hub does not reach.
+        closure.add((5, 8))
+        assert closure.reaches(4, 7) and closure.reaches(3, 6) and closure.reaches(4, 8)
+        assert_matches_bfs(closure)
+
+    def test_edge_into_the_hub_reaches_its_descendants(self):
+        closure = IncrementalClosure(10)
+        closure.add_all([(0, 1), (1, 2), (2, 0)])
+        for e in [(2, 3), (3, 4), (5, 3), (6, 0)]:
+            closure.add(e)
+        # 4's ancestors must hold 5, which the hub does not reach, and 6.
+        closure.add((4, 9))
+        closure.add((4, 7))
+        assert closure.reaches(5, 9) and closure.reaches(6, 7) and closure.reaches(6, 4)
+        assert_matches_bfs(closure)
+
+    def test_ring_through_the_hub_and_a_smaller_component(self):
+        closure = IncrementalClosure(10)
+        closure.add_all([(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 4)])
+        for e in [(6, 0), (3, 7), (8, 4), (5, 9)]:
+            closure.add(e)
+        closure.add_all([(3, 4), (5, 0)])
+        assert closure.reaches(6, 9) and closure.reaches(8, 7) and closure.reaches(4, 1)
+        assert_matches_bfs(closure)
+
+    def test_a_larger_ring_elsewhere_takes_over_the_hub(self):
+        closure = IncrementalClosure(11)
+        closure.add_all([(0, 1), (1, 2), (2, 0)])
+        # 4 upstream and 3 downstream of the hub, 5 and 6 added after them,
+        # so each of 3 and 4 reaches or is reached through the hub's sets.
+        for e in [(2, 3), (4, 0), (2, 5), (6, 1)]:
+            closure.add(e)
+        closure.add_all([(7, 8), (8, 9), (9, 10), (10, 7)])
+        assert closure.reaches(4, 5) and closure.reaches(6, 3)
+        assert_matches_bfs(closure)
+        closure.add((3, 7))
+        assert closure.reaches(6, 10) and closure.reaches(4, 8)
+        assert_matches_bfs(closure)
+        closure.add_all([(5, 7), (10, 6)])
+        assert closure.reaches(3, 0) and closure.reaches(9, 5) and not closure.reaches(9, 4)
+        assert_matches_bfs(closure)
 
     @pytest.mark.parametrize("bad", [(0, 5), (-1, 2), (3, 3)])
     @pytest.mark.parametrize("at", [0, 2, 4])

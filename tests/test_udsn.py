@@ -130,6 +130,7 @@ class TestParams:
     def test_sample_size_clamps_to_n(self):
         assert UdsnParams(tau=4, T=0).sample_size(10) == 10
         assert UdsnParams(tau=1, T=0).sample_size(1) == 1
+        assert UdsnParams(tau=1, T=0, sample_constant=1e308).sample_size(10) == 10
 
     def test_sample_size_shrinks_with_tau(self):
         assert UdsnParams(tau=50, T=0).sample_size(20) == 3
