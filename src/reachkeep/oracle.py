@@ -17,7 +17,8 @@ from itertools import combinations
 from .errors import InfeasiblePairError, ParameterError, SizeLimitError
 from .graphs import DirectedGraph, Edge, check_vertices, reachable_set
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
-# is), but perfbench/tracing.py wraps this module's binding of them.
+# is), but perfbench/tracing.py wraps this module's binding of them. A
+# walk is one call either way: its new-edge list is an argument.
 from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
 from .seeding import rng_for
 
@@ -125,10 +126,9 @@ class _GreedyAdversary:
             self._regrow(pair)
 
     def _regrow(self, pair: Pair) -> None:
-        h = self.h
-        path = self._grow(self.g, h, *pair)
-        count = sum(1 for e in zip(path, path[1:]) if e not in h)
-        self._cache[pair] = path, count, sum(1 << v for v in path)  # a DAG walk is simple
+        new: list[Edge] = []
+        path = self._grow(self.g, self.h, *pair, new)
+        self._cache[pair] = path, len(new), sum(1 << v for v in path)  # a DAG walk is simple
 
     def __bool__(self) -> bool:
         return bool(self._cache)

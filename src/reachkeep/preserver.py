@@ -21,8 +21,15 @@ import math
 from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import CyclicGraphError, InfeasiblePairError, ParameterError, check_finite_positive
+from .errors import (
+    BoundsError,
+    CyclicGraphError,
+    InfeasiblePairError,
+    ParameterError,
+    check_finite_positive,
+)
 from .graphs import (
     Condensation,
     DirectedGraph,
@@ -64,7 +71,8 @@ class GrowthMode(enum.Enum):
 
 
 class EdgeStore:
-    """Mutable edge set with sorted adjacency, grown one edge at a time."""
+    """Mutable edge set with sorted adjacency, grown one edge at a time.
+    A self-loop or an edge leaving 0..n-1 is rejected."""
 
     __slots__ = ("n", "edges", "_out", "_in")
 
@@ -78,6 +86,8 @@ class EdgeStore:
         if edge in self.edges:
             return False
         u, v = edge
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
         self.edges.add(edge)
         insort(self._out.setdefault(u, []), v)
         insort(self._in.setdefault(v, []), u)
@@ -104,51 +114,64 @@ def _require_dag(g: DirectedGraph) -> None:
         raise CyclicGraphError("growth requires a DAG input")
 
 
-def _walk(start: int, goal: int, member: int, h_step, g_step) -> list[int]:
+def _walk(start: int, goal: int, member: int, h_adj, g_adj, taken: list[Edge]) -> list[int]:
     """Greedy walk from start to goal through the vertices whose bit is
-    set in member: each step takes the first such h_step neighbour, else
-    the first such g_step one."""
+    set in member: each step takes the first such h_adj neighbour, else
+    the first such g_adj one, and a step (u, v) of the second kind is
+    appended to taken. h_adj is a dict that may lack a vertex, g_adj
+    holds every vertex; neither is range checked, since every vertex
+    visited is a bit of member."""
     path = [start]
     u = start
     while u != goal:
-        nxt = None
-        for v in h_step(u):
+        for v in h_adj.get(u, ()):
             if member >> v & 1:
-                nxt = v
                 break
-        if nxt is None:
-            for v in g_step(u):
+        else:
+            for v in g_adj[u]:
                 if member >> v & 1:
-                    nxt = v
+                    taken.append((u, v))
                     break
-        assert nxt is not None, "stuck despite reachability"
-        path.append(nxt)
-        u = nxt
+            else:
+                raise AssertionError("stuck despite reachability")
+        path.append(v)
+        u = v
     return path
 
 
-def grow_forwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
+def grow_forwards(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None = None
+) -> tuple[int, ...]:
     """Path from s to t in the DAG g. At each step an edge already in h
     whose head still reaches t wins; otherwise any g edge does. Ties go
-    to the smallest head id. h must be a subgraph of g."""
+    to the smallest head id. h must be a subgraph of g. The steps taken
+    along a g edge are exactly the path's edges missing from h, since an
+    h edge wins whenever one exists; they are appended to new, when
+    given, in path order."""
     _require_dag(g)
     check_vertices(g.n, s, t)
     member = g.reach_mask(t, reverse=True)
     if not member >> s & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
-    return tuple(_walk(s, t, member, h.out_neighbors, g.out_neighbors))
+    return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
 
 
-def grow_backwards(g: DirectedGraph, h, s: int, t: int) -> tuple[int, ...]:
+def grow_backwards(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None = None
+) -> tuple[int, ...]:
     """Mirror of grow_forwards, extending from t towards s and
-    preferring h edges whose tail s already reaches."""
+    preferring h edges whose tail s already reaches. The edges missing
+    from h go to new, when given, in path order too."""
     _require_dag(g)
     check_vertices(g.n, s, t)
     member = g.reach_mask(s)
     if not member >> t & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
-    path = _walk(t, s, member, h.in_neighbors, g.in_neighbors)
+    taken: list[Edge] = []
+    path = _walk(t, s, member, h._in, g._in, taken)
     path.reverse()
+    if new is not None:
+        new.extend([(u, v) for v, u in reversed(taken)])
     return tuple(path)
 
 
@@ -168,8 +191,7 @@ def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
     return bad
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
     """One served pair: the demand as given, on input vertex ids; its
     grown path and the H edges it added, on component ids; and the
     output edges it added, trees included, on input vertex ids."""
@@ -228,8 +250,10 @@ class CondensingPreserver:
 
     pairs_served = property(lambda self: len(self.log))
 
-    def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
-        return self.mode.grow(self.dag, self.h, s, t)
+    def _choose_path(self, s: int, t: int, new: list[Edge]) -> tuple[int, ...]:
+        """The path serving component pair (s, t); its edges missing
+        from h are appended to new in path order."""
+        return self.mode.grow(self.dag, self.h, s, t, new)
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
         """Serve one demand pair and return the output edges it adds.
@@ -240,18 +264,19 @@ class CondensingPreserver:
         check_vertices(self.g.n, s, t)
         cond = self.cond
         cs, ct = cond.component_of[s], cond.component_of[t]
+        taken: list[Edge] = []
         try:
-            path = self._choose_path(cs, ct)
+            path = self._choose_path(cs, ct, taken)
         except InfeasiblePairError:
             raise InfeasiblePairError(f"{t} not reachable from {s}") from None
-        h_edges = self.h.edges
-        new = tuple((u, v) for u, v in zip(path, path[1:]) if (u, v) not in h_edges)
-        for e in new:
-            self.h.add(e)
+        add = self.h.add
+        for e in taken:
+            add(e)
+        new = tuple(taken)
         if self.mode is GrowthMode.FORWARDS:
-            z_path = tuple(u for u, _ in new) + (ct,)
+            z_path = tuple([u for u, _ in new]) + (ct,)
         else:
-            z_path = (cs,) + tuple(v for _, v in new)
+            z_path = (cs,) + tuple([v for _, v in new])
         self.z_paths.append(z_path)
         self._z_size += len(z_path)
         # Every edge below is new to the output: tree edges stay inside one
@@ -351,13 +376,24 @@ def verify_session(session: CondensingPreserver) -> SessionReport:
     )
 
 
+def _check_envelope_args(constant: float, **counts: int) -> None:
+    for name, value in counts.items():
+        if int(value) != value or value < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {value}")
+    check_finite_positive("constant", constant)
+
+
 def size_envelope_source_restricted(
     n: int, p: int, sigma: int, constant: float = 16.0
 ) -> float:
     """Edge budget for sessions whose pairs share one side among sigma
     terminals: constant * (sqrt(n * p * sigma) + n)."""
-    for name, value in (("n", n), ("p", p), ("sigma", sigma)):
-        if int(value) != value or value < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {value}")
-    check_finite_positive("constant", constant)
+    _check_envelope_args(constant, n=n, p=p, sigma=sigma)
     return constant * (math.sqrt(n * p * sigma) + n)
+
+
+def size_envelope_general(n: int, p: int, constant: float) -> float:
+    """Edge budget for sessions on arbitrary pairs, the abstract's bound
+    for the online preserver: constant * (n^0.72 p^0.56 + n^0.6 p^0.7 + n)."""
+    _check_envelope_args(constant, n=n, p=p)
+    return constant * (n**0.72 * p**0.56 + n**0.6 * p**0.7 + n)

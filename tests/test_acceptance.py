@@ -29,6 +29,7 @@ from reachkeep import (
     reachable_set,
     reversed_system,
     select_entry,
+    size_envelope_general,
     size_envelope_source_restricted,
     surrogate_monitor,
     verify_all,
@@ -359,7 +360,7 @@ def test_criterion_08_size_tripwire(capsys):
             violations.append(str(row["error"]))
             continue
         n, p = row["n"], row["p"]
-        cap = 32 * (n**0.72 * p**0.56 + n**0.6 * p**0.7 + n)
+        cap = size_envelope_general(n, p, 32)
         if row["edges_h"] > cap:
             violations.append(
                 f"n={n} p={p} seed={row['seed']} {row['mode']}: "

@@ -222,7 +222,7 @@ class FaultySession(CondensingPreserver):
         super().__init__(g, mode)
         self._rng = rng_for(seed, "fault-injection")
 
-    def _choose_path(self, s: int, t: int) -> tuple[int, ...]:
+    def _choose_path(self, s: int, t: int, new: list) -> tuple[int, ...]:
         dag = self.dag
         if self.mode is GrowthMode.FORWARDS:
             member = reachable_set(dag, t, reverse=True)
@@ -232,14 +232,15 @@ class FaultySession(CondensingPreserver):
             while path[-1] != t:
                 options = [v for v in dag.out_neighbors(path[-1]) if v in member]
                 path.append(self._rng.choice(options))
-            return tuple(path)
-        member = reachable_set(dag, s)
-        if t not in member:
-            raise InfeasiblePairError(f"{t} not reachable from {s}")
-        path = [t]
-        while path[0] != s:
-            options = [u for u in dag.in_neighbors(path[0]) if u in member]
-            path.insert(0, self._rng.choice(options))
+        else:
+            member = reachable_set(dag, s)
+            if t not in member:
+                raise InfeasiblePairError(f"{t} not reachable from {s}")
+            path = [t]
+            while path[0] != s:
+                options = [u for u in dag.in_neighbors(path[0]) if u in member]
+                path.insert(0, self._rng.choice(options))
+        new.extend(e for e in zip(path, path[1:]) if e not in self.h)
         return tuple(path)
 
 

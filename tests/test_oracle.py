@@ -19,6 +19,8 @@ from reachkeep import (
     min_preserver,
     reachable_set,
 )
+from reachkeep.oracle import _GreedyAdversary, reachable_pairs
+from test_preserver import dag_with_pairs, reference_grow
 
 TRIANGLE = DirectedGraph(3, {(0, 1), (1, 2), (0, 2)})
 CHAIN4 = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
@@ -127,6 +129,22 @@ class TestGreedyAdversary:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ParameterError):
             greedy_adversary_step(CHAIN4, EdgeStore(4), "fw", [])
+
+    @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]))
+    @settings(max_examples=80, deadline=None)
+    def test_cached_counts_match_a_rescan_after_every_commit(self, case, mode):
+        g, _ = case
+        h = EdgeStore(g.n)
+        adversary = _GreedyAdversary(g, h, mode, reachable_pairs(g))
+        while True:
+            for pair, (path, count, _) in adversary._cache.items():
+                ref_path, ref_new = reference_grow(g, h, *pair, mode)
+                assert (path, count) == (ref_path, len(ref_new))
+            if not adversary:
+                break
+            pair, path, _ = adversary.best()
+            adversary.commit(path)
+            adversary.discard(pair)
 
 
 class TestInstanceFamily:

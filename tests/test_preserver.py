@@ -18,16 +18,20 @@ from reachkeep import (
     InstanceFamily,
     PairRecord,
     ParameterError,
+    ReachkeepError,
     condense,
     generate,
     grow_backwards,
     grow_forwards,
     lift_edge,
     reachable_set,
+    size_envelope_general,
     size_envelope_source_restricted,
     verify_session,
 )
+from reachkeep.graphs import check_vertices
 from reachkeep.preserver import unreachable_pairs
+from test_nonadaptive import time_limit
 
 DIAMOND = DirectedGraph(4, {(0, 1), (1, 2), (0, 2), (2, 3)})
 CHAIN3 = DirectedGraph(3, {(0, 1), (1, 2)})
@@ -152,6 +156,84 @@ def random_pairs(rng: random.Random, g: DirectedGraph, count: int):
     return pairs
 
 
+def reference_walk(start: int, goal: int, member: int, h_step, g_step) -> list[int]:
+    """The walk as it was before it recorded its steps along g edges:
+    neighbours read through the range-checked accessors."""
+    path = [start]
+    u = start
+    while u != goal:
+        nxt = None
+        for v in h_step(u):
+            if member >> v & 1:
+                nxt = v
+                break
+        if nxt is None:
+            for v in g_step(u):
+                if member >> v & 1:
+                    nxt = v
+                    break
+        assert nxt is not None, "stuck despite reachability"
+        path.append(nxt)
+        u = nxt
+    return path
+
+
+def reference_grow(g: DirectedGraph, h: EdgeStore, s: int, t: int, mode):
+    """``grow_forwards`` or ``grow_backwards`` as it was before the walk
+    handed back the edges it takes off h: the walk, then a re-scan of
+    the path against h for its new edges. Returns (path, new edges in
+    path order). Kept as the reference."""
+    if not g.is_dag:
+        raise CyclicGraphError("growth requires a DAG input")
+    check_vertices(g.n, s, t)
+    if GrowthMode(mode) is GrowthMode.FORWARDS:
+        member = g.reach_mask(t, reverse=True)
+        if not member >> s & 1:
+            raise InfeasiblePairError(f"{t} not reachable from {s}")
+        path = tuple(reference_walk(s, t, member, h.out_neighbors, g.out_neighbors))
+    else:
+        member = g.reach_mask(s)
+        if not member >> t & 1:
+            raise InfeasiblePairError(f"{t} not reachable from {s}")
+        path = tuple(reversed(reference_walk(t, s, member, h.in_neighbors, g.in_neighbors)))
+    return path, tuple(e for e in zip(path, path[1:]) if e not in h.edges)
+
+
+class RescanSession(CondensingPreserver):
+    """A session whose new edges come from ``reference_grow``'s re-scan
+    of the path, as ``serve_pair`` computed them before the walk handed
+    them back. Kept as the reference."""
+
+    def _choose_path(self, s: int, t: int, new: list) -> tuple[int, ...]:
+        path, rescanned = reference_grow(self.dag, self.h, s, t, self.mode)
+        new.extend(rescanned)
+        return path
+
+
+@st.composite
+def dag_with_subgraph_and_pairs(draw):
+    """A DAG of up to 12 vertices whose ids do not follow a topological
+    order, a random subgraph H, and pairs that may be reflexive,
+    infeasible or out of range."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    perm = draw(st.permutations(range(n)))
+    pool = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pool), max_size=30)) if pool else set()
+    sub = draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
+    vertex = st.integers(min_value=0, max_value=n)  # n itself is out of range
+    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=8))
+    return DirectedGraph(n, edges), sub, pairs
+
+
+def outcome(call):
+    """The value of call(), or the class and message of the library
+    error it raises."""
+    try:
+        return call()
+    except ReachkeepError as exc:
+        return type(exc), str(exc)
+
+
 class TestGrowth:
     def test_forwards_prefers_smallest_head(self):
         path = grow_forwards(DIAMOND, empty_store(4), 0, 3)
@@ -203,6 +285,41 @@ class TestGrowth:
                     assert (u, v) in g.edges
 
 
+class TestWalkAgainstReference:
+    @given(dag_with_subgraph_and_pairs(), st.sampled_from(["fw", "bw"]))
+    @settings(max_examples=300, deadline=None)
+    def test_new_edges_match_a_rescan(self, case, mode):
+        g, sub, pairs = case
+        h = store_with(g.n, sub)
+        grow = GrowthMode(mode).grow
+        for s, t in pairs:
+            new: list = []
+            got = outcome(lambda: (grow(g, h, s, t, new), tuple(new)))
+            assert got == outcome(lambda: reference_grow(g, h, s, t, mode))
+            if isinstance(got[0], type):
+                assert new == []
+            assert outcome(lambda: grow(g, h, s, t)) == outcome(lambda: reference_grow(g, h, s, t, mode)[0])
+
+    def test_backwards_new_edges_follow_the_path(self):
+        chain = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
+        new: list = []
+        assert grow_backwards(chain, store_with(4, [(1, 2)]), 0, 3, new) == (0, 1, 2, 3)
+        assert new == [(0, 1), (2, 3)]
+
+    @given(ringed_digraph_with_pairs(), st.sampled_from(["fw", "bw"]))
+    @settings(max_examples=80, deadline=None)
+    def test_session_matches_a_rescan_session(self, case, mode):
+        g, stream = case
+        session, reference = CondensingPreserver(g, mode), RescanSession(g, mode)
+        for s, t in stream:
+            assert session.serve_pair(s, t) == reference.serve_pair(s, t)
+        assert session.log == reference.log
+        assert session.h.edges == reference.h.edges
+        assert session.h._out == reference.h._out and session.h._in == reference.h._in
+        assert session.z_paths == reference.z_paths
+        assert session.output_edges == reference.output_edges
+
+
 class TestEdgeStore:
     def test_add_reports_novelty(self):
         h = EdgeStore(3)
@@ -220,6 +337,22 @@ class TestEdgeStore:
         h = store_with(4, [(0, 1), (2, 3)])
         g = h.to_graph()
         assert g.n == 4 and g.edges == {(0, 1), (2, 3)}
+
+    @pytest.mark.parametrize("edge", [(1, 1), (0, 7), (7, 0), (-1, 2), (0, 3)])
+    def test_bad_edge_rejected_without_a_trace(self, edge):
+        h = store_with(3, [(0, 1)])
+        with pytest.raises(BoundsError, match="self-loop or outside 0..2"):
+            h.add(edge)
+        assert h.edges == {(0, 1)}
+        assert h._out == {0: [1]} and h._in == {1: [0]}
+
+    def test_rejected_self_loop_cannot_trap_the_walk(self):
+        # A stored self-loop (1, 1) made the walk step 1 -> 1 forever.
+        with time_limit(5):
+            h = EdgeStore(3)
+            with pytest.raises(BoundsError):
+                h.add((1, 1))
+            assert grow_forwards(CHAIN3, h, 0, 2) == (0, 1, 2)
 
 
 def bfs_unreachable_pairs(g: DirectedGraph, pairs) -> list:
@@ -524,6 +657,20 @@ class TestSizeEnvelope:
             size_envelope_source_restricted(10, -1, 1)
         with pytest.raises(ParameterError):
             size_envelope_source_restricted(10, 1, 1, constant=0.0)
+
+    @pytest.mark.parametrize("constant", [1.0, 32])
+    def test_general_envelope_is_the_abstracts_bound(self, constant):
+        for n in (1, 2, 40, 160, 2000):
+            for p in (1, 3, 20, 80, 4000):
+                expected = constant * (n**0.72 * p**0.56 + n**0.6 * p**0.7 + n)
+                assert size_envelope_general(n, p, constant) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "args", [(0, 1, 1.0), (10, -1, 1.0), (10, 2.5, 1.0), (10, 1, 0.0), (10, 1, float("inf"))]
+    )
+    def test_general_envelope_rejects_bad_parameters(self, args):
+        with pytest.raises(ParameterError):
+            size_envelope_general(*args)
 
     @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]))
     @settings(max_examples=40, deadline=None)
