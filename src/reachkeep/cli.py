@@ -133,11 +133,12 @@ def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
     session = CondensingPreserver(g, mode)
     for s, t in pairs:
         session.serve_pair(s, t)
-    # Running sums: every edge a pair adds is new to the output.
+    # Running sums: every edge a pair adds is new to the output, and a
+    # pair's auxiliary path has one vertex per new H edge plus one.
     per_pair, h_size, z_size = [], 0, 0
-    for rec, z_path in zip(session.log, session.z_paths):
+    for rec in session.log:
         h_size += len(rec.added)
-        z_size += len(z_path)
+        z_size += len(rec.new_edges) + 1
         per_pair.append(
             {"pair": list(rec.pair), "new_edges": len(rec.added), "h_size": h_size, "z_size": z_size}
         )

@@ -53,3 +53,9 @@ def check_finite_positive(name: str, value: float) -> None:
     """Reject a real knob that is NaN, infinite, zero or negative."""
     if not (math.isfinite(value) and value > 0):
         raise ParameterError(f"{name} must be finite and positive, got {value}")
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a count that is not an integer of at least 1."""
+    if int(value) != value or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value}")

@@ -477,11 +477,10 @@ class Condensation:
     ``dag`` lives on component ids assigned in increasing order of each
     component's minimum original vertex. A DAG input is its own ``dag``:
     one-vertex components with identity ids, no trees and an identity
-    lift. ``in_tree`` and ``out_tree`` hold original edges forming,
-    per non-trivial component, a BFS tree into and out of the min-id
-    representative. The two trees may share edges, so they are kept
-    apart; ``tree_edge_count`` is the 2(|C|-1) accounting and
-    ``tree_edges`` the de-duplicated union a preserver actually adds.
+    lift. Each non-trivial component keeps the sorted union of two BFS
+    trees of original edges, one into and one out of its min-id
+    representative: the edges a preserver adds for it. The two trees
+    may share edges; ``tree_edge_count`` is the 2(|C|-1) accounting.
     """
 
     __slots__ = (
@@ -490,8 +489,6 @@ class Condensation:
         "components",
         "representative",
         "dag",
-        "in_tree",
-        "out_tree",
         "_lift",
         "_tree_of",
     )
@@ -502,8 +499,7 @@ class Condensation:
         component_of: tuple[int, ...],
         components: tuple[tuple[int, ...], ...],
         dag: DirectedGraph,
-        in_tree: frozenset[Edge],
-        out_tree: frozenset[Edge],
+        tree_of: dict[int, tuple[Edge, ...]],
         lift: dict[Edge, Edge],
     ):
         self.graph = graph
@@ -511,21 +507,12 @@ class Condensation:
         self.components = components
         self.representative = tuple(c[0] for c in components)
         self.dag = dag
-        self.in_tree = in_tree
-        self.out_tree = out_tree
+        self._tree_of = tree_of  # no entry for one-vertex components
         self._lift = lift
-        tree_of: dict[int, list[Edge]] = {}  # no entry for one-vertex components
-        for e in sorted(in_tree | out_tree):
-            tree_of.setdefault(component_of[e[0]], []).append(e)
-        self._tree_of = {comp: tuple(es) for comp, es in tree_of.items()}
-
-    @property
-    def tree_edges(self) -> frozenset[Edge]:
-        return self.in_tree | self.out_tree
 
     @property
     def tree_edge_count(self) -> int:
-        return len(self.in_tree) + len(self.out_tree)
+        return sum(2 * (len(c) - 1) for c in self.components)
 
     def tree_edges_of(self, comp: int) -> tuple[Edge, ...]:
         """The tree edges inside component ``comp``, in sorted order."""
@@ -587,18 +574,17 @@ def condense(g: DirectedGraph) -> Condensation:
     comps = _strong_components(g.n, g._out.__getitem__)
     if len(comps) == g.n:
         # Every component is one vertex: g is a DAG and its own condensation.
-        ids, no_tree = tuple(range(g.n)), frozenset()
+        ids = tuple(range(g.n))
         lift = dict(zip(g.edges, g.edges))
-        return Condensation(g, ids, tuple((v,) for v in ids), g, no_tree, no_tree, lift)
+        return Condensation(g, ids, tuple((v,) for v in ids), g, {}, lift)
     comps.sort(key=lambda c: c[0])
     component_of = [0] * g.n
     for cid, members in enumerate(comps):
         for v in members:
             component_of[v] = cid
 
-    in_tree: set[Edge] = set()
-    out_tree: set[Edge] = set()
-    for members in comps:
+    tree_of: dict[int, tuple[Edge, ...]] = {}
+    for cid, members in enumerate(comps):
         if len(members) == 1:
             continue
         rep = members[0]
@@ -607,8 +593,9 @@ def condense(g: DirectedGraph) -> Condensation:
         in_parent = bfs_parents(g.in_neighbors, rep, within)
         if out_parent.keys() != within or in_parent.keys() != within:
             raise AssertionError("component not internally connected")
-        out_tree.update((u, v) for v, u in out_parent.items() if v != rep)
-        in_tree.update((v, u) for v, u in in_parent.items() if v != rep)
+        tree = {(u, v) for v, u in out_parent.items() if v != rep}
+        tree.update((v, u) for v, u in in_parent.items() if v != rep)
+        tree_of[cid] = tuple(sorted(tree))
 
     dag_edges: set[Edge] = set()
     lift: dict[Edge, Edge] = {}
@@ -621,15 +608,7 @@ def condense(g: DirectedGraph) -> Condensation:
         if key not in lift:  # sorted iteration makes this the lex-min original edge
             lift[key] = (u, v)
     dag = DirectedGraph(len(comps), dag_edges)
-    return Condensation(
-        g,
-        tuple(component_of),
-        tuple(tuple(c) for c in comps),
-        dag,
-        frozenset(in_tree),
-        frozenset(out_tree),
-        lift,
-    )
+    return Condensation(g, tuple(component_of), tuple(tuple(c) for c in comps), dag, tree_of, lift)
 
 
 def lift_edge(c: Condensation, dag_edge: Edge) -> Edge:

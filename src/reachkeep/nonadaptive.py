@@ -30,7 +30,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import MissingEntryError, ParameterError, check_finite_positive
+from .errors import MissingEntryError, ParameterError, check_count, check_finite_positive
 # reachable_set, grow_forwards, grow_backwards and greedy_adversary_step
 # are not called here (reachable_pairs and _GreedyAdversary are), but
 # perfbench/tracing.py wraps this module's binding of them. The adversary
@@ -57,9 +57,8 @@ class ExtremalSurrogate:
         return n * (n - 1)
 
     def evaluate(self, n: int, p: int) -> float:
-        for name, value in (("n", n), ("p", p)):
-            if int(value) != value or value < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {value}")
+        check_count("n", n)
+        check_count("p", p)
         value = float(self.fn(n, p))
         if math.isnan(value):
             raise ParameterError(f"surrogate {self.label!r} is NaN at n={n}, p={p}")

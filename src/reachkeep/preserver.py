@@ -5,8 +5,9 @@ pair is answered with a path grown greedily: forwards growth extends
 from the source and prefers edges already in the preserver whose head
 still reaches the sink, backwards growth mirrors this from the sink.
 On a digraph with cycles the preserver grows on the DAG of strong
-components and is lifted back to original edges. Alongside the
-preserver the session records one auxiliary path per pair (the tails
+components and is lifted back to original edges. The session logs
+one record per pair, and everything else it reports is read from that
+log: the output edge set, and one auxiliary path per pair (the tails
 of the new edges plus the sink under forwards growth, the source plus
 the heads of the new edges under backwards growth). The auxiliary
 system is what the verification machinery audits: it stays acyclic,
@@ -28,6 +29,7 @@ from .errors import (
     CyclicGraphError,
     InfeasiblePairError,
     ParameterError,
+    check_count,
     check_finite_positive,
 )
 from .graphs import (
@@ -211,6 +213,10 @@ class CondensingPreserver:
     edge, and the first path through a component adds its internal
     in/out trees so the lift is walkable. On a DAG, which is its own
     condensation, there are no trees and no path is scanned for them.
+
+    Serving a pair writes only H, the components still pending trees
+    and one ``PairRecord`` in ``log``. The output edges, the auxiliary
+    paths and their sizes are read-only views of the log.
     """
 
     def __init__(
@@ -227,12 +233,9 @@ class CondensingPreserver:
         self.cond = condensation
         self.dag = condensation.dag
         self.mode = GrowthMode(mode)
-        # H, the auxiliary paths and the log's paths are on component ids.
+        # H and the log's paths and new edges are on component ids.
         self.h = EdgeStore(self.dag.n)
-        self.z_paths: list[tuple[int, ...]] = []
-        self._z_size = 0
         self.log: list[PairRecord] = []
-        self.output_edges: set[Edge] = set()
         # The components whose trees are not in the output yet.
         self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
 
@@ -240,13 +243,30 @@ class CondensingPreserver:
     inner = property(lambda self: self)
 
     @property
+    def output_edges(self) -> set[Edge]:
+        """The output edges, trees included: the union of the log's
+        ``added``."""
+        return {e for rec in self.log for e in rec.added}
+
+    @property
     def h_size(self) -> int:
         """Edges in the output, trees included."""
         return len(self.output_edges)
 
     @property
+    def z_paths(self) -> list[tuple[int, ...]]:
+        """One auxiliary path per record: the tails of its new edges
+        plus its sink under forwards growth, its source plus their heads
+        under backwards growth."""
+        if self.mode is GrowthMode.FORWARDS:
+            return [tuple([u for u, _ in rec.new_edges]) + (rec.path[-1],) for rec in self.log]
+        return [(rec.path[0],) + tuple([v for _, v in rec.new_edges]) for rec in self.log]
+
+    @property
     def z_size(self) -> int:
-        return self._z_size
+        """|Z|: each record's auxiliary path has one vertex per new
+        edge plus one."""
+        return sum([len(rec.new_edges) for rec in self.log]) + len(self.log)
 
     pairs_served = property(lambda self: len(self.log))
 
@@ -259,26 +279,18 @@ class CondensingPreserver:
         """Serve one demand pair and return the output edges it adds.
         Raises without touching any state when the pair is infeasible;
         otherwise grows a path on the component DAG, adds its missing
-        edges to H with one auxiliary path, lifts it to the output and
-        logs one record."""
+        edges to H, lifts it to the output and logs one record."""
         check_vertices(self.g.n, s, t)
         cond = self.cond
-        cs, ct = cond.component_of[s], cond.component_of[t]
         taken: list[Edge] = []
         try:
-            path = self._choose_path(cs, ct, taken)
+            path = self._choose_path(cond.component_of[s], cond.component_of[t], taken)
         except InfeasiblePairError:
             raise InfeasiblePairError(f"{t} not reachable from {s}") from None
         add = self.h.add
         for e in taken:
             add(e)
         new = tuple(taken)
-        if self.mode is GrowthMode.FORWARDS:
-            z_path = tuple([u for u, _ in new]) + (ct,)
-        else:
-            z_path = (cs,) + tuple([v for _, v in new])
-        self.z_paths.append(z_path)
-        self._z_size += len(z_path)
         # Every edge below is new to the output: tree edges stay inside one
         # component and are added once per component, and each new DAG
         # edge lifts to its own edge between two components.
@@ -290,7 +302,6 @@ class CondensingPreserver:
                     pending.remove(comp)
                     added.extend(cond.tree_edges_of(comp))
         added.extend(map(cond._lift.__getitem__, new))
-        self.output_edges.update(added)
         record = PairRecord((s, t), path, new, tuple(added))
         self.log.append(record)
         return record.added
@@ -378,8 +389,7 @@ def verify_session(session: CondensingPreserver) -> SessionReport:
 
 def _check_envelope_args(constant: float, **counts: int) -> None:
     for name, value in counts.items():
-        if int(value) != value or value < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {value}")
+        check_count(name, value)
     check_finite_positive("constant", constant)
 
 

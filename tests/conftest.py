@@ -47,21 +47,28 @@ def _drive_session(kind, n, p, seed, mode, density, s_size) -> SessionTrace:
     session = CondensingPreserver(g, mode)
     trace = SessionTrace(kind, n, p, mode)
     tag = f"{kind} n={n} p={p} seed={seed} {mode}"
-    # recount the paths, so the session's running z_size is not
-    # checked against itself; the identity is not monotone in the
-    # prefix, so it is checked after every pair
+    # Recount |Z| from each new record, one auxiliary vertex per new
+    # edge plus one, rather than ask the session (a z_size call reads
+    # the whole log); the identity is not monotone in the prefix, so it
+    # is checked after every pair, and the session's own z_size once
+    # at the end. Each pair's auxiliary path is built here from its
+    # record as it was served.
     z_size = 0
     seen: list[tuple[int, ...]] = []
     for idx, (s, t) in enumerate(stream):
         session.serve_pair(s, t)
-        z_path = session.z_paths[-1]
-        seen.append(z_path)
-        z_size += len(z_path)
-        if z_size != len(session.h) + session.pairs_served or session.z_size != z_size:
+        rec = session.log[-1]
+        if mode == "fw":
+            seen.append(tuple(u for u, _ in rec.new_edges) + (rec.path[-1],))
+        else:
+            seen.append((rec.path[0],) + tuple(v for _, v in rec.new_edges))
+        z_size += len(rec.new_edges) + 1
+        if z_size != len(session.h) + session.pairs_served:
             trace.violations.append(
-                f"{tag} pair {idx}: size {z_size} (running {session.z_size}) != "
-                f"{len(session.h)} + {session.pairs_served}"
+                f"{tag} pair {idx}: size {z_size} != {len(session.h)} + {session.pairs_served}"
             )
+    if session.z_size != z_size:
+        trace.violations.append(f"{tag}: z_size {session.z_size} != recount {z_size}")
     # A bridge or a cycle of a prefix stays in every longer system, as
     # long as no recorded path changed: one audit of the finished
     # session covers every prefix.

@@ -102,6 +102,16 @@ def component_bfs_tree(members, rep: int, step, reverse: bool) -> set[tuple[int,
     return tree
 
 
+def reference_tree_edges(g: DirectedGraph, comp) -> tuple[tuple[int, int], ...]:
+    """The sorted union of the reference out- and in-BFS trees of the
+    component ``comp`` from its smallest member; none for one vertex."""
+    if len(comp) == 1:
+        return ()
+    out_tree = component_bfs_tree(comp, comp[0], g.out_neighbors, False)
+    in_tree = component_bfs_tree(comp, comp[0], g.in_neighbors, True)
+    return tuple(sorted(out_tree | in_tree))
+
+
 def tree_depths(tree, comp, rep: int, reverse: bool) -> dict[int, int]:
     """Depth of each vertex of ``comp`` in the edges of ``tree`` inside
     it: edges point away from ``rep``, or towards it when reverse."""
@@ -315,7 +325,7 @@ class TestCondensation:
         assert c.component_of == tuple(range(n))
         assert c.components == tuple((v,) for v in range(n))
         assert c.representative == tuple(range(n))
-        assert c.in_tree == c.out_tree == frozenset()
+        assert c.tree_edge_count == 0
         assert all(c.tree_edges_of(v) == () for v in range(n))
         for e in g.edges:
             assert lift_edge(c, e) == e
@@ -354,13 +364,10 @@ class TestCondensation:
         expected = scc_oracle(n, edges)
         assert [frozenset(comp) for comp in c.components] == expected
         assert c.dag.is_dag
+        assert c.tree_edge_count == sum(2 * (len(comp) - 1) for comp in c.components)
         for comp_id, comp in enumerate(c.components):
             members = set(comp)
-            expected_count = len(comp) - 1 if len(comp) > 1 else 0
-            in_c = {e for e in c.in_tree if e[0] in members}
-            out_c = {e for e in c.out_tree if e[0] in members}
-            assert len(in_c) == expected_count
-            assert len(out_c) == expected_count
+            assert c.tree_edges_of(comp_id) == reference_tree_edges(g, comp)
             for u, v in c.tree_edges_of(comp_id):
                 assert (u, v) in g.edges
                 assert u in members and v in members
@@ -369,10 +376,12 @@ class TestCondensation:
     @settings(max_examples=60, deadline=None)
     def test_tree_index_matches_tree_edges(self, case):
         n, edges = case
-        c = condense(DirectedGraph(n, edges))
+        g = DirectedGraph(n, edges)
+        c = condense(g)
+        assert c.tree_edge_count == sum(2 * (len(comp) - 1) for comp in c.components)
         for comp_id, comp in enumerate(c.components):
             got = c.tree_edges_of(comp_id)
-            assert set(got) == {e for e in c.tree_edges if c.component_of[e[0]] == comp_id}
+            assert got == reference_tree_edges(g, comp)
             assert list(got) == sorted(got)
             if len(comp) == 1:
                 assert got == ()
@@ -390,11 +399,12 @@ class TestCondensation:
         n, edges = case
         g = DirectedGraph(n, edges)
         c = condense(g)
-        if not c.tree_edges:
+        if c.tree_edge_count == 0:
             return
         for comp_id, comp in enumerate(c.components):
             if len(comp) == 1:
                 continue
+            assert c.tree_edges_of(comp_id) == reference_tree_edges(g, comp)
             t = DirectedGraph(n, c.tree_edges_of(comp_id))
             root = min(comp)
             assert set(comp) <= reachable_set(t, root)
@@ -422,13 +432,9 @@ class TestSingleBfs:
                 else:
                     assert bfs_route(g, s, t) == want
         c = condense(g)
-        out_tree, in_tree = set(), set()
-        for comp in c.components:
-            if len(comp) > 1:
-                out_tree |= component_bfs_tree(comp, comp[0], g.out_neighbors, False)
-                in_tree |= component_bfs_tree(comp, comp[0], g.in_neighbors, True)
-        assert c.out_tree == out_tree
-        assert c.in_tree == in_tree
+        assert c.tree_edge_count == sum(2 * (len(comp) - 1) for comp in c.components)
+        for comp_id, comp in enumerate(c.components):
+            assert c.tree_edges_of(comp_id) == reference_tree_edges(g, comp)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -447,15 +453,19 @@ def test_condense_and_reach_mask_match_networkx(seed):
         assert {frozenset(comp) for comp in c.components} == {
             frozenset(comp) for comp in nx.strongly_connected_components(ng)
         }
-        for comp in c.components:
+        assert c.tree_edge_count == sum(2 * (len(comp) - 1) for comp in c.components)
+        for comp_id, comp in enumerate(c.components):
             sub = ng.subgraph(comp)
             rep = comp[0]
-            assert tree_depths(c.out_tree, comp, rep, False) == (
+            out_tree = component_bfs_tree(comp, rep, g.out_neighbors, False)
+            in_tree = component_bfs_tree(comp, rep, g.in_neighbors, True)
+            assert tree_depths(out_tree, comp, rep, False) == (
                 nx.single_source_shortest_path_length(sub, rep)
             )
-            assert tree_depths(c.in_tree, comp, rep, True) == (
+            assert tree_depths(in_tree, comp, rep, True) == (
                 nx.single_source_shortest_path_length(sub.reverse(), rep)
             )
+            assert c.tree_edges_of(comp_id) == tuple(sorted(out_tree | in_tree))
         for s in rng.sample(range(n), 8):
             dist = nx.single_source_shortest_path_length(ng, s)
             for t in range(n):

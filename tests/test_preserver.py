@@ -558,11 +558,25 @@ class TestVerifySession:
         for s, t in [(0, 2), (1, 3), (3, 2)]:
             session.serve_pair(s, t)
         assert verify_session(session).ok
-        session.z_paths[0] = tuple(reversed(session.z_paths[0]))
+        rec = session.log[0]
+        session.log[0] = rec._replace(new_edges=tuple(reversed(rec.new_edges)))
+        assert session.z_paths[0] == (0, 2, 1)
         report = verify_session(session)
         assert not report.ok
         assert not report.acyclic
         assert "cyclic" in report.describe()
+
+    def test_record_missing_a_new_edge_breaks_size_identity(self):
+        session = CondensingPreserver(DIAMOND, "fw")
+        for s, t in [(0, 3), (1, 3)]:
+            session.serve_pair(s, t)
+        assert verify_session(session).ok
+        rec = session.log[0]
+        session.log[0] = rec._replace(new_edges=rec.new_edges[:-1])
+        report = verify_session(session)
+        assert not report.size_ok
+        assert report.actual_size == report.expected_size - 1 == len(session.h) + 1
+        assert "size identity broken" in report.describe()
 
     def test_cleared_h_reports_the_pair_as_served(self):
         # 0 and 1 share a strong component, so the served pair (0, 2) is
