@@ -50,10 +50,10 @@ class PathSystem:
         return sum(len(p) for p in self.paths)
 
     @cached_property
-    def pair_index(self) -> _SystemIndex:
-        """Ordered-pair occurrence index of all paths, built on first
-        use and kept; every ``find_k_bridge`` call on this system reads it."""
-        return _SystemIndex(self.paths)
+    def pair_index(self) -> _PairIndex:
+        """Ordered-pair index of all paths, built on first use and kept;
+        every ``find_k_bridge`` call on this system reads it."""
+        return _PairIndex(self.paths)
 
 
 def reversed_system(s: PathSystem) -> PathSystem:
@@ -130,43 +130,66 @@ def validate_witness(
     for i, arc in enumerate(w.arcs):
         if not _contains_before(s.paths[arc], w.chain[i], w.chain[i + 1]):
             return False
-    if constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER and not w.arcs[0] < w.river:
-        return False
-    if constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER and not w.arcs[-1] < w.river:
-        return False
-    return True
+    return _order_ok(constraint, w.arcs, w.river)
 
 
-class _SystemIndex:
-    """Ordered-pair occurrence index of a finished system.
+class _PairIndex:
+    """Ordered-pair index of a finished system, built in one pass.
 
     For every ordered pair (a, b) that some path contains as a
-    subsequence, ``lists[(a, b)]`` holds the ascending path indices
-    containing it, and succ/pred expose the pair relation as bitmasks.
+    subsequence, ``owner[(a, b)]`` is the smallest path holding it, and
+    ``shared[(a, b)]`` lists the paths holding it in ascending order
+    when there are two or more. succ/pred expose the pair relation as
+    bitmasks and ``after[a]`` lists a's successors in ascending order.
     ``sole[a][q]`` is the bitmask of the vertices b whose pair (a, b)
     lies on path q and on no other.
     """
 
-    __slots__ = ("lists", "succ", "pred", "sole")
+    __slots__ = ("owner", "shared", "succ", "pred", "after", "sole")
 
     def __init__(self, paths: tuple[Path, ...]):
-        self.lists: dict[tuple[int, int], list[int]] = {}
-        self.succ: dict[int, int] = {}
-        self.pred: dict[int, int] = {}
+        owner: dict[tuple[int, int], int] = {}
+        shared: dict[tuple[int, int], list[int]] = {}
+        succ: dict[int, int] = {}
+        pred: dict[int, int] = {}
+        sole: dict[int, dict[int, int]] = {}
         for idx, path in enumerate(paths):
-            for i in range(len(path)):
+            earlier = 0
+            for b in path:
+                if earlier:
+                    pred[b] = pred.get(b, 0) | earlier
+                earlier |= 1 << b
+            later = 0
+            for i in range(len(path) - 1, -1, -1):
                 a = path[i]
-                for j in range(i + 1, len(path)):
-                    b = path[j]
-                    self.lists.setdefault((a, b), []).append(idx)
-                    self.succ[a] = self.succ.get(a, 0) | (1 << b)
-                    self.pred[b] = self.pred.get(b, 0) | (1 << a)
-        self.sole: dict[int, dict[int, int]] = {}
-        for (a, b), occurrences in self.lists.items():
-            if len(occurrences) == 1:
-                groups = self.sole.setdefault(a, {})
-                q = occurrences[0]
-                groups[q] = groups.get(q, 0) | (1 << b)
+                if later:
+                    succ[a] = succ.get(a, 0) | later
+                    sole.setdefault(a, {})[idx] = later
+                    for b in path[i + 1 :]:
+                        q = owner.setdefault((a, b), idx)
+                        if q != idx:
+                            shared.setdefault((a, b), [q]).append(idx)
+                later |= 1 << a
+        # a shared pair is on no path alone: clear it from each of its paths
+        for (a, b), qs in shared.items():
+            groups = sole[a]
+            for q in qs:
+                groups[q] ^= 1 << b
+                if not groups[q]:
+                    del groups[q]
+            if not groups:
+                del sole[a]
+        after: dict[int, list[int]] = {}
+        for a, b in owner:
+            after.setdefault(a, []).append(b)
+        for bs in after.values():
+            bs.sort()
+        self.owner, self.shared, self.succ, self.pred = owner, shared, succ, pred
+        self.after, self.sole = after, sole
+
+    def paths_of(self, pair: tuple[int, int]) -> list[int]:
+        """The ascending paths holding ``pair``."""
+        return self.shared.get(pair) or [self.owner[pair]]
 
 
 def _iter_bits(mask: int):
@@ -174,6 +197,15 @@ def _iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _order_ok(constraint: OrderConstraint, arcs, river: int) -> bool:
+    """Whether the river sits where the constraint wants it."""
+    if constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER:
+        return arcs[0] < river
+    if constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER:
+        return arcs[-1] < river
+    return True
 
 
 def _assign_roles(
@@ -195,19 +227,10 @@ def _assign_roles(
     arcs: list[int] = []
     used: set[int] = set()
 
-    def river_ok(r: int) -> bool:
-        if r in used:
-            return False
-        if constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER:
-            return arcs[0] < r
-        if constraint is OrderConstraint.LAST_ARC_BEFORE_RIVER:
-            return arcs[-1] < r
-        return True
-
     def rec(pos: int) -> tuple[int, tuple[int, ...]] | None:
         if pos == k1:
             for r in river_list:
-                if river_ok(r):
+                if r not in used and _order_ok(constraint, arcs, r):
                     return r, tuple(arcs)
             return None
         tries = k1 - pos + 1
@@ -240,35 +263,56 @@ def find_k_bridge(
     the arc tuple explored in lex order and the river assigned last.
     Returns None when the system is bridge-free for this k.
 
-    Two kinds of chain are skipped, and neither can carry a witness, so
-    the search order and the returned witness are those of the full
-    enumeration: chains where two roles (hops or the river) have the
-    same one-path occurrence list [q], since both would have to be q,
-    and chains whose x_{k-1} precedes no vertex that x_1 precedes, since
-    no river closes them. A prefix with no candidates is never entered.
+    A 2-bridge is a pair held by two paths, so width 2 is read off the
+    index: the smallest shared pair, its first path as the arc and its
+    second as the river, with no search. Wider chains skip two kinds
+    that cannot carry a witness, so the search order and the witness
+    are those of the full enumeration: chains where two roles (hops or
+    the river) have the same one-path occurrence list [q], since both
+    would have to be q, and candidates none of whose successors can be
+    the next chain vertex (it must precede a vertex x_1 precedes, or
+    for the last hop follow x_1), tested before any bookkeeping. In a
+    chain with no shared pair each role has one path, which the
+    candidate masks already keep distinct, so only the order
+    constraint is checked.
     """
-    if k not in (2, 3, 4):
+    if type(k) is not int or k not in (2, 3, 4):
         raise ParameterError(f"k must be in 2..4, got {k}")
     constraint = OrderConstraint(order_constraint)
     index = s.pair_index
+    owner = index.owner
+    shared = index.shared
+    if k == 2:
+        if not shared:
+            return None
+        pair = min(shared)
+        arc, river = shared[pair][:2]
+        return BridgeWitness(k=2, chain=pair, river=river, arcs=(arc,))
     succ = index.succ
     pred = index.pred
-    lists = index.lists
     sole = index.sole
     no_groups: dict[int, int] = {}
 
     def try_chain(chain: tuple[int, ...]) -> BridgeWitness | None:
-        hop_lists = [lists[(chain[i], chain[i + 1])] for i in range(k - 1)]
-        river_list = lists[(chain[0], chain[-1])]
-        got = _assign_roles(hop_lists, river_list, constraint)
-        if got is None:
-            return None
-        river, arcs = got
-        return BridgeWitness(k=k, chain=chain, river=river, arcs=arcs)
+        pairs = [(chain[i], chain[i + 1]) for i in range(k - 1)]
+        pairs.append((chain[0], chain[-1]))
+        if shared.keys().isdisjoint(pairs):
+            *arcs, river = map(owner.__getitem__, pairs)
+            if not _order_ok(constraint, arcs, river):
+                return None
+        else:
+            got = _assign_roles(
+                [index.paths_of(p) for p in pairs[:-1]], index.paths_of(pairs[-1]), constraint
+            )
+            if got is None:
+                return None
+            river, arcs = got
+        return BridgeWitness(k=k, chain=chain, river=river, arcs=tuple(arcs))
 
     def candidates(prefix: list[int], used_mask: int, taken: list[int]) -> int:
-        """Bitmask of the next chain vertices after ``prefix``; ``taken``
-        holds the paths of its one-path hops."""
+        """Bitmask of the next chain vertices after ``prefix``, which
+        holds two chain vertices or more; ``taken`` holds the paths of
+        its one-path hops."""
         last = prefix[-1]
         base = succ.get(last, 0) & ~used_mask
         groups = sole.get(last, no_groups)
@@ -276,7 +320,7 @@ def find_k_bridge(
             base &= ~groups.get(q, 0)
         if len(prefix) == k - 2:
             base &= feeds
-        elif len(prefix) == k - 1:
+        else:
             first = prefix[0]
             base &= succ[first]
             river_groups = sole.get(first, no_groups)
@@ -284,44 +328,51 @@ def find_k_bridge(
                 base &= ~river_groups.get(q, 0)
             # the last hop and the river may share one one-path list
             for v in _iter_bits(base):
-                hop = lists[(last, v)]
-                if len(hop) == 1 and hop == lists[(first, v)]:
+                hop, river = (last, v), (first, v)
+                if hop not in shared and river not in shared and owner[hop] == owner[river]:
                     base ^= 1 << v
         return base
 
-    def extend(
-        prefix: list[int], used_mask: int, taken: list[int], base: int
-    ) -> BridgeWitness | None:
+    def extend(prefix: list[int], used_mask: int, taken: list[int], nexts) -> BridgeWitness | None:
+        depth = len(prefix)
+        if depth == k - 1:
+            for v in nexts:
+                found = try_chain((*prefix, v))
+                if found is not None:
+                    return found
+            return None
         last = prefix[-1]
-        for v in _iter_bits(base):
+        # v's own next vertex must lie in cut: it feeds the river, or it
+        # closes the chain and so follows x_1
+        cut = succ[prefix[0]] if depth == k - 2 else feeds
+        for v in nexts:
+            if not succ.get(v, 0) & cut:
+                continue
+            hop = (last, v)
+            one = hop not in shared
+            if one:
+                taken.append(owner[hop])
             prefix.append(v)
-            if len(prefix) == k:
-                found = try_chain(tuple(prefix))
-            else:
-                hop = lists[(last, v)]
-                if len(hop) == 1:
-                    taken.append(hop[0])
-                mask = used_mask | (1 << v)
-                child = candidates(prefix, mask, taken)
-                found = extend(prefix, mask, taken, child) if child else None
-                if len(hop) == 1:
-                    taken.pop()
+            mask = used_mask | (1 << v)
+            child = candidates(prefix, mask, taken)
+            found = extend(prefix, mask, taken, _iter_bits(child)) if child else None
             prefix.pop()
+            if one:
+                taken.pop()
             if found is not None:
                 return found
         return None
 
-    for x1 in sorted(succ):
-        # the vertices that precede some vertex x1 precedes
-        feeds = 0
-        if k > 2:
-            for b in _iter_bits(succ[x1]):
+    after = index.after
+    for x1 in sorted(after):
+        if k == 4:
+            # the vertices that precede some vertex x1 precedes
+            feeds = 0
+            for b in after[x1]:
                 feeds |= pred[b]
-        base = candidates([x1], 1 << x1, [])
-        if base:
-            found = extend([x1], 1 << x1, [], base)
-            if found is not None:
-                return found
+        found = extend([x1], 1 << x1, [], after[x1])
+        if found is not None:
+            return found
     return None
 
 

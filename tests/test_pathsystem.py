@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachkeep import pathsystem
+from reachkeep import CondensingPreserver, InstanceFamily, generate, pathsystem
 from reachkeep.errors import BoundsError, ParameterError
 from reachkeep.pathsystem import (
     BridgeWitness,
@@ -147,6 +147,114 @@ def unpruned_find_k_bridge(
     return None
 
 
+class ParentSystemIndex:
+    """The occurrence index the search read before the one-owner index:
+    every pair keeps its full ascending path list."""
+
+    __slots__ = ("lists", "succ", "pred", "sole")
+
+    def __init__(self, paths):
+        self.lists: dict[tuple[int, int], list[int]] = {}
+        self.succ: dict[int, int] = {}
+        self.pred: dict[int, int] = {}
+        for idx, path in enumerate(paths):
+            for i in range(len(path)):
+                a = path[i]
+                for j in range(i + 1, len(path)):
+                    b = path[j]
+                    self.lists.setdefault((a, b), []).append(idx)
+                    self.succ[a] = self.succ.get(a, 0) | (1 << b)
+                    self.pred[b] = self.pred.get(b, 0) | (1 << a)
+        self.sole: dict[int, dict[int, int]] = {}
+        for (a, b), occurrences in self.lists.items():
+            if len(occurrences) == 1:
+                groups = self.sole.setdefault(a, {})
+                q = occurrences[0]
+                groups[q] = groups.get(q, 0) | (1 << b)
+
+
+def parent_find_k_bridge(
+    s: PathSystem,
+    k: int,
+    order_constraint: OrderConstraint | str = OrderConstraint.NONE,
+) -> BridgeWitness | None:
+    """The search over full occurrence lists, with a width-2 search, the
+    feeds mask at every width above 2 and a role assignment for every
+    chain: the oracle for the one-owner search."""
+    if k not in (2, 3, 4):
+        raise ParameterError(f"k must be in 2..4, got {k}")
+    constraint = OrderConstraint(order_constraint)
+    index = ParentSystemIndex(s.paths)
+    succ = index.succ
+    pred = index.pred
+    lists = index.lists
+    sole = index.sole
+    no_groups: dict[int, int] = {}
+
+    def try_chain(chain: tuple[int, ...]) -> BridgeWitness | None:
+        hop_lists = [lists[(chain[i], chain[i + 1])] for i in range(k - 1)]
+        river_list = lists[(chain[0], chain[-1])]
+        got = pathsystem._assign_roles(hop_lists, river_list, constraint)
+        if got is None:
+            return None
+        river, arcs = got
+        return BridgeWitness(k=k, chain=chain, river=river, arcs=arcs)
+
+    def candidates(prefix: list[int], used_mask: int, taken: list[int]) -> int:
+        last = prefix[-1]
+        base = succ.get(last, 0) & ~used_mask
+        groups = sole.get(last, no_groups)
+        for q in taken:
+            base &= ~groups.get(q, 0)
+        if len(prefix) == k - 2:
+            base &= feeds
+        elif len(prefix) == k - 1:
+            first = prefix[0]
+            base &= succ[first]
+            river_groups = sole.get(first, no_groups)
+            for q in taken:
+                base &= ~river_groups.get(q, 0)
+            for v in pathsystem._iter_bits(base):
+                hop = lists[(last, v)]
+                if len(hop) == 1 and hop == lists[(first, v)]:
+                    base ^= 1 << v
+        return base
+
+    def extend(
+        prefix: list[int], used_mask: int, taken: list[int], base: int
+    ) -> BridgeWitness | None:
+        last = prefix[-1]
+        for v in pathsystem._iter_bits(base):
+            prefix.append(v)
+            if len(prefix) == k:
+                found = try_chain(tuple(prefix))
+            else:
+                hop = lists[(last, v)]
+                if len(hop) == 1:
+                    taken.append(hop[0])
+                mask = used_mask | (1 << v)
+                child = candidates(prefix, mask, taken)
+                found = extend(prefix, mask, taken, child) if child else None
+                if len(hop) == 1:
+                    taken.pop()
+            prefix.pop()
+            if found is not None:
+                return found
+        return None
+
+    for x1 in sorted(succ):
+        feeds = 0
+        if k > 2:
+            for b in pathsystem._iter_bits(succ[x1]):
+                feeds |= pred[b]
+        base = candidates([x1], 1 << x1, [])
+        if base:
+            found = extend([x1], 1 << x1, [], base)
+            if found is not None:
+                return found
+    return None
+
+
 @st.composite
 def path_systems(draw, max_universe=6, max_paths=5, max_len=5):
     n = draw(st.integers(2, max_universe))
@@ -156,6 +264,27 @@ def path_systems(draw, max_universe=6, max_paths=5, max_len=5):
         length = draw(st.integers(1, min(max_len, n)))
         perm = draw(st.permutations(tuple(range(n))))
         paths.append(tuple(perm[:length]))
+    return PathSystem(n, tuple(paths))
+
+
+@st.composite
+def one_owner_systems(draw, max_universe=12, max_paths=8, max_len=10):
+    """Systems in which no ordered pair lies on two paths: each path
+    keeps a vertex only if none of its pairs with the vertices already
+    kept is taken."""
+    n = draw(st.integers(2, max_universe))
+    taken: set[tuple[int, int]] = set()
+    paths = []
+    for _ in range(draw(st.integers(1, max_paths))):
+        length = draw(st.integers(1, min(max_len, n)))
+        path: list[int] = []
+        for v in draw(st.permutations(tuple(range(n)))):
+            if len(path) == length:
+                break
+            if all((u, v) not in taken for u in path):
+                path.append(v)
+        taken.update(itertools.combinations(path, 2))
+        paths.append(tuple(path))
     return PathSystem(n, tuple(paths))
 
 
@@ -268,6 +397,13 @@ class TestFindKBridge:
             with pytest.raises(ParameterError):
                 find_k_bridge(s, k)
 
+    @pytest.mark.parametrize("k", [2.0, 3.0, True])
+    def test_k_must_be_an_int(self, k):
+        bridged = PathSystem(4, ((0, 1, 2), (0, 1), (0, 2), (1, 2)))
+        for s in (PathSystem(2, ((0, 1),)), bridged):
+            with pytest.raises(ParameterError, match="k must be in 2..4"):
+                find_k_bridge(s, k)
+
     def test_constraint_filters_witness(self):
         # the lone 3-bridge has its last arc arriving after the river
         s = PathSystem(4, ((0, 1), (0, 3), (1, 3)))
@@ -334,24 +470,78 @@ class TestPrunedSearch:
     def test_index_is_built_once_per_system(self, monkeypatch):
         builds = []
 
-        class CountingIndex(pathsystem._SystemIndex):
+        class CountingIndex(pathsystem._PairIndex):
             __slots__ = ()
 
             def __init__(self, paths):
                 builds.append(paths)
                 super().__init__(paths)
 
-        monkeypatch.setattr(pathsystem, "_SystemIndex", CountingIndex)
-        s = PathSystem(5, ((0, 1, 2), (1, 2, 3), (0, 3), (2, 4)))
-        first = find_k_bridge(s, 3, FIRST)
-        assert find_k_bridge(s, 4, FIRST) is None
-        assert find_k_bridge(s, 3, FIRST) == first
-        assert len(builds) == 1
-        assert s.pair_index is s.pair_index
+        monkeypatch.setattr(pathsystem, "_PairIndex", CountingIndex)
+        for paths, shared in (
+            (((0, 1, 2), (1, 2, 3), (0, 3), (2, 4)), {(1, 2): [0, 1]}),
+            (((0, 1, 2), (2, 3), (0, 3), (1, 4)), {}),
+        ):
+            builds.clear()
+            s = PathSystem(5, paths)
+            assert s.pair_index.shared == shared
+            witnesses = [find_k_bridge(s, k, FIRST) for k in (2, 3, 4)]
+            assert [find_k_bridge(s, k, FIRST) for k in (2, 3, 4)] == witnesses
+            assert witnesses == [parent_find_k_bridge(s, k, FIRST) for k in (2, 3, 4)]
+            assert len(builds) == 1
+            assert s.pair_index is s.pair_index
 
     def test_index_groups_one_path_pairs(self):
         s = PathSystem(4, ((0, 1, 2), (0, 1), (3, 2)))
-        assert s.pair_index.sole == {0: {0: 1 << 2}, 1: {0: 1 << 2}, 3: {2: 1 << 2}}
+        index = s.pair_index
+        assert index.sole == {0: {0: 1 << 2}, 1: {0: 1 << 2}, 3: {2: 1 << 2}}
+        assert index.owner == {(0, 1): 0, (0, 2): 0, (1, 2): 0, (3, 2): 2}
+        assert index.shared == {(0, 1): [0, 1]}
+        assert index.after == {0: [1, 2], 1: [2], 3: [2]}
+        assert index.succ == {0: 0b110, 1: 0b100, 3: 0b100}
+        assert index.pred == {1: 0b1, 2: 0b1011}
+
+
+class TestParentOracle:
+    """The one-owner search against the search it replaced, which read
+    a full occurrence list for every pair, and the unpruned one."""
+
+    @given(
+        st.one_of(
+            path_systems(max_universe=10, max_paths=10, max_len=10),
+            path_systems(max_universe=8, max_paths=10, max_len=3),
+            one_owner_systems(),
+        ),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_same_witness_as_both_oracles(self, s, k, constraint):
+        found = find_k_bridge(s, k, constraint)
+        assert found == parent_find_k_bridge(s, k, constraint)
+        assert found == unpruned_find_k_bridge(s, k, constraint)
+
+    @given(one_owner_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_one_owner_systems_have_no_shared_pair(self, s):
+        assert s.pair_index.shared == {}
+        assert find_k_bridge(s, 2) is None
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_same_witness_on_sessions(self, mode):
+        g, stream = generate(InstanceFamily(kind="random-dag", n=300, seed=7, pairs=600))
+        session = CondensingPreserver(g, mode)
+        for s, t in stream:
+            session.serve_pair(s, t)
+        z = session.z_system()
+        met = 0
+        for system in (z, reversed_system(z)):
+            for constraint in (NONE, FIRST, LAST):
+                for k in (2, 3, 4):
+                    found = find_k_bridge(system, k, constraint)
+                    assert found == parent_find_k_bridge(system, k, constraint)
+                    met += found is not None
+        assert met > 0
 
 
 class TestPrefixMonotonicity:

@@ -536,6 +536,13 @@ class TestPreserverSession:
         assert a.log == b.log
 
 
+def closure_unreachable_pairs(session: CondensingPreserver) -> list:
+    """The served-pair check of the audit without the path certificate:
+    every record's ends are read off the bitset closure of H."""
+    h = session.h.to_graph()
+    return [r.pair for r in session.log if not h.reach_mask(r.path[0]) >> r.path[-1] & 1]
+
+
 class TestVerifySession:
     def test_empty_session_audits_clean(self):
         report = verify_session(CondensingPreserver(DIAMOND))
@@ -600,6 +607,46 @@ class TestVerifySession:
         report = verify_session(session)
         assert report.unreachable_pairs == [(1, 2), (4, 2)]
         assert "pairs not preserved: [(1, 2), (4, 2)]" in report.describe()
+
+    @pytest.mark.parametrize(
+        "h_edges, expected",
+        [
+            # the recorded path 0-1-2 lost (1, 2), but (0, 2) still
+            # reaches 2: the certificate fails, the closure clears it
+            ([(0, 1), (0, 2)], []),
+            # the only route to 2 is gone: reported as served
+            ([(0, 1), (2, 3)], [(0, 2)]),
+        ],
+    )
+    def test_uncertified_pairs_are_decided_by_the_closure(self, h_edges, expected):
+        session = CondensingPreserver(DIAMOND, "fw")
+        session.serve_pair(0, 2)
+        assert session.log[0].path == (0, 1, 2)
+        session.h = store_with(DIAMOND.n, h_edges)
+        assert (1, 2) not in session.h
+        assert verify_session(session).unreachable_pairs == expected
+
+    # rings collapse most of a small digraph into one component, so plain
+    # DAGs are drawn too: they give longer paths to drop edges from
+    @given(
+        st.one_of(ringed_digraph_with_pairs(), dag_with_pairs()),
+        st.sampled_from(["fw", "bw"]),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_served_pairs_match_the_closure_after_random_drops(self, case, mode, data):
+        g, pairs = case
+        session = CondensingPreserver(g, mode)
+        for s, t in pairs:
+            session.serve_pair(s, t)
+        assert verify_session(session).unreachable_pairs == closure_unreachable_pairs(session) == []
+        edges = sorted(session.h.edges)
+        dropped = data.draw(st.sets(st.sampled_from(edges), min_size=1) if edges else st.just(set()))
+        # DAG edges outside H give a pair whose path lost an edge another route
+        spare = sorted(session.dag.edges - session.h.edges)
+        extra = data.draw(st.sets(st.sampled_from(spare)) if spare else st.just(set()))
+        session.h = store_with(session.dag.n, [e for e in edges if e not in dropped] + sorted(extra))
+        assert verify_session(session).unreachable_pairs == closure_unreachable_pairs(session)
 
     def test_dropped_edge_breaks_size_identity(self):
         session = CondensingPreserver(CHAIN3, "bw")
