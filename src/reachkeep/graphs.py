@@ -61,8 +61,9 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    # The accessors sit on every search's inner loop, so they call
-    # check_vertices only once the inline test has failed.
+    # The accessors sit on every search's inner loop and reach_mask on
+    # every growth call, so they call check_vertices only once the
+    # inline test has failed.
     def out_neighbors(self, u: int) -> tuple[int, ...]:
         if not 0 <= u < self.n:
             check_vertices(self.n, u)
@@ -82,9 +83,7 @@ class DirectedGraph:
             return self._topo
         import heapq
 
-        indeg = [0] * self.n
-        for _, v in self.edges:
-            indeg[v] += 1
+        indeg = list(map(len, self._in))
         heap = [v for v in range(self.n) if indeg[v] == 0]
         heapq.heapify(heap)
         order: list[int] = []
@@ -110,7 +109,8 @@ class DirectedGraph:
         The first call per direction builds that direction's closure in
         one pass over the topological order and keeps it, n*n/8 bytes
         (0.5 MB at n=2000); ``reachable_set`` is the BFS reference."""
-        check_vertices(self.n, v)
+        if not 0 <= v < self.n:
+            check_vertices(self.n, v)
         masks = self._closure[reverse]
         if masks is None:
             order = self.topological_order()

@@ -111,11 +111,6 @@ class EdgeStore:
         return DirectedGraph(self.n, self.edges)
 
 
-def _require_dag(g: DirectedGraph) -> None:
-    if not g.is_dag:
-        raise CyclicGraphError("growth requires a DAG input")
-
-
 def _walk(start: int, goal: int, member: int, h_adj, g_adj, taken: list[Edge]) -> list[int]:
     """Greedy walk from start to goal through the vertices whose bit is
     set in member: each step takes the first such h_adj neighbour, else
@@ -141,31 +136,22 @@ def _walk(start: int, goal: int, member: int, h_adj, g_adj, taken: list[Edge]) -
     return path
 
 
-def grow_forwards(
-    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None = None
+def _grow(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None, backwards: bool
 ) -> tuple[int, ...]:
-    """Path from s to t in the DAG g. At each step an edge already in h
-    whose head still reaches t wins; otherwise any g edge does. Ties go
-    to the smallest head id. h must be a subgraph of g. The steps taken
-    along a g edge are exactly the path's edges missing from h, since an
-    h edge wins whenever one exists; they are appended to new, when
-    given, in path order."""
-    _require_dag(g)
-    check_vertices(g.n, s, t)
-    member = g.reach_mask(t, reverse=True)
-    if not member >> s & 1:
-        raise InfeasiblePairError(f"{t} not reachable from {s}")
-    return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
-
-
-def grow_backwards(
-    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None = None
-) -> tuple[int, ...]:
-    """Mirror of grow_forwards, extending from t towards s and
-    preferring h edges whose tail s already reaches. The edges missing
-    from h go to new, when given, in path order too."""
-    _require_dag(g)
-    check_vertices(g.n, s, t)
+    """grow_forwards, or grow_backwards when backwards. The DAG test
+    reads the cached topological order once there is one, and
+    check_vertices runs only once the inline range test has failed."""
+    if g._topo is None and not g.is_dag:
+        raise CyclicGraphError("growth requires a DAG input")
+    n = g.n
+    if not (0 <= s < n and 0 <= t < n):
+        check_vertices(n, s, t)
+    if not backwards:
+        member = g.reach_mask(t, reverse=True)
+        if not member >> s & 1:
+            raise InfeasiblePairError(f"{t} not reachable from {s}")
+        return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
     member = g.reach_mask(s)
     if not member >> t & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
@@ -175,6 +161,30 @@ def grow_backwards(
     if new is not None:
         new.extend([(u, v) for v, u in reversed(taken)])
     return tuple(path)
+
+
+def grow_forwards(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None = None
+) -> tuple[int, ...]:
+    """Path from s to t in the DAG g. At each step an edge already in h
+    whose head still reaches t wins; otherwise any g edge does. Ties go
+    to the smallest head id. h must be a subgraph of g. The steps taken
+    along a g edge are exactly the path's edges missing from h, since an
+    h edge wins whenever one exists; they are appended to new, when
+    given, in path order. Raises CyclicGraphError when g has a cycle,
+    then BoundsError for an endpoint outside g, then
+    InfeasiblePairError, and leaves new as it was on each."""
+    return _grow(g, h, s, t, new, False)
+
+
+def grow_backwards(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list[Edge] | None = None
+) -> tuple[int, ...]:
+    """Mirror of grow_forwards, extending from t towards s and
+    preferring h edges whose tail s already reaches. The edges missing
+    from h go to new, when given, in path order too; the errors are
+    those of grow_forwards."""
+    return _grow(g, h, s, t, new, True)
 
 
 def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
@@ -212,7 +222,8 @@ class CondensingPreserver:
     is lifted to the output: every new DAG edge becomes one original
     edge, and the first path through a component adds its internal
     in/out trees so the lift is walkable. On a DAG, which is its own
-    condensation, there are no trees and no path is scanned for them.
+    condensation, there are no trees and the lift is the identity, so
+    neither is looked at.
 
     Serving a pair writes only H, the components still pending trees
     and one ``PairRecord`` in ``log``. The output edges, the auxiliary
@@ -271,40 +282,50 @@ class CondensingPreserver:
     pairs_served = property(lambda self: len(self.log))
 
     def _choose_path(self, s: int, t: int, new: list[Edge]) -> tuple[int, ...]:
-        """The path serving component pair (s, t); its edges missing
-        from h are appended to new in path order."""
+        """The path serving component pair (s, t), both in range; its
+        edges missing from h are appended to new in path order. One call
+        of the mode's public growth function; a subclass may choose
+        paths another way."""
         return self.mode.grow(self.dag, self.h, s, t, new)
 
     def serve_pair(self, s: int, t: int) -> tuple[Edge, ...]:
         """Serve one demand pair and return the output edges it adds.
-        Raises without touching any state when the pair is infeasible;
-        otherwise grows a path on the component DAG, adds its missing
-        edges to H, lifts it to the output and logs one record."""
-        check_vertices(self.g.n, s, t)
+        Raises without touching any state when a vertex is out of range
+        (``check_vertices`` runs once the inline test has failed) or the
+        pair is infeasible; otherwise grows one path on the component
+        DAG, adds its missing edges to H, lifts it to the output (on a
+        DAG the lift is the identity) and logs one record."""
+        n = self.g.n
+        if not (0 <= s < n and 0 <= t < n):
+            check_vertices(n, s, t)
         cond = self.cond
+        comp = cond.component_of
         taken: list[Edge] = []
         try:
-            path = self._choose_path(cond.component_of[s], cond.component_of[t], taken)
+            path = self._choose_path(comp[s], comp[t], taken)
         except InfeasiblePairError:
             raise InfeasiblePairError(f"{t} not reachable from {s}") from None
         add = self.h.add
         for e in taken:
             add(e)
         new = tuple(taken)
-        # Every edge below is new to the output: tree edges stay inside one
-        # component and are added once per component, and each new DAG
-        # edge lifts to its own edge between two components.
-        added: list[Edge] = []
-        pending = self._pending
-        if pending:
-            for comp in path:
-                if comp in pending:
-                    pending.remove(comp)
-                    added.extend(cond.tree_edges_of(comp))
-        added.extend(map(cond._lift.__getitem__, new))
-        record = PairRecord((s, t), path, new, tuple(added))
-        self.log.append(record)
-        return record.added
+        if cond.dag is cond.graph:
+            added = new
+        else:
+            # Every edge below is new to the output: tree edges stay inside
+            # one component and are added once per component, and each new
+            # DAG edge lifts to its own edge between two components.
+            lifted: list[Edge] = []
+            pending = self._pending
+            if pending:
+                for c in path:
+                    if c in pending:
+                        pending.remove(c)
+                        lifted.extend(cond.tree_edges_of(c))
+            lifted.extend(map(cond._lift.__getitem__, new))
+            added = tuple(lifted)
+        self.log.append(PairRecord((s, t), path, new, added))
+        return added
 
     def output_graph(self) -> DirectedGraph:
         return DirectedGraph(self.g.n, self.output_edges)

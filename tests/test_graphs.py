@@ -146,7 +146,55 @@ small_graphs = st.integers(min_value=1, max_value=7).flatmap(
 )
 
 
+def edge_loop_topological_order(g: DirectedGraph):
+    """``DirectedGraph.topological_order`` as it was when the in-degrees
+    came from a loop over the edge set, uncached. Kept as the
+    reference."""
+    import heapq
+
+    indeg = [0] * g.n
+    for _, v in g.edges:
+        indeg[v] += 1
+    heap = [v for v in range(g.n) if indeg[v] == 0]
+    heapq.heapify(heap)
+    order: list[int] = []
+    while heap:
+        u = heapq.heappop(heap)
+        order.append(u)
+        for w in g._out[u]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(heap, w)
+    return tuple(order) if len(order) == g.n else None
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A DAG of up to 16 vertices whose ids do not follow a topological
+    order, and, when asked for, the same edges plus one back edge, which
+    closes a cycle behind an acyclic part."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    perm = draw(st.permutations(range(n)))
+    pool = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pool), max_size=40)) if pool else set()
+    if pool and draw(st.booleans()):
+        u, v = draw(st.sampled_from(sorted(edges or pool)))
+        edges = edges | {(u, v), (v, u)}
+    return DirectedGraph(n, edges)
+
+
 class TestDirectedGraph:
+    @given(st.one_of(small_graphs.map(lambda case: DirectedGraph(*case)), shuffled_dags()))
+    @settings(max_examples=200, deadline=None)
+    def test_topological_order_matches_the_edge_loop(self, g):
+        expected = edge_loop_topological_order(g)
+        assert g.topological_order() == expected
+        assert g.topological_order() == expected  # the cached answer
+        assert g.is_dag == (expected is not None)
+        if expected is not None:
+            pos = {v: i for i, v in enumerate(expected)}
+            assert all(pos[u] < pos[v] for u, v in g.edges)
+
     def test_rejects_out_of_range_edge(self):
         with pytest.raises(BoundsError):
             DirectedGraph(3, [(0, 3)])

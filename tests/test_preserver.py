@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import random
 
-from reachkeep import preserver
+from reachkeep import graphs, preserver
 from reachkeep import (
     BoundsError,
     CondensingPreserver,
@@ -30,7 +30,7 @@ from reachkeep import (
     verify_session,
 )
 from reachkeep.graphs import check_vertices
-from reachkeep.preserver import unreachable_pairs
+from reachkeep.preserver import _walk, unreachable_pairs
 from test_nonadaptive import time_limit
 
 DIAMOND = DirectedGraph(4, {(0, 1), (1, 2), (0, 2), (2, 3)})
@@ -318,6 +318,201 @@ class TestWalkAgainstReference:
         assert session.h._out == reference.h._out and session.h._in == reference.h._in
         assert session.z_paths == reference.z_paths
         assert session.output_edges == reference.output_edges
+
+
+def _require_dag(g: DirectedGraph) -> None:
+    if not g.is_dag:
+        raise CyclicGraphError("growth requires a DAG input")
+
+
+def parent_grow_forwards(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list | None = None
+) -> tuple[int, ...]:
+    """``grow_forwards`` as it was before the growth rules range-checked
+    inline and read the cached order: a DAG test through ``is_dag`` and
+    ``check_vertices`` on every call. Kept as the reference."""
+    _require_dag(g)
+    check_vertices(g.n, s, t)
+    member = g.reach_mask(t, reverse=True)
+    if not member >> s & 1:
+        raise InfeasiblePairError(f"{t} not reachable from {s}")
+    return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
+
+
+def parent_grow_backwards(
+    g: DirectedGraph, h: EdgeStore, s: int, t: int, new: list | None = None
+) -> tuple[int, ...]:
+    """``grow_backwards`` as it was then; kept as the reference."""
+    _require_dag(g)
+    check_vertices(g.n, s, t)
+    member = g.reach_mask(s)
+    if not member >> t & 1:
+        raise InfeasiblePairError(f"{t} not reachable from {s}")
+    taken: list = []
+    path = _walk(t, s, member, h._in, g._in, taken)
+    path.reverse()
+    if new is not None:
+        new.extend([(u, v) for v, u in reversed(taken)])
+    return tuple(path)
+
+
+class ParentSession(CondensingPreserver):
+    """A session whose ``serve_pair`` and growth rules are as they were
+    before serving a pair took one range test and one growth call: the
+    pair checked by ``check_vertices``, each growth call re-testing the
+    DAG and the range, and every new edge looked up in the lift, on a
+    DAG too. Kept as the reference."""
+
+    def _choose_path(self, s: int, t: int, new: list) -> tuple[int, ...]:
+        grow = parent_grow_forwards if self.mode is GrowthMode.FORWARDS else parent_grow_backwards
+        return grow(self.dag, self.h, s, t, new)
+
+    def serve_pair(self, s: int, t: int):
+        check_vertices(self.g.n, s, t)
+        cond = self.cond
+        taken: list = []
+        try:
+            path = self._choose_path(cond.component_of[s], cond.component_of[t], taken)
+        except InfeasiblePairError:
+            raise InfeasiblePairError(f"{t} not reachable from {s}") from None
+        add = self.h.add
+        for e in taken:
+            add(e)
+        new = tuple(taken)
+        # Every edge below is new to the output: tree edges stay inside one
+        # component and are added once per component, and each new DAG
+        # edge lifts to its own edge between two components.
+        added: list = []
+        pending = self._pending
+        if pending:
+            for comp in path:
+                if comp in pending:
+                    pending.remove(comp)
+                    added.extend(cond.tree_edges_of(comp))
+        added.extend(map(cond._lift.__getitem__, new))
+        record = PairRecord((s, t), path, new, tuple(added))
+        self.log.append(record)
+        return record.added
+
+
+def session_state(session: CondensingPreserver):
+    """Everything serving a pair may write, and every view of it, as
+    values that later serves cannot change."""
+    h = session.h
+    return (
+        tuple(session.log),
+        frozenset(h.edges),
+        {u: tuple(vs) for u, vs in h._out.items()},
+        {v: tuple(us) for v, us in h._in.items()},
+        frozenset(session._pending),
+        frozenset(session.output_edges),
+        tuple(session.z_paths),
+    )
+
+
+def any_pairs(n: int):
+    """Pairs that may be reflexive, infeasible or out of range on both
+    sides (-1 and n)."""
+    vertex = st.integers(min_value=-1, max_value=n)
+    return st.lists(st.tuples(vertex, vertex), max_size=10)
+
+
+def assert_serves_like_the_parent(session: CondensingPreserver, reference: ParentSession, stream) -> None:
+    for s, t in stream:
+        before = session_state(session)
+        got = outcome(lambda: session.serve_pair(s, t))
+        assert got == outcome(lambda: reference.serve_pair(s, t))
+        if got and isinstance(got[0], type):  # an error, not a tuple of edges
+            assert session_state(session) == before
+        assert session_state(session) == session_state(reference)
+
+
+class TestServeAgainstTheParent:
+    @given(ringed_digraph_with_pairs(), st.sampled_from(["fw", "bw"]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_cyclic_streams_serve_like_the_parent(self, case, mode, data):
+        g, stream = case
+        mixed = data.draw(st.permutations(stream + data.draw(any_pairs(g.n))))
+        session, reference = CondensingPreserver(g, mode), ParentSession(g, mode)
+        assert_serves_like_the_parent(session, reference, mixed)
+
+    @given(dag_with_subgraph_and_pairs(), st.sampled_from(["fw", "bw"]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_dag_streams_serve_like_the_parent(self, case, mode, data):
+        g, sub, pairs = case
+        pairs = pairs + data.draw(any_pairs(g.n)) + pairs
+        session, reference = CondensingPreserver(g, mode), ParentSession(g, mode)
+        assert session.dag is g
+        for e in sorted(sub):
+            session.h.add(e)
+            reference.h.add(e)
+        assert_serves_like_the_parent(session, reference, pairs)
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_a_dag_stream_checks_no_vertex_and_orders_once(self, mode, monkeypatch):
+        family_g, stream = generate(InstanceFamily(kind="random-dag", n=80, seed=11, pairs=200))
+        g = DirectedGraph(family_g.n, family_g.edges)  # no order computed yet
+        calls = {"check_vertices": 0, "topological_order": 0, "built": 0}
+
+        def counting_check(*args):
+            calls["check_vertices"] += 1
+            return check_vertices(*args)
+
+        order = DirectedGraph.topological_order
+
+        def counting_order(self):
+            calls["topological_order"] += 1
+            calls["built"] += not self._topo_known
+            return order(self)
+
+        monkeypatch.setattr(preserver, "check_vertices", counting_check)
+        monkeypatch.setattr(graphs, "check_vertices", counting_check)
+        monkeypatch.setattr(DirectedGraph, "topological_order", counting_order)
+        session = CondensingPreserver(g, mode)
+        for s, t in stream:
+            session.serve_pair(s, t)
+        assert len(stream) == 200 and session.pairs_served == 200
+        assert calls["check_vertices"] == 0
+        assert calls["built"] == 1
+        # The first pair's DAG test and its closure build; none per pair.
+        assert calls["topological_order"] == 2
+
+
+def triangle() -> DirectedGraph:
+    return DirectedGraph(4, {(0, 1), (1, 2), (2, 0), (2, 3)})
+
+
+class TestGrowthErrorsMatchTheParent:
+    @pytest.mark.parametrize("direction", [0, 1])
+    @pytest.mark.parametrize("order_known", [False, True])
+    @pytest.mark.parametrize("pair", [(0, 3), (3, 0), (-1, 2), (0, 4)])
+    def test_cyclic_graph(self, direction, order_known, pair):
+        grow = (grow_forwards, grow_backwards)[direction]
+        parent = (parent_grow_forwards, parent_grow_backwards)[direction]
+        g, g_parent = triangle(), triangle()
+        if order_known:
+            assert g.topological_order() is None and g_parent.topological_order() is None
+        new: list = []
+        got = outcome(lambda: grow(g, empty_store(4), *pair, new))
+        assert got == outcome(lambda: parent(g_parent, empty_store(4), *pair))
+        assert got == (CyclicGraphError, "growth requires a DAG input")
+        assert new == []
+
+    @pytest.mark.parametrize("direction", [0, 1])
+    @pytest.mark.parametrize("order_known", [False, True])
+    @pytest.mark.parametrize("pair", [(-1, 3), (4, 3), (0, -1), (0, 4), (-1, 4), (9, 9)])
+    def test_endpoint_out_of_range(self, direction, order_known, pair):
+        grow = (grow_forwards, grow_backwards)[direction]
+        parent = (parent_grow_forwards, parent_grow_backwards)[direction]
+        g = DirectedGraph(DIAMOND.n, DIAMOND.edges)
+        if order_known:
+            g.topological_order()
+        new: list = []
+        got = outcome(lambda: grow(g, empty_store(4), *pair, new))
+        assert got == outcome(lambda: parent(g, empty_store(4), *pair))
+        bad = pair[0] if not 0 <= pair[0] < 4 else pair[1]
+        assert got == (BoundsError, f"vertex {bad} outside range 0..3")
+        assert new == []
 
 
 class TestEdgeStore:
