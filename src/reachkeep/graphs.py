@@ -11,10 +11,10 @@ and everything else reduces to the component DAG.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NoReturn
 
-from .errors import BoundsError, CyclicGraphError, MissingEntryError, ParseError
+from .errors import BoundsError, MissingEntryError, ParseError
 
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # two ids and the line number they were read from
@@ -104,26 +104,38 @@ class DirectedGraph:
 
     def reach_mask(self, v: int, reverse: bool = False) -> int:
         """Bitset of the vertices reachable from v (reaching v when
-        reverse), v included: bit u is set for each such u. DAG only.
+        reverse), v included: bit u is set for each such u. Any digraph.
 
         The first call per direction builds that direction's closure in
-        one pass over the topological order and keeps it, n*n/8 bytes
-        (0.5 MB at n=2000); ``reachable_set`` is the BFS reference."""
+        one pass and keeps it, at most n*n/8 bytes (0.5 MB at n=2000):
+        over the cached topological order on a DAG, otherwise over the
+        strong components, whose members share one mask.
+        ``reachable_set`` is the BFS reference."""
         if not 0 <= v < self.n:
             check_vertices(self.n, v)
         masks = self._closure[reverse]
         if masks is None:
-            order = self.topological_order()
-            if order is None:
-                raise CyclicGraphError("reach_mask requires a DAG")
             step = self._in if reverse else self._out
             masks = [0] * self.n
-            # Every neighbour on the step side comes earlier in this order.
-            for u in order if reverse else reversed(order):
-                mask = 1 << u
-                for w in step[u]:
-                    mask |= masks[w]
-                masks[u] = mask
+            order = self.topological_order()
+            if order is not None:
+                # Every neighbour on the step side comes earlier in this order.
+                for u in order if reverse else reversed(order):
+                    mask = 1 << u
+                    for w in step[u]:
+                        mask |= masks[w]
+                    masks[u] = mask
+            else:
+                # Sinks first: step-side neighbours outside a component come earlier.
+                comps = _strong_components(self.n, self._out.__getitem__)
+                for comp in reversed(comps) if reverse else comps:
+                    mask = 0
+                    for u in comp:
+                        mask |= 1 << u
+                        for w in step[u]:
+                            mask |= masks[w]
+                    for u in comp:
+                        masks[u] = mask
             self._closure[reverse] = masks
         return masks[v]
 
@@ -250,9 +262,18 @@ def bfs_parents(
 def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozenset[int]:
     """Vertices reachable from ``root`` (or reaching it when reverse).
     The root itself is always included. g is anything with ``n`` and
-    ``out_neighbors`` / ``in_neighbors``, an ``EdgeStore`` too."""
+    ``out_neighbors`` / ``in_neighbors``, an ``EdgeStore`` too. The BFS
+    reference only: the library reads ``DirectedGraph.reach_mask``."""
     check_vertices(g.n, root)
     return frozenset(bfs_parents(g.in_neighbors if reverse else g.out_neighbors, root))
+
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class IncrementalClosure:
@@ -422,13 +443,8 @@ class IncrementalClosure:
         when it is on the cycle, the largest member otherwise; a merged
         component larger than the hub's becomes the hub."""
         members, hub = self._members, self._hub
-        group = []
-        on_cycle = cycle >> hub & 1
-        while cycle:
-            bit = cycle & -cycle
-            group.append(bit.bit_length() - 1)
-            cycle ^= bit
-        keep = hub if on_cycle else max(group, key=lambda r: len(members.get(r, ())))
+        group = list(iter_bits(cycle))
+        keep = hub if cycle >> hub & 1 else max(group, key=lambda r: len(members.get(r, ())))
         into = members.setdefault(keep, [keep])
         for r in group:
             if r == keep:

@@ -31,11 +31,11 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import MissingEntryError, ParameterError, check_count, check_finite_positive
-# reachable_set, grow_forwards, grow_backwards and greedy_adversary_step
-# are not called here (reachable_pairs and _GreedyAdversary are), but
-# perfbench/tracing.py wraps this module's binding of them. The adversary
-# counts a path's new edges from the list its one grow call fills.
-from .graphs import DirectedGraph, reachable_set
+from .graphs import DirectedGraph
+from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps this binding
+# grow_forwards, grow_backwards and greedy_adversary_step are not called here
+# (_GreedyAdversary is), but perfbench/tracing.py wraps this module's binding
+# of them. The adversary counts a path's new edges from its one grow call.
 from .oracle import _GreedyAdversary, greedy_adversary_step, reachable_pairs
 from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
 

@@ -15,11 +15,12 @@ from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 
 from .errors import InfeasiblePairError, ParameterError, SizeLimitError
-from .graphs import DirectedGraph, Edge, check_vertices, reachable_set
+from .graphs import DirectedGraph, Edge, check_vertices, iter_bits
+from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps this binding
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
 # is), but perfbench/tracing.py wraps this module's binding of them. A
 # walk is one call either way: its new-edge list is an argument.
-from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
+from .preserver import GrowthMode, grow_backwards, grow_forwards
 from .seeding import rng_for
 
 Pair = tuple[int, int]
@@ -37,16 +38,8 @@ FAMILY_KINDS = tuple(_KIND_KNOBS)
 
 
 def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
-    h = EdgeStore(n)
-    for e in edge_set:
-        h.add(e)
-    reach: dict[int, frozenset[int]] = {}
-    for s, t in pairs:
-        if s not in reach:
-            reach[s] = reachable_set(h, s)
-        if t not in reach[s]:
-            return False
-    return True
+    h = DirectedGraph(n, edge_set)
+    return all(t in iter_bits(h.reach_mask(s)) for s, t in pairs)
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
@@ -65,28 +58,20 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
             f"got {g.edge_count}"
         )
     pair_list = sorted({(int(s), int(t)) for s, t in pairs})
-    src_reach: dict[int, frozenset[int]] = {}
     for s, t in pair_list:
         check_vertices(g.n, s, t)
-        if s not in src_reach:
-            src_reach[s] = reachable_set(g, s)
-        if t not in src_reach[s]:
+        if not g.reach_mask(s) >> t & 1:
             raise InfeasiblePairError(f"{t} not reachable from {s}")
     if not pair_list:
         return frozenset()
 
     edges_sorted = sorted(g.edges)
-    mandatory = {
-        e for e in edges_sorted if not _preserves(g.n, g.edges - {e}, pair_list)
-    }
-    sink_reach = {
-        t: reachable_set(g, t, reverse=True) for t in {t for _, t in pair_list}
-    }
+    mandatory = {e for e in edges_sorted if not _preserves(g.n, g.edges - {e}, pair_list)}
 
     def useful(e: Edge) -> bool:
-        u, v = e
         return any(
-            u in src_reach[s] and v in sink_reach[t] for s, t in pair_list
+            g.reach_mask(s) >> e[0] & 1 and g.reach_mask(t, reverse=True) >> e[1] & 1
+            for s, t in pair_list
         )
 
     pool = [e for e in edges_sorted if e not in mandatory and useful(e)]
@@ -234,7 +219,7 @@ class InstanceFamily:
 def reachable_pairs(g: DirectedGraph) -> list[Pair]:
     """Every pair (u, v) with v reachable from u, reflexive pairs
     included, in lexicographic order."""
-    return [(u, v) for u in range(g.n) for v in sorted(reachable_set(g, u))]
+    return [(u, v) for u in range(g.n) for v in iter_bits(g.reach_mask(u))]
 
 
 def _stream_from(g: DirectedGraph, count: int, rng) -> tuple[Pair, ...]:
@@ -333,10 +318,10 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         for _ in range(family.pairs):
             if family.side == "source":
                 s = stream_rng.choice(shared)
-                targets = sorted(reachable_set(g, s) - {s})
+                targets = list(iter_bits(g.reach_mask(s) & ~(1 << s)))
                 stream.append((s, stream_rng.choice(targets)))
             else:
                 t = stream_rng.choice(shared)
-                sources = sorted(reachable_set(g, t, reverse=True) - {t})
+                sources = list(iter_bits(g.reach_mask(t, reverse=True) & ~(1 << t)))
                 stream.append((stream_rng.choice(sources), t))
         return g, tuple(stream)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BoundsError, ParameterError
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, iter_bits
 
 Path = tuple[int, ...]
 
@@ -192,13 +192,6 @@ class _PairIndex:
         return self.shared.get(pair) or [self.owner[pair]]
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _order_ok(constraint: OrderConstraint, arcs, river: int) -> bool:
     """Whether the river sits where the constraint wants it."""
     if constraint is OrderConstraint.FIRST_ARC_BEFORE_RIVER:
@@ -327,7 +320,7 @@ def find_k_bridge(
             for q in taken:
                 base &= ~river_groups.get(q, 0)
             # the last hop and the river may share one one-path list
-            for v in _iter_bits(base):
+            for v in iter_bits(base):
                 hop, river = (last, v), (first, v)
                 if hop not in shared and river not in shared and owner[hop] == owner[river]:
                     base ^= 1 << v
@@ -355,7 +348,7 @@ def find_k_bridge(
             prefix.append(v)
             mask = used_mask | (1 << v)
             child = candidates(prefix, mask, taken)
-            found = extend(prefix, mask, taken, _iter_bits(child)) if child else None
+            found = extend(prefix, mask, taken, iter_bits(child)) if child else None
             prefix.pop()
             if one:
                 taken.pop()

@@ -189,16 +189,13 @@ def grow_backwards(
 
 def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
     """The pairs (s, t) whose t is not reachable from s in g, in input
-    order. g may be cyclic, as the CLI's output graphs can be: it is
-    condensed once and each pair is one bit of the condensation's DAG
-    closure (n*n/8 bytes at most). A source outside g raises
-    BoundsError; a sink outside g is reported as unreachable."""
-    cond = condense(g)
-    comp, dag = cond.component_of, cond.dag
+    order. g may be cyclic, as the CLI's output graphs can be: each pair
+    is one bit of g's forward closure (``reach_mask``). A source outside
+    g raises BoundsError; a sink outside g is reported as unreachable."""
     bad = []
     for s, t in pairs:
-        check_vertices(g.n, s)
-        if not (0 <= t < g.n and dag.reach_mask(comp[s]) >> comp[t] & 1):
+        mask = g.reach_mask(s)
+        if not (0 <= t < g.n and mask >> t & 1):
             bad.append((s, t))
     return bad
 
@@ -391,8 +388,7 @@ def verify_session(session: CondensingPreserver) -> SessionReport:
 
     A record whose recorded path lies in H certifies its pair. The
     others are checked against the bitset closure of H, built only when
-    some record needs it; H is a DAG because every H edge comes from a
-    path of the DAG."""
+    some record needs it."""
     z = session.z_system()
     acyclic, _ = is_acyclic(z)
     expected = len(session.h) + session.pairs_served

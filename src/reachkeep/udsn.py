@@ -27,7 +27,8 @@ from .graphs import (
     bfs_parents,
     check_vertices,
     condense,
-    reachable_set,
+    iter_bits,
+    reachable_set,  # unused here; perfbench/tracing.py wraps this binding
 )
 from .preserver import CondensingPreserver, GrowthMode
 from .seeding import rng_for
@@ -68,21 +69,26 @@ class UdsnParams:
 
 
 def is_thin(g: DirectedGraph, s: int, t: int, tau: int) -> bool:
-    """True when at most tau vertices lie on some path from s to t."""
+    """True when at most tau vertices lie on some path from s to t: the
+    popcount of s's forward and t's backward ``reach_mask`` (any digraph)."""
     if tau < 1:
         raise ParameterError(f"tau must be >= 1, got {tau}")
-    between = reachable_set(g, s) & reachable_set(g, t, reverse=True)
-    return len(between) <= tau
+    return (g.reach_mask(s) & g.reach_mask(t, reverse=True)).bit_count() <= tau
+
+
+def _between(cond: Condensation, s: int, t: int) -> int:
+    """Bitset of the components on some s-to-t path of ``cond.graph``. A
+    vertex lies on such a path exactly when its component does on the
+    condensation's DAG, so this reads that DAG's closure."""
+    comp = cond.component_of
+    return cond.dag.reach_mask(comp[s]) & cond.dag.reach_mask(comp[t], reverse=True)
 
 
 def hit_by(cond: Condensation, s: int, t: int, sample: tuple[int, ...]) -> int | None:
-    """First sampled vertex on some s-to-t path of ``cond.graph``, or
-    None. A vertex lies on such a path exactly when its component does
-    on the condensation's DAG, so this reads that DAG's closure."""
+    """First sampled vertex on some s-to-t path of ``cond.graph``, or None."""
     n = cond.graph.n
     check_vertices(n, s, t)
-    comp = cond.component_of
-    between = cond.dag.reach_mask(comp[s]) & cond.dag.reach_mask(comp[t], reverse=True)
+    comp, between = cond.component_of, _between(cond, s, t)
     for v in sample:
         if 0 <= v < n and between >> comp[v] & 1:
             return v
@@ -163,7 +169,10 @@ class UdsnSession:
                 edges = self.fw_leg.serve_pair(s, via) + self.bw_leg.serve_pair(via, t)
             else:
                 route = THIN
-                violation = not is_thin(self.g, s, t, self.params.tau)
+                # is_thin(self.g, ...) on the closure hit_by reads, not on G's own.
+                members = self.condensation.components
+                between = iter_bits(_between(self.condensation, s, t))
+                violation = sum(len(members[c]) for c in between) > self.params.tau
                 edges = bfs_route(self.g, s, t)
         added = self.output.add_all(edges)
         # A hit's cost stays the legs' count: manifests hash it (ROADMAP item 8).

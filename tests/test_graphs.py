@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from reachkeep.errors import (
     BoundsError,
-    CyclicGraphError,
     InfeasiblePairError,
     MissingEntryError,
     ParseError,
@@ -243,11 +242,11 @@ class TestDirectedGraph:
                 u for u, v in closure if v == root
             }
             for reverse in (False, True):
-                if g.is_dag:
-                    assert bits(g.reach_mask(root, reverse)) == reachable_set(g, root, reverse)
-                else:
-                    with pytest.raises(CyclicGraphError):
-                        g.reach_mask(root, reverse)
+                assert bits(g.reach_mask(root, reverse)) == reachable_set(g, root, reverse)
+        # The members of one strong component share one mask object.
+        for comp in scc_oracle(n, edges):
+            for reverse in (False, True):
+                assert len({id(g.reach_mask(v, reverse)) for v in comp}) == 1
         store = EdgeStore(n)
         for e in g.edges:
             store.add(e)
@@ -522,12 +521,12 @@ def test_condense_and_reach_mask_match_networkx(seed):
                 else:
                     with pytest.raises(InfeasiblePairError):
                         bfs_route(g, s, t)
-        for dag in (c.dag, g) if g.is_dag else (c.dag,):
-            nd = nx.DiGraph(list(dag.edges))
-            nd.add_nodes_from(range(dag.n))
-            for v in range(dag.n):
-                assert bits(dag.reach_mask(v)) == nx.descendants(nd, v) | {v}
-                assert bits(dag.reach_mask(v, reverse=True)) == nx.ancestors(nd, v) | {v}
+        for h in (c.dag, g):
+            nh = nx.DiGraph(list(h.edges))
+            nh.add_nodes_from(range(h.n))
+            for v in range(h.n):
+                assert bits(h.reach_mask(v)) == nx.descendants(nh, v) | {v}
+                assert bits(h.reach_mask(v, reverse=True)) == nx.ancestors(nh, v) | {v}
 
 
 @st.composite

@@ -19,8 +19,8 @@ from reachkeep import (
     min_preserver,
     reachable_set,
 )
-from reachkeep.oracle import _GreedyAdversary, reachable_pairs
-from test_preserver import dag_with_pairs, reference_grow
+from reachkeep.oracle import _GreedyAdversary, _preserves, reachable_pairs
+from test_preserver import dag_with_pairs, graphs_with_stray_pairs, outcome, reference_grow
 
 TRIANGLE = DirectedGraph(3, {(0, 1), (1, 2), (0, 2)})
 CHAIN4 = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
@@ -107,6 +107,51 @@ class TestMinPreserver:
         for i in range(len(opt)):
             thinner = opt[:i] + opt[i + 1 :]
             assert not preserves(g.n, thinner, [(s, t) for s, t in pairs if s != t])
+
+
+def bfs_reachable_pairs(g: DirectedGraph) -> list:
+    """``reachable_pairs`` as it was before it read ``reach_mask``: one
+    ``reachable_set`` sweep per vertex. Kept as the reference."""
+    return [(u, v) for u in range(g.n) for v in sorted(reachable_set(g, u))]
+
+
+def bfs_preserves(n: int, edge_set, pairs) -> bool:
+    """``_preserves`` as it was before it read ``reach_mask``: one
+    ``reachable_set`` sweep of an ``EdgeStore`` per distinct source.
+    Kept as the reference."""
+    h = EdgeStore(n)
+    for e in edge_set:
+        h.add(e)
+    reach: dict[int, frozenset[int]] = {}
+    for s, t in pairs:
+        if s not in reach:
+            reach[s] = reachable_set(h, s)
+        if t not in reach[s]:
+            return False
+    return True
+
+
+class TestClosureAgainstBfs:
+    @given(graphs_with_stray_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_reachable_pairs_matches_bfs(self, case):
+        g, _ = case
+        assert reachable_pairs(g) == bfs_reachable_pairs(g)
+
+    @given(graphs_with_stray_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_preserves_matches_bfs(self, case):
+        g, pairs = case
+        edges = sorted(g.edges)
+        for edge_set in [edges] + [edges[:i] + edges[i + 1 :] for i in range(len(edges))]:
+            got = outcome(lambda: _preserves(g.n, edge_set, pairs))
+            assert got == outcome(lambda: bfs_preserves(g.n, edge_set, pairs))
+
+    def test_preserves_reads_pairs_in_order(self):
+        assert not _preserves(4, CHAIN4.edges, [(3, 0), (9, 0)])
+        with pytest.raises(BoundsError, match="vertex 9 outside range 0..3"):
+            _preserves(4, CHAIN4.edges, [(0, 3), (9, 0)])
+        assert not _preserves(4, CHAIN4.edges, [(0, -1)])
 
 
 class TestGreedyAdversary:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reachkeep import CondensingPreserver, InstanceFamily, generate, pathsystem
 from reachkeep.errors import BoundsError, ParameterError
+from reachkeep.graphs import iter_bits
 from reachkeep.pathsystem import (
     BridgeWitness,
     OrderConstraint,
@@ -129,7 +130,7 @@ def unpruned_find_k_bridge(
         base = succ.get(prefix[-1], 0) & ~used_mask
         if depth == k - 1:
             base &= succ.get(prefix[0], 0)
-        for v in pathsystem._iter_bits(base):
+        for v in iter_bits(base):
             prefix.append(v)
             if depth == k - 1:
                 found = try_chain(tuple(prefix))
@@ -214,7 +215,7 @@ def parent_find_k_bridge(
             river_groups = sole.get(first, no_groups)
             for q in taken:
                 base &= ~river_groups.get(q, 0)
-            for v in pathsystem._iter_bits(base):
+            for v in iter_bits(base):
                 hop = lists[(last, v)]
                 if len(hop) == 1 and hop == lists[(first, v)]:
                     base ^= 1 << v
@@ -224,7 +225,7 @@ def parent_find_k_bridge(
         prefix: list[int], used_mask: int, taken: list[int], base: int
     ) -> BridgeWitness | None:
         last = prefix[-1]
-        for v in pathsystem._iter_bits(base):
+        for v in iter_bits(base):
             prefix.append(v)
             if len(prefix) == k:
                 found = try_chain(tuple(prefix))
@@ -245,7 +246,7 @@ def parent_find_k_bridge(
     for x1 in sorted(succ):
         feeds = 0
         if k > 2:
-            for b in pathsystem._iter_bits(succ[x1]):
+            for b in iter_bits(succ[x1]):
                 feeds |= pred[b]
         base = candidates([x1], 1 << x1, [])
         if base:

@@ -551,9 +551,9 @@ class TestEdgeStore:
 
 
 def bfs_unreachable_pairs(g: DirectedGraph, pairs) -> list:
-    """``unreachable_pairs`` as it was before it read the condensation's
-    closure: one ``reachable_set`` sweep per distinct source. Kept as
-    the reference."""
+    """``unreachable_pairs`` as it was before it read a bitset closure:
+    one ``reachable_set`` sweep per distinct source. Kept as the
+    reference."""
     reach: dict[int, frozenset[int]] = {}
     bad = []
     for s, t in pairs:
@@ -579,6 +579,24 @@ def cyclic_digraph_with_any_pairs(draw):
     return DirectedGraph(n, edges), draw(st.permutations(pairs))
 
 
+@st.composite
+def graphs_with_stray_pairs(draw):
+    """An acyclic or a cyclic digraph on shuffled ids, and pairs
+    (repeats included) whose endpoints may fall outside the vertex
+    range."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    acyclic = draw(st.booleans())
+    perm = draw(st.permutations(range(n)))
+    pool = [
+        (perm[i], perm[j]) for i in range(n) for j in range(n) if (i < j if acyclic else i != j)
+    ]
+    edges = draw(st.sets(st.sampled_from(pool), max_size=14)) if pool else set()
+    end = st.integers(-2, n + 1)
+    pairs = draw(st.lists(st.tuples(end, end), max_size=10))
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return DirectedGraph(n, edges), pairs
+
+
 class TestUnreachablePairs:
     def test_reports_failures_in_input_order(self):
         pairs = [(2, 0), (0, 3), (3, 1), (0, 0), (2, 0)]
@@ -590,17 +608,29 @@ class TestUnreachablePairs:
         g, pairs = case
         assert unreachable_pairs(g, pairs) == bfs_unreachable_pairs(g, pairs)
 
-    def test_one_condensation_per_call(self, monkeypatch):
+    @given(graphs_with_stray_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bfs_with_stray_endpoints(self, case):
+        g, pairs = case
+        got = outcome(lambda: unreachable_pairs(g, pairs))
+        assert got == outcome(lambda: bfs_unreachable_pairs(g, pairs))
+
+    def test_one_closure_build_per_call(self, monkeypatch):
+        # On a cyclic graph each closure build is one strong-component pass.
         calls = []
 
-        def counting(g):
-            calls.append(g)
-            return condense(g)
+        def counting(n, step):
+            calls.append(n)
+            return strong_components(n, step)
 
-        monkeypatch.setattr(preserver, "condense", counting)
+        strong_components = graphs._strong_components
+        monkeypatch.setattr(graphs, "_strong_components", counting)
         cyclic = DirectedGraph(4, {(0, 1), (1, 0), (1, 2)})
         assert unreachable_pairs(cyclic, [(0, 2), (2, 0), (1, 0), (3, 2), (0, 2)]) == [(2, 0), (3, 2)]
-        assert calls == [cyclic]
+        assert calls == [4]
+        assert cyclic._closure[True] is None
+        assert unreachable_pairs(cyclic, [(2, 1), (1, 2)]) == [(2, 1)]
+        assert calls == [4]
 
     def test_sink_out_of_range_is_unreachable_and_source_raises(self):
         assert unreachable_pairs(DIAMOND, [(0, 4), (0, 3), (0, -1)]) == [(0, 4), (0, -1)]

@@ -28,6 +28,7 @@ from reachkeep import (
     reachable_set,
 )
 from reachkeep.graphs import parse_pairs
+from test_preserver import graphs_with_stray_pairs, outcome
 
 CHAIN3 = DirectedGraph(3, {(0, 1), (1, 2)})
 
@@ -104,6 +105,15 @@ def cyclic_digraph_with_sample(draw):
     return DirectedGraph(n, edges), sample
 
 
+def bfs_is_thin(g: DirectedGraph, s: int, t: int, tau: int) -> bool:
+    """``is_thin`` as it was before it read ``reach_mask``: two
+    ``reachable_set`` sweeps. Kept as the reference."""
+    if tau < 1:
+        raise ParameterError(f"tau must be >= 1, got {tau}")
+    between = reachable_set(g, s) & reachable_set(g, t, reverse=True)
+    return len(between) <= tau
+
+
 class TestParams:
     def test_defaults_scale_with_n(self):
         params = UdsnParams.defaults_for(10)
@@ -146,6 +156,14 @@ class TestThinAndHit:
     def test_is_thin_validates_tau(self):
         with pytest.raises(ParameterError):
             is_thin(CHAIN3, 0, 2, 0)
+
+    @given(graphs_with_stray_pairs(), st.integers(-1, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_is_thin_matches_bfs(self, case, tau):
+        g, pairs = case
+        for s, t in pairs:
+            got = outcome(lambda: is_thin(g, s, t, tau))
+            assert got == outcome(lambda: bfs_is_thin(g, s, t, tau))
 
     def test_hit_by_returns_smallest_sampled_relay(self):
         c = condense(DirectedGraph(4, {(0, 1), (1, 2), (2, 3)}))
@@ -340,6 +358,18 @@ class TestAggregates:
             assert t in reachable_set(out, s)
         assert session.total_route_cost >= len(session.output)
         assert len(session.records) == len(pairs)
+
+    @given(digraph_with_pairs(), st.integers(1, 4), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_thin_violations_match_two_bfs_sweeps(self, case, tau, seed):
+        # The session counts the between set on the condensation's DAG.
+        g, pairs = case
+        session = UdsnSession(g, UdsnParams(tau=tau, T=0, sample_constant=0.1), seed=seed)
+        for s, t in pairs:
+            record = session.serve(s, t)
+            thick = record.route == THIN and not bfs_is_thin(g, s, t, tau)
+            assert record.thin_violation == thick
+        assert g._closure == [None, None] or g is session.condensation.dag
 
     @pytest.mark.parametrize("seed", range(12))
     def test_batch_insertion_matches_the_per_edge_session(self, seed):
