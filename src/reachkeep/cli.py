@@ -76,17 +76,13 @@ def _read(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
-def _witness_json(w) -> dict | None:
-    return None if w is None else w.to_json_dict()
-
-
 def _report_json(report) -> dict[str, object]:
     return {
         "acyclic": report.acyclic,
         "size_ok": report.size_ok,
         "expected_size": report.expected_size,
         "actual_size": report.actual_size,
-        "bridges": {str(k): _witness_json(w) for k, w in sorted(report.bridges.items())},
+        "bridges": {str(k): w and w.to_json_dict() for k, w in sorted(report.bridges.items())},
         "unreachable_pairs": [list(p) for p in report.unreachable_pairs],
         "ok": report.ok,
     }

@@ -111,6 +111,27 @@ class VerificationResult:
     reason: str | None = None
 
 
+def _divergence(path: Path, stored_id: str, manifest: RunManifest, runner: Runner) -> str | None:
+    """The first reason the manifest read from path fails to verify, or None."""
+    if stored_id != manifest.manifest_id:
+        return f"identity mismatch: stored {stored_id}, content {manifest.manifest_id}"
+    if path.stem != stored_id:
+        return f"file name {path.stem} != id {stored_id}"
+    try:
+        replayed = runner(manifest)
+    except Exception as exc:
+        return f"replay failed: {exc}"
+    for label in sorted(set(manifest.outputs) | set(replayed)):
+        want = manifest.outputs.get(label)
+        got = replayed.get(label)
+        if want != got:
+            return (
+                f"output {label!r}: recorded "
+                f"{(want or 'absent')[:12]}, replayed {(got or 'absent')[:12]}"
+            )
+    return None
+
+
 def verify_all(directory: str | Path, runner: Runner) -> list[VerificationResult]:
     """Replay every manifest in the directory. A result is recorded per
     file; a stored id that no longer matches the content counts as a
@@ -125,43 +146,10 @@ def verify_all(directory: str | Path, runner: Runner) -> list[VerificationResult
             raw = json.loads(path.read_text())
             manifest = RunManifest.from_json_dict(raw)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            results.append(VerificationResult(str(path), "", False, f"unreadable: {exc}"))
-            continue
-        stored_id = str(raw.get("id", ""))
-        if stored_id != manifest.manifest_id:
-            results.append(
-                VerificationResult(
-                    str(path),
-                    stored_id,
-                    False,
-                    f"identity mismatch: stored {stored_id}, content {manifest.manifest_id}",
-                )
-            )
-            continue
-        if path.stem != stored_id:
-            results.append(
-                VerificationResult(
-                    str(path), stored_id, False, f"file name {path.stem} != id {stored_id}"
-                )
-            )
-            continue
-        try:
-            replayed = runner(manifest)
-        except Exception as exc:
-            results.append(
-                VerificationResult(str(path), stored_id, False, f"replay failed: {exc}")
-            )
-            continue
-        reason = None
-        for label in sorted(set(manifest.outputs) | set(replayed)):
-            want = manifest.outputs.get(label)
-            got = replayed.get(label)
-            if want != got:
-                reason = (
-                    f"output {label!r}: recorded "
-                    f"{(want or 'absent')[:12]}, replayed {(got or 'absent')[:12]}"
-                )
-                break
+            stored_id, reason = "", f"unreadable: {exc}"
+        else:
+            stored_id = str(raw.get("id", ""))
+            reason = _divergence(path, stored_id, manifest, runner)
         results.append(VerificationResult(str(path), stored_id, reason is None, reason))
     return results
 

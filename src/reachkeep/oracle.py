@@ -250,10 +250,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
 
     if kind == "random-dag":
         _, edges = _random_dag_edges(n, family.density, graph_rng)
-        g = DirectedGraph(n, edges)
-        return g, _stream_from(g, family.pairs, stream_rng)
-
-    if kind == "random-digraph":
+    elif kind == "random-digraph":
         edges = {
             (u, v)
             for u in range(n)
@@ -262,10 +259,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         }
         if not edges and n >= 2:
             edges.add((0, 1))
-        g = DirectedGraph(n, edges)
-        return g, _stream_from(g, family.pairs, stream_rng)
-
-    if kind == "layered":
+    elif kind == "layered":
         layer_count = family.layers or min(n, max(2, round(math.sqrt(n))))
         layers: list[list[int]] = [[] for _ in range(layer_count)]
         for v in range(n):
@@ -280,10 +274,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
                         linked = True
                 if not linked and b:
                     edges.add((u, graph_rng.choice(b)))
-        g = DirectedGraph(n, edges)
-        return g, _stream_from(g, family.pairs, stream_rng)
-
-    if kind == "path-union":
+    elif kind == "path-union":
         length = family.part_length
         parts = n // length
         edges = set()
@@ -299,8 +290,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         while len(stream) < family.pairs:
             stream.append(stream_rng.choice(demands))
         return g, tuple(stream)
-
-    if kind == "sourcewise":
+    else:  # sourcewise
         perm, edges = _random_dag_edges(n, family.density, graph_rng)
         pos = {v: i for i, v in enumerate(perm)}
         if family.side == "source":
@@ -325,3 +315,7 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
                 sources = list(iter_bits(g.reach_mask(t, reverse=True) & ~(1 << t)))
                 stream.append((stream_rng.choice(sources), t))
         return g, tuple(stream)
+
+    # random-dag, random-digraph and layered draw their stream alike
+    g = DirectedGraph(n, edges)
+    return g, _stream_from(g, family.pairs, stream_rng)

@@ -32,18 +32,18 @@ class PathSystem:
     paths: tuple[Path, ...]
 
     def __post_init__(self):
-        if self.universe < 0:
-            raise BoundsError(f"universe must be >= 0, got {self.universe}")
+        n = self.universe
+        if n < 0:
+            raise BoundsError(f"universe must be >= 0, got {n}")
         for idx, path in enumerate(self.paths):
             if len(path) == 0:
                 raise BoundsError(f"path {idx} is empty")
             if len(set(path)) != len(path):
                 raise BoundsError(f"path {idx} repeats a vertex: {path}")
             for v in path:
-                if not (0 <= v < self.universe):
-                    raise BoundsError(
-                        f"path {idx} uses vertex {v} outside 0..{self.universe - 1}"
-                    )
+                # bool is an int subclass, so the exact type test rejects True
+                if type(v) is not int or not 0 <= v < n:
+                    raise BoundsError(f"path {idx} uses vertex {v!r}, not an int in 0..{n - 1}")
 
     def size(self) -> int:
         """Total number of vertex instances across all paths."""
@@ -154,21 +154,22 @@ class _PairIndex:
         pred: dict[int, int] = {}
         sole: dict[int, dict[int, int]] = {}
         for idx, path in enumerate(paths):
-            earlier = 0
-            for b in path:
-                if earlier:
-                    pred[b] = pred.get(b, 0) | earlier
+            # a one-vertex path holds no ordered pair
+            if len(path) < 2:
+                continue
+            earlier = 1 << path[0]
+            for b in path[1:]:
+                pred[b] = pred.get(b, 0) | earlier
                 earlier |= 1 << b
-            later = 0
-            for i in range(len(path) - 1, -1, -1):
+            later = 1 << path[-1]
+            for i in range(len(path) - 2, -1, -1):
                 a = path[i]
-                if later:
-                    succ[a] = succ.get(a, 0) | later
-                    sole.setdefault(a, {})[idx] = later
-                    for b in path[i + 1 :]:
-                        q = owner.setdefault((a, b), idx)
-                        if q != idx:
-                            shared.setdefault((a, b), [q]).append(idx)
+                succ[a] = succ.get(a, 0) | later
+                sole.setdefault(a, {})[idx] = later
+                for b in path[i + 1 :]:
+                    q = owner.setdefault((a, b), idx)
+                    if q != idx:
+                        shared.setdefault((a, b), [q]).append(idx)
                 later |= 1 << a
         # a shared pair is on no path alone: clear it from each of its paths
         for (a, b), qs in shared.items():

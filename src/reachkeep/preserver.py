@@ -379,6 +379,22 @@ class SessionReport:
         return "; ".join(problems)
 
 
+def _ascends(paths: Iterable[tuple[int, ...]], order: tuple[int, ...]) -> bool:
+    """Whether every path strictly ascends in order, a permutation of
+    0..len(order)-1 that holds every vertex the paths use."""
+    position = [0] * len(order)
+    for i, c in enumerate(order):
+        position[c] = i
+    for path in paths:
+        last = -1
+        for c in path:
+            at = position[c]
+            if at <= last:
+                return False
+            last = at
+    return True
+
+
 def verify_session(session: CondensingPreserver) -> SessionReport:
     """Full audit of a finished session: auxiliary system acyclic, size
     identity |Z| = |H| + p exact, no mode-constrained bridge of width 2,
@@ -386,11 +402,14 @@ def verify_session(session: CondensingPreserver) -> SessionReport:
     the component DAG, where H and Z live. Violations are reported with
     witnesses instead of raised, unpreserved pairs as they were served.
 
+    Z is acyclic when every path strictly ascends in the component DAG's
+    cached topological order, one total order they all agree with; only
+    when some path breaks that order does the full ``is_acyclic`` decide.
     A record whose recorded path lies in H certifies its pair. The
     others are checked against the bitset closure of H, built only when
     some record needs it."""
     z = session.z_system()
-    acyclic, _ = is_acyclic(z)
+    acyclic = _ascends(z.paths, session.dag.topological_order()) or is_acyclic(z)[0]
     expected = len(session.h) + session.pairs_served
     actual = z.size()
     bridges = {k: find_k_bridge(z, k, session.mode.constraint) for k in (2, 3, 4)}

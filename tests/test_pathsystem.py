@@ -174,6 +174,53 @@ class ParentSystemIndex:
                 groups[q] = groups.get(q, 0) | (1 << b)
 
 
+class ParentPairIndex(pathsystem._PairIndex):
+    """The one-owner index as it was built before one-vertex paths were
+    skipped: every path goes through both loops. Kept as the oracle."""
+
+    __slots__ = ()
+
+    def __init__(self, paths):
+        owner: dict[tuple[int, int], int] = {}
+        shared: dict[tuple[int, int], list[int]] = {}
+        succ: dict[int, int] = {}
+        pred: dict[int, int] = {}
+        sole: dict[int, dict[int, int]] = {}
+        for idx, path in enumerate(paths):
+            earlier = 0
+            for b in path:
+                if earlier:
+                    pred[b] = pred.get(b, 0) | earlier
+                earlier |= 1 << b
+            later = 0
+            for i in range(len(path) - 1, -1, -1):
+                a = path[i]
+                if later:
+                    succ[a] = succ.get(a, 0) | later
+                    sole.setdefault(a, {})[idx] = later
+                    for b in path[i + 1 :]:
+                        q = owner.setdefault((a, b), idx)
+                        if q != idx:
+                            shared.setdefault((a, b), [q]).append(idx)
+                later |= 1 << a
+        # a shared pair is on no path alone: clear it from each of its paths
+        for (a, b), qs in shared.items():
+            groups = sole[a]
+            for q in qs:
+                groups[q] ^= 1 << b
+                if not groups[q]:
+                    del groups[q]
+            if not groups:
+                del sole[a]
+        after: dict[int, list[int]] = {}
+        for a, b in owner:
+            after.setdefault(a, []).append(b)
+        for bs in after.values():
+            bs.sort()
+        self.owner, self.shared, self.succ, self.pred = owner, shared, succ, pred
+        self.after, self.sole = after, sole
+
+
 def parent_find_k_bridge(
     s: PathSystem,
     k: int,
@@ -269,6 +316,20 @@ def path_systems(draw, max_universe=6, max_paths=5, max_len=5):
 
 
 @st.composite
+def systems_with_one_vertex_paths(draw, max_universe=9, max_paths=14, max_len=6):
+    """Systems in which most paths are one vertex long, interleaved at
+    random among longer ones, as in a session where most pairs add no
+    edge."""
+    n = draw(st.integers(2, max_universe))
+    paths = []
+    for _ in range(draw(st.integers(1, max_paths))):
+        long = draw(st.integers(0, 2)) == 0
+        length = draw(st.integers(2, min(max_len, n))) if long else 1
+        paths.append(tuple(draw(st.permutations(tuple(range(n))))[:length]))
+    return PathSystem(n, tuple(paths))
+
+
+@st.composite
 def one_owner_systems(draw, max_universe=12, max_paths=8, max_len=10):
     """Systems in which no ordered pair lies on two paths: each path
     keeps a vertex only if none of its pairs with the vertices already
@@ -301,6 +362,11 @@ class TestPathSystem:
     def test_rejects_out_of_range(self):
         with pytest.raises(BoundsError):
             PathSystem(2, ((0, 2),))
+
+    @pytest.mark.parametrize("vertex", [0.5, "1", True])
+    def test_rejects_a_vertex_that_is_not_an_int(self, vertex):
+        with pytest.raises(BoundsError, match=f"path 1 uses vertex {vertex!r}, not an int"):
+            PathSystem(3, ((0, 1), (vertex, 2)))
 
     def test_size_degree_support(self):
         s = PathSystem(5, ((0, 1, 2), (1, 3)))
@@ -543,6 +609,37 @@ class TestParentOracle:
                     assert found == parent_find_k_bridge(system, k, constraint)
                     met += found is not None
         assert met > 0
+
+
+class TestIndexSkipsOneVertexPaths:
+    """The index, which skips one-vertex paths, against the parent's
+    build, which runs every path through its loops."""
+
+    @given(st.one_of(systems_with_one_vertex_paths(), path_systems(max_universe=8, max_paths=8)))
+    @settings(max_examples=400, deadline=None)
+    def test_same_index_as_the_parent_build(self, s):
+        index, parent = s.pair_index, ParentPairIndex(s.paths)
+        for name in ("owner", "shared", "succ", "pred", "sole", "after"):
+            assert getattr(index, name) == getattr(parent, name), name
+
+    @given(
+        systems_with_one_vertex_paths(),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_witness_as_the_parent_build(self, s, k, constraint):
+        on_parent = PathSystem(s.universe, s.paths)
+        on_parent.__dict__["pair_index"] = ParentPairIndex(s.paths)
+        found = find_k_bridge(s, k, constraint)
+        assert found == find_k_bridge(on_parent, k, constraint)
+        assert found == parent_find_k_bridge(s, k, constraint)
+
+    def test_one_vertex_paths_add_nothing(self):
+        index = PathSystem(4, ((3,), (0, 1), (1,), (2,), (0,))).pair_index
+        assert (index.owner, index.shared) == ({(0, 1): 1}, {})
+        assert (index.succ, index.pred, index.after) == ({0: 0b10}, {1: 0b1}, {0: [1]})
+        assert index.sole == {0: {1: 0b10}}
 
 
 class TestPrefixMonotonicity:

@@ -30,7 +30,8 @@ from reachkeep import (
     verify_session,
 )
 from reachkeep.graphs import check_vertices
-from reachkeep.preserver import _walk, unreachable_pairs
+from reachkeep.pathsystem import find_k_bridge, is_acyclic
+from reachkeep.preserver import SessionReport, _walk, unreachable_pairs
 from test_nonadaptive import time_limit
 
 DIAMOND = DirectedGraph(4, {(0, 1), (1, 2), (0, 2), (2, 3)})
@@ -929,6 +930,169 @@ class TestVerifySession:
             session.serve_pair(s, t)
             report = verify_session(session)
             assert report.ok, report.describe()
+
+
+def parent_verify_session(session: CondensingPreserver) -> SessionReport:
+    """Full audit of a finished session: auxiliary system acyclic, size
+    identity |Z| = |H| + p exact, no mode-constrained bridge of width 2,
+    3 or 4, and every served pair reachable in H. All of it is read on
+    the component DAG, where H and Z live. Violations are reported with
+    witnesses instead of raised, unpreserved pairs as they were served.
+
+    A record whose recorded path lies in H certifies its pair. The
+    others are checked against the bitset closure of H, built only when
+    some record needs it."""
+    # The audit before acyclicity was certified by the DAG's order: the
+    # full is_acyclic runs on every call. Kept as the oracle.
+    z = session.z_system()
+    acyclic, _ = is_acyclic(z)
+    expected = len(session.h) + session.pairs_served
+    actual = z.size()
+    bridges = {k: find_k_bridge(z, k, session.mode.constraint) for k in (2, 3, 4)}
+    h_edges = session.h.edges
+    unsure = [r for r in session.log if not h_edges.issuperset(zip(r.path, r.path[1:]))]
+    if unsure:
+        h = session.h.to_graph()
+        unsure = [r for r in unsure if not h.reach_mask(r.path[0]) >> r.path[-1] & 1]
+    unreachable = [r.pair for r in unsure]
+    return SessionReport(
+        acyclic=acyclic,
+        size_ok=(expected == actual),
+        expected_size=expected,
+        actual_size=actual,
+        bridges=bridges,
+        unreachable_pairs=unreachable,
+    )
+
+
+class AgainstOrderSession(CondensingPreserver):
+    """A session on a DAG that serves the pairs whose stream index is in
+    ``against`` along the reverse of their grown path; every path edge
+    not yet in H counts as new. A reversed path with two vertices or
+    more gives an auxiliary path against the DAG's topological order.
+    Paths are grown on ``grown``, the H of the honest session, because a
+    walk that read the reversed edges in H could circle forever. The
+    reversed edges are not DAG edges, so only an identity condensation
+    (a DAG input) can lift them."""
+
+    def __init__(self, g: DirectedGraph, mode, against):
+        super().__init__(g, mode)
+        self.against = against
+        self.grown = EdgeStore(self.dag.n)
+
+    def _choose_path(self, s: int, t: int, new: list) -> tuple[int, ...]:
+        taken: list = []
+        path = self.mode.grow(self.dag, self.grown, s, t, taken)
+        for e in taken:
+            self.grown.add(e)
+        if len(self.log) in self.against:
+            path = path[::-1]
+        new.extend(e for e in zip(path, path[1:]) if e not in self.h)
+        return path
+
+
+def breaks_dag_order(session: CondensingPreserver) -> bool:
+    """Whether some auxiliary path fails to ascend strictly in the
+    component DAG's topological order, read by a dict of positions."""
+    position = {c: i for i, c in enumerate(session.dag.topological_order())}
+    return any(
+        position[a] >= position[b] for path in session.z_paths for a, b in zip(path, path[1:])
+    )
+
+
+def audited_against_the_parent(session: CondensingPreserver, monkeypatch) -> tuple[SessionReport, int]:
+    """verify_session's report, asserted equal (as its repr) to the
+    parent's, and the number of is_acyclic calls the audit made through
+    preserver's binding."""
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return is_acyclic(z)
+
+    monkeypatch.setattr(preserver, "is_acyclic", counted)
+    report = verify_session(session)
+    monkeypatch.undo()
+    assert repr(report) == repr(parent_verify_session(session))
+    return report, len(calls)
+
+
+class TestAcyclicityCertificate:
+    @given(
+        st.one_of(ringed_digraph_with_pairs(), dag_with_pairs()),
+        st.sampled_from(["fw", "bw"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_honest_sessions_match_the_parent_without_is_acyclic(self, case, mode):
+        g, pairs = case
+        session = CondensingPreserver(g, mode)
+        for s, t in pairs:
+            session.serve_pair(s, t)
+        with pytest.MonkeyPatch.context() as mp:
+            report, calls = audited_against_the_parent(session, mp)
+        assert report.ok, report.describe()
+        assert calls == 0
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    @pytest.mark.parametrize("kind", ["random-dag", "random-digraph"])
+    def test_generated_sessions_match_the_parent(self, kind, mode, monkeypatch):
+        density = 0.1 if kind == "random-dag" else 0.03
+        family = InstanceFamily(kind=kind, n=60, seed=7, density=density, pairs=120)
+        g, stream = generate(family)
+        session = CondensingPreserver(g, mode)
+        for s, t in stream:
+            session.serve_pair(s, t)
+        assert max(map(len, session.z_paths)) >= 3
+        report, calls = audited_against_the_parent(session, monkeypatch)
+        assert report.ok and calls == 0
+
+    @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sessions_against_the_order_match_the_parent(self, case, mode, data):
+        g, pairs = case
+        against = data.draw(st.sets(st.integers(0, len(pairs) - 1), min_size=1))
+        session = AgainstOrderSession(g, mode, against)
+        for s, t in pairs:
+            session.serve_pair(s, t)
+        with pytest.MonkeyPatch.context() as mp:
+            _, calls = audited_against_the_parent(session, mp)
+        assert calls == (1 if breaks_dag_order(session) else 0)
+
+    def test_a_path_against_the_order_on_an_acyclic_z_calls_is_acyclic_once(self, monkeypatch):
+        session = AgainstOrderSession(CHAIN3, "fw", {0})
+        session.serve_pair(0, 2)
+        assert session.z_paths == [(2, 1, 0)]
+        report, calls = audited_against_the_parent(session, monkeypatch)
+        assert report.acyclic and calls == 1
+
+    def test_a_cyclic_z_calls_is_acyclic_once(self, monkeypatch):
+        # the session of test_reversed_auxiliary_path_is_caught
+        g = DirectedGraph(4, {(0, 1), (1, 2), (1, 3), (3, 2)})
+        session = CondensingPreserver(g, "bw")
+        for s, t in [(0, 2), (1, 3), (3, 2)]:
+            session.serve_pair(s, t)
+        rec = session.log[0]
+        session.log[0] = rec._replace(new_edges=tuple(reversed(rec.new_edges)))
+        report, calls = audited_against_the_parent(session, monkeypatch)
+        assert not report.acyclic and calls == 1
+
+    @given(
+        st.one_of(ringed_digraph_with_pairs(), dag_with_pairs()),
+        st.sampled_from(["fw", "bw"]),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_reversed_records_match_the_parent(self, case, mode, data):
+        g, pairs = case
+        session = CondensingPreserver(g, mode)
+        for s, t in pairs:
+            session.serve_pair(s, t)
+        for i in data.draw(st.sets(st.integers(0, len(session.log) - 1))):
+            rec = session.log[i]
+            session.log[i] = rec._replace(new_edges=tuple(reversed(rec.new_edges)))
+        with pytest.MonkeyPatch.context() as mp:
+            _, calls = audited_against_the_parent(session, mp)
+        assert calls == (1 if breaks_dag_order(session) else 0)
 
 
 class TestSizeEnvelope:
