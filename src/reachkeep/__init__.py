@@ -2,6 +2,8 @@
 harness. Graphs are directed, vertices are 0..n-1, and every online
 structure only ever grows."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BoundsError,
     CyclicGraphError,
@@ -94,79 +96,9 @@ from .udsn import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsError",
-    "BridgeWitness",
-    "Condensation",
-    "CondensingPreserver",
-    "CyclicGraphError",
-    "DirectedGraph",
-    "EXHAUSTIVE_EDGE_LIMIT",
-    "EdgeStore",
-    "ExtremalSurrogate",
-    "FIRST_T",
-    "GrowthMode",
-    "HIT",
-    "IncrementalClosure",
-    "InfeasiblePairError",
-    "InstanceFamily",
-    "MissingEntryError",
-    "MonitorReport",
-    "OrderConstraint",
-    "PairRecord",
-    "ParameterError",
-    "ParseError",
-    "PathSystem",
-    "PathTable",
-    "RESIDUAL",
-    "ReachkeepError",
-    "RunManifest",
-    "SessionReport",
-    "SizeLimitError",
-    "THIN",
-    "TRIVIAL",
-    "UdsnParams",
-    "UdsnRecord",
-    "UdsnSession",
-    "VerificationResult",
-    "WHILE_LOOP",
-    "bench_cell",
-    "bench_sweep",
-    "bfs_route",
-    "canonical_json",
-    "condense",
-    "default_surrogate",
-    "dump_graph",
-    "find_k_bridge",
-    "generate",
-    "greedy_adversary_step",
-    "grow_backwards",
-    "grow_forwards",
-    "hash_json",
-    "hash_text",
-    "hit_by",
-    "is_acyclic",
-    "is_thin",
-    "lift_edge",
-    "load_graph",
-    "load_manifest",
-    "min_preserver",
-    "precompute_index_sensitive",
-    "precompute_known_p",
-    "primary_rows",
-    "r_set",
-    "reachable_set",
-    "reversed_system",
-    "rng_for",
-    "save_manifest",
-    "select_entry",
-    "size_envelope_general",
-    "size_envelope_source_restricted",
-    "sourcewise_cells",
-    "split_seed",
-    "surrogate_monitor",
-    "validate_witness",
-    "verify_all",
-    "verify_r_ordering",
-    "verify_session",
-]
+# Every public name bound above except the submodules.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -19,8 +19,10 @@ threshold is a prefix of the while-loop of a lower one. New-edge counts
 are integers >= 0, so a table depends on its threshold only through
 floor(max(threshold, -1)): levels that share that floor are built once,
 each still getting its own PathTable. The adversary keeps one path per
-candidate pair and grows it again only when a committed edge could
-change its walk.
+candidate pair, picks from a heap ordered by (-count, pair), and grows
+a path again only when a committed edge (u, v) can change its walk:
+forwards, when the walk reads u's out-list and v reaches the sink;
+backwards, when it reads v's in-list and the source reaches u.
 """
 
 from __future__ import annotations

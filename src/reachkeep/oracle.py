@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import InfeasiblePairError, ParameterError, SizeLimitError
@@ -88,12 +89,17 @@ class _GreedyAdversary:
     """The greedy adversary over a candidate set, with one cached path
     per candidate grown against the edge set h.
 
-    A growth walk reads h only at the vertices of its own path: forwards
-    growth reads the out-neighbours of each vertex, backwards growth the
-    in-neighbours. So a committed path can change a cached walk, or its
-    new-edge count, only if the cached path visits the tail (forwards)
-    or the head (backwards) of an edge the commit added; only those
-    candidates are grown again.
+    A walk reads h only at the vertices of its own path: forwards growth
+    the out-lists of all but the last vertex, backwards growth the
+    in-lists of all but the first. At such a vertex it takes the first
+    h-neighbour that reaches the sink (forwards) or that the source
+    reaches (backwards), else the first such g-neighbour. So a committed
+    edge (u, v) can change a forwards walk from s to t, or its new-edge
+    count, only if the walk reads u and v reaches t; a backwards walk
+    only if it reads v and s reaches u. Only those walks are grown again,
+    found through a per-vertex bitmask of the candidates whose walk reads
+    that vertex. The best pick is the top of a heap ordered by
+    (-count, pair).
     """
 
     def __init__(self, g: DirectedGraph, h, selector, candidates: Iterable[Pair]):
@@ -103,17 +109,43 @@ class _GreedyAdversary:
         self.g, self.h = g, h
         mode = GrowthMode(selector)
         self._grow = mode.grow
-        # Index in an edge of the end whose neighbour list the walk reads.
-        self._end = 0 if mode is GrowthMode.FORWARDS else 1
-        # pair -> (path, new-edge count, bitmask of the path's vertices)
+        self._backwards = mode is GrowthMode.BACKWARDS
+        # The end of an edge whose list the walk reads, and the vertices
+        # of a path where it reads them.
+        self._end = int(self._backwards)
+        self._reads = slice(1, None) if self._backwards else slice(0, -1)
+        # vertex -> bitmask of the numbers (positions in cands) of the
+        # candidates whose walk reads h there
+        self._readers = [0] * g.n
+        # vertex -> the candidates whose sink (forwards) or source
+        # (backwards) it is
+        self._ends = [0] * g.n
+        for i, (s, t) in enumerate(cands):
+            self._ends[s if self._backwards else t] |= 1 << i
+        self._cands = cands
+        # number - count * len(cands) per candidate, a heap in the order of
+        # (-count, pair); an entry whose count is out of date stays until
+        # it reaches the top
+        self._heap: list[int] = []
+        # pair -> (path, new-edge count, number)
         self._cache: dict[Pair, tuple[tuple[int, ...], int, int]] = {}
-        for pair in cands:
-            self._regrow(pair)
+        for i in range(len(cands)):
+            self._regrow(i)
 
-    def _regrow(self, pair: Pair) -> None:
-        new: list[Edge] = []
+    def _regrow(self, i: int) -> None:
+        pair, bit, new = self._cands[i], 1 << i, []
         path = self._grow(self.g, self.h, *pair, new)
-        self._cache[pair] = path, len(new), sum(1 << v for v in path)  # a DAG walk is simple
+        old = self._cache.get(pair)
+        if old is None or old[0] != path:
+            readers = self._readers
+            if old is not None:
+                for v in old[0][self._reads]:
+                    readers[v] ^= bit  # a DAG walk is simple
+            for v in path[self._reads]:
+                readers[v] |= bit
+        if old is None or old[1] != len(new):
+            heappush(self._heap, i - len(new) * len(self._cands))
+        self._cache[pair] = path, len(new), i
 
     def __bool__(self) -> bool:
         return bool(self._cache)
@@ -122,25 +154,33 @@ class _GreedyAdversary:
         """(pair, path, new-edge count) of the candidate adding the most
         new edges to h; ties break to the lexicographically smallest
         pair."""
-        cache = self._cache
-        pair = min(cache, key=lambda q: (-cache[q][1], q))
-        path, count, _ = cache[pair]
-        return pair, path, count
+        heap, cache, cands = self._heap, self._cache, self._cands
+        while True:
+            negated, i = divmod(heap[0], len(cands))
+            entry = cache.get(cands[i])
+            if entry is not None and entry[1] == -negated:
+                return cands[i], entry[0], entry[1]
+            heappop(heap)
 
     def discard(self, pair: Pair) -> None:
-        del self._cache[pair]
+        path, _, i = self._cache.pop(pair)
+        for v in path[self._reads]:
+            self._readers[v] ^= 1 << i
 
     def commit(self, path: tuple[int, ...]) -> None:
         """Add path's edges to h and grow again every candidate whose
-        walk the new edges could change."""
-        touched = 0
+        walk a new edge can change."""
+        end, ends, changed = self._end, self._ends, 0
         for e in zip(path, path[1:]):
             if self.h.add(e):
-                touched |= 1 << e[self._end]
-        if touched:
-            for pair, (_, _, mask) in self._cache.items():
-                if mask & touched:
-                    self._regrow(pair)
+                # the candidates whose sink the head reaches (forwards) or
+                # whose source reaches the tail (backwards)
+                reached = 0
+                for w in iter_bits(self.g.reach_mask(e[1 - end], reverse=self._backwards)):
+                    reached |= ends[w]
+                changed |= self._readers[e[end]] & reached
+        for i in iter_bits(changed):
+            self._regrow(i)
 
     def remaining(self) -> list[tuple[Pair, tuple[int, ...]]]:
         """Every remaining candidate with its path against h, in

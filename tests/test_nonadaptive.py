@@ -14,10 +14,12 @@ from reachkeep import (
     EdgeStore,
     ExtremalSurrogate,
     GrowthMode,
+    InstanceFamily,
     MissingEntryError,
     ParameterError,
     PathTable,
     default_surrogate,
+    generate,
     greedy_adversary_step,
     precompute_index_sensitive,
     precompute_known_p,
@@ -25,6 +27,7 @@ from reachkeep import (
     select_entry,
     surrogate_monitor,
 )
+from reachkeep import nonadaptive
 from reachkeep.oracle import reachable_pairs
 
 CHAIN4 = DirectedGraph(4, {(0, 1), (1, 2), (2, 3)})
@@ -323,6 +326,56 @@ def reference_monitor_rounds(g, p, selector):
     return rounds
 
 
+class FullScanAdversary:
+    """The adversary as it was before the ordered pick and the walk
+    index: ``best`` takes a min over the whole cache, and ``commit``
+    grows again every candidate whose path visits the tail (forwards)
+    or the head (backwards) of a new edge, found by a scan of the cache.
+    Kept as the reference."""
+
+    def __init__(self, g, h, selector, candidates):
+        cands = sorted({(int(s), int(t)) for s, t in candidates})
+        if not cands:
+            raise ParameterError("candidate set is empty")
+        self.g, self.h = g, h
+        mode = GrowthMode(selector)
+        self._grow = mode.grow
+        self._end = 0 if mode is GrowthMode.FORWARDS else 1
+        self._cache = {}
+        for pair in cands:
+            self._regrow(pair)
+
+    def _regrow(self, pair):
+        new = []
+        path = self._grow(self.g, self.h, *pair, new)
+        self._cache[pair] = path, len(new), sum(1 << v for v in path)
+
+    def __bool__(self):
+        return bool(self._cache)
+
+    def best(self):
+        cache = self._cache
+        pair = min(cache, key=lambda q: (-cache[q][1], q))
+        path, count, _ = cache[pair]
+        return pair, path, count
+
+    def discard(self, pair):
+        del self._cache[pair]
+
+    def commit(self, path):
+        touched = 0
+        for e in zip(path, path[1:]):
+            if self.h.add(e):
+                touched |= 1 << e[self._end]
+        if touched:
+            for pair, (_, _, mask) in self._cache.items():
+                if mask & touched:
+                    self._regrow(pair)
+
+    def remaining(self):
+        return sorted((pair, path) for pair, (path, _, _) in self._cache.items())
+
+
 SURROGATES = [
     default_surrogate(9),
     default_surrogate(9, scale=0.3),
@@ -374,3 +427,26 @@ class TestOneTrajectory:
         assert greedy_adversary_step(g, h, selector, candidates) == reference_adversary_step(
             g, h, selector, candidates
         )
+
+    # Graphs of at most 9 vertices rarely grow one candidate's walk twice;
+    # these mid-size DAGs do, many times over.
+    @pytest.mark.parametrize("selector", ["fw", "bw"])
+    @pytest.mark.parametrize("n, seed", [(60, 11), (70, 12), (80, 13)])
+    def test_mid_size_tables_match_the_full_scan_adversary(self, monkeypatch, n, seed, selector):
+        g, _ = generate(InstanceFamily("random-dag", n, seed, density=0.08))
+        surrogate = default_surrogate(n, scale=0.3)
+
+        def run():
+            tables = precompute_index_sensitive(g, surrogate, selector)
+            report = surrogate_monitor(g, n, surrogate, selector)
+            return (
+                [(t.level, t.threshold, list(t.entries.items()), list(t.finalized_by.items())) for t in tables],
+                (report.rounds, report.final_edges),
+            )
+
+        got = run()
+        monkeypatch.setattr(nonadaptive, "_GreedyAdversary", FullScanAdversary)
+        want = run()
+        assert got == want
+        assert len(reachable_pairs(g)) > 500
+        assert any(tag == WHILE_LOOP for *_, finalized_by in got[0] for _, tag in finalized_by)

@@ -20,6 +20,7 @@ from reachkeep import (
     reachable_set,
 )
 from reachkeep.oracle import _GreedyAdversary, _preserves, reachable_pairs
+from test_nonadaptive import FullScanAdversary
 from test_preserver import dag_with_pairs, graphs_with_stray_pairs, outcome, reference_grow
 
 TRIANGLE = DirectedGraph(3, {(0, 1), (1, 2), (0, 2)})
@@ -190,6 +191,75 @@ class TestGreedyAdversary:
             pair, path, _ = adversary.best()
             adversary.commit(path)
             adversary.discard(pair)
+
+
+@st.composite
+def shuffled_dags_with_candidates(draw):
+    """A DAG on at most 9 vertices whose labels are not a topological
+    order, and a non-empty set of its reachable pairs."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    order = draw(st.permutations(range(n)))
+    pool = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=min(len(pool), 20)))
+    g = DirectedGraph(n, edges)
+    candidates = draw(st.sets(st.sampled_from(reachable_pairs(g)), min_size=1))
+    return g, sorted(candidates)
+
+
+def assert_same_adversary(new, ref, candidates, mode):
+    assert bool(new) == bool(ref)
+    if ref:
+        assert new.best() == ref.best()
+    assert {q: e[:2] for q, e in new._cache.items()} == {q: e[:2] for q, e in ref._cache.items()}
+    assert new.remaining() == ref.remaining()
+    # A forwards walk reads the out-lists of all but its last vertex, a
+    # backwards walk the in-lists of all but its first.
+    readers = [0] * new.g.n
+    for pair, (path, _, number) in new._cache.items():
+        assert candidates[number] == pair
+        for v in path[:-1] if mode == "fw" else path[1:]:
+            readers[v] |= 1 << number
+    assert new._readers == readers
+
+
+class TestOrderedAdversary:
+    @given(
+        shuffled_dags_with_candidates(),
+        st.sampled_from(["fw", "bw"]),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["serve", "commit-best", "commit-other", "commit-edge", "discard"]),
+                st.integers(min_value=0, max_value=10**6),
+            ),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_matches_the_full_scan(self, case, mode, steps):
+        g, candidates = case
+        new = _GreedyAdversary(g, EdgeStore(g.n), mode, candidates)
+        ref = FullScanAdversary(g, EdgeStore(g.n), mode, candidates)
+        edges = sorted(g.edges)
+        assert_same_adversary(new, ref, candidates, mode)
+        for kind, k in steps:
+            if not ref:
+                break
+            pair, path, _ = ref.best()
+            other, other_path = ref.remaining()[k % len(ref.remaining())]
+            for adversary in (new, ref):
+                if kind == "serve":
+                    adversary.discard(pair)
+                    adversary.commit(path)
+                elif kind == "commit-best":
+                    adversary.commit(path)
+                elif kind == "commit-other":
+                    adversary.commit(other_path)
+                elif kind == "commit-edge":
+                    adversary.commit(edges[k % len(edges)])
+                else:
+                    adversary.discard(other)
+            assert new.h.edges == ref.h.edges
+            assert_same_adversary(new, ref, candidates, mode)
 
 
 class TestInstanceFamily:
