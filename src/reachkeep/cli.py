@@ -76,6 +76,25 @@ def _read(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
+
+
+def _inputs(params: dict, *labels: str) -> tuple[list[str], dict[str, str]]:
+    """The text of each input file named in params, and each text's hash
+    under its label. ``--pairs -`` is the stdin text that _params_for
+    captured as params["pairs_text"]."""
+    texts = [
+        str(params["pairs_text"]) if label == "pairs" and params[label] == "-"
+        else _read(str(params[label]))
+        for label in labels
+    ]
+    return texts, {label: hash_text(text) for label, text in zip(labels, texts)}
+
+
 def _report_json(report) -> dict[str, object]:
     return {
         "acyclic": report.acyclic,
@@ -111,15 +130,14 @@ def _table_json(table: PathTable) -> dict[str, object]:
 
 
 # Each _compute_* function is pure in the file system sense: it reads
-# the inputs named in params, derives everything else from the seed,
-# and returns (payload, input_hashes, output_hashes, artifacts, exit
-# code). Replay calls the same function and compares hashes.
+# the inputs named in params through _inputs, derives everything else
+# from the seed, and returns (payload, input hashes, result, artifacts,
+# exit code). _compute hashes the outputs for a run and for its replay.
 
 
-def _pairs_text_from(params: dict) -> str:
-    if str(params["pairs"]) == "-":
-        return str(params["pairs_text"])
-    return _read(str(params["pairs"]))
+def _graph_and_pairs(params: dict):
+    (graph_text, pairs_text), inputs = _inputs(params, "graph", "pairs")
+    return load_graph(graph_text), parse_pairs(pairs_text), inputs
 
 
 def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
@@ -148,10 +166,7 @@ def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
 
 
 def _compute_preserve(params: dict, seed: int):
-    graph_text = _read(str(params["graph"]))
-    pairs_text = _pairs_text_from(params)
-    g = load_graph(graph_text)
-    pairs = parse_pairs(pairs_text)
+    g, pairs, inputs = _graph_and_pairs(params)
     mode = GrowthMode(str(params["mode"]))
     session, per_pair, audit, ok = _serve_and_audit(g, mode, pairs)
     payload = {
@@ -166,44 +181,40 @@ def _compute_preserve(params: dict, seed: int):
         **audit,
     }
     dump_text = canonical_json(_session_dump(g, mode, pairs)) + "\n"
-    inputs = {"graph": hash_text(graph_text), "pairs": hash_text(pairs_text)}
-    outputs = {"result": hash_json(payload), "session": hash_text(dump_text)}
-    return payload, inputs, outputs, {"session": dump_text}, 0 if ok else 1
+    return payload, inputs, payload, {"session": dump_text}, 0 if ok else 1
 
 
-def _compute_precompute(params: dict, seed: int):
-    graph_text = _read(str(params["graph"]))
+def _tables(params: dict, *vertices: int):
+    """Growth mode, path tables and input hashes of precompute and select.
+    The given vertices are range-checked before any table is built."""
+    (graph_text,), inputs = _inputs(params, "graph")
     g = load_graph(graph_text)
+    check_vertices(g.n, *vertices)
     surrogate = default_surrogate(g.n, scale=float(params["scale"]))
     mode = GrowthMode(str(params["mode"]))
-    if params["p"] is not None:
+    if params.get("p") is not None:
         tables = [precompute_known_p(g, int(params["p"]), surrogate, mode)]
     else:
         p_star = params["p_star"]
         tables = precompute_index_sensitive(
             g, surrogate, mode, None if p_star is None else int(p_star)
         )
+    return mode, tables, inputs
+
+
+def _compute_precompute(params: dict, seed: int):
+    mode, tables, inputs = _tables(params)
     payload = {
         "mode": mode.value,
         "scale": params["scale"],
         "tables": [_table_json(t) for t in tables],
     }
-    inputs = {"graph": hash_text(graph_text)}
-    outputs = {"result": hash_json(payload)}
-    return payload, inputs, outputs, {}, 0
+    return payload, inputs, payload, {}, 0
 
 
 def _compute_select(params: dict, seed: int):
-    graph_text = _read(str(params["graph"]))
-    g = load_graph(graph_text)
     s, t, i = int(params["s"]), int(params["t"]), int(params["index"])
-    check_vertices(g.n, s, t)
-    surrogate = default_surrogate(g.n, scale=float(params["scale"]))
-    mode = GrowthMode(str(params["mode"]))
-    p_star = params["p_star"]
-    tables = precompute_index_sensitive(
-        g, surrogate, mode, None if p_star is None else int(p_star)
-    )
+    _, tables, inputs = _tables(params, s, t)
     level, path = select_entry(tables, s, t, i)
     payload = {
         "s": s,
@@ -213,16 +224,11 @@ def _compute_select(params: dict, seed: int):
         "levels": [tb.level for tb in tables],
         "path": list(path),
     }
-    inputs = {"graph": hash_text(graph_text)}
-    outputs = {"result": hash_json(payload)}
-    return payload, inputs, outputs, {}, 0
+    return payload, inputs, payload, {}, 0
 
 
 def _compute_udsn(params: dict, seed: int):
-    graph_text = _read(str(params["graph"]))
-    pairs_text = _read(str(params["pairs"]))
-    g = load_graph(graph_text)
-    pairs = parse_pairs(pairs_text)
+    g, pairs, inputs = _graph_and_pairs(params)
     base = UdsnParams.defaults_for(g.n)
     udsn_params = UdsnParams(
         tau=base.tau if params["tau"] is None else int(params["tau"]),
@@ -241,25 +247,18 @@ def _compute_udsn(params: dict, seed: int):
         "output_edges": [list(e) for e in sorted(output.edges)],
         "unpreserved_pairs": [list(p) for p in unpreserved],
     }
-    inputs = {"graph": hash_text(graph_text), "pairs": hash_text(pairs_text)}
-    outputs = {"result": hash_json(payload)}
-    return payload, inputs, outputs, {}, 0 if not unpreserved else 1
+    return payload, inputs, payload, {}, 0 if not unpreserved else 1
 
 
 def _compute_oracle(params: dict, seed: int):
-    graph_text = _read(str(params["graph"]))
-    pairs_text = _read(str(params["pairs"]))
-    g = load_graph(graph_text)
-    pairs = parse_pairs(pairs_text)
+    g, pairs, inputs = _graph_and_pairs(params)
     best = min_preserver(g, pairs)
     payload = {
         "pairs": [list(p) for p in sorted(set(pairs))],
         "edges": [list(e) for e in sorted(best)],
         "size": len(best),
     }
-    inputs = {"graph": hash_text(graph_text), "pairs": hash_text(pairs_text)}
-    outputs = {"result": hash_json(payload)}
-    return payload, inputs, outputs, {}, 0
+    return payload, inputs, payload, {}, 0
 
 
 def _compute_gen(params: dict, seed: int):
@@ -284,8 +283,7 @@ def _compute_gen(params: dict, seed: int):
         "edges": [list(e) for e in sorted(g.edges)],
         "pairs": [list(p) for p in stream],
     }
-    outputs = {"graph": hash_text(graph_text), "pairs": hash_text(pairs_text)}
-    return payload, {}, outputs, {"graph": graph_text, "pairs": pairs_text}, 0
+    return payload, {}, None, {"graph": graph_text, "pairs": pairs_text}, 0
 
 
 # The bench knobs that one kind ignores, with their defaults: s_sizes and
@@ -328,10 +326,8 @@ def _bench_cells(params: dict, seed: int):
 
 def _compute_bench(params: dict, seed: int):
     rows = bench_sweep(_bench_cells(params, seed), constant=float(params["constant"]))
-    payload = {"rows": rows}
-    outputs = {"result": hash_json(primary_rows(rows))}
     failed = any("error" in row for row in rows)
-    return payload, {}, outputs, {}, 1 if failed else 0
+    return {"rows": rows}, {}, primary_rows(rows), {}, 1 if failed else 0
 
 
 _COMPUTE = {
@@ -345,13 +341,23 @@ _COMPUTE = {
 }
 
 
+def _compute(command: str, params: dict, seed: int):
+    """Run one command: (payload, input hashes, output hashes, artifacts,
+    exit code). The result is hashed as "result" (no key when it is None)
+    and each artifact under its own name."""
+    payload, inputs, result, artifacts, code = _COMPUTE[command](params, seed)
+    outputs = {name: hash_text(text) for name, text in artifacts.items()}
+    if result is not None:
+        outputs["result"] = hash_json(result)
+    return payload, inputs, outputs, artifacts, code
+
+
 def replay_manifest(manifest: RunManifest) -> dict[str, str]:
     """Recompute a recorded run and return its output hashes. Raises
     when an input file no longer matches what the run saw."""
-    compute = _COMPUTE.get(manifest.command)
-    if compute is None:
+    if manifest.command not in _COMPUTE:
         raise ParameterError(f"unknown command {manifest.command!r} in manifest")
-    payload, inputs, outputs, artifacts, code = compute(manifest.params, manifest.seed)
+    _, inputs, outputs, _, _ = _compute(manifest.command, manifest.params, manifest.seed)
     for label in sorted(set(manifest.inputs) | set(inputs)):
         if manifest.inputs.get(label) != inputs.get(label):
             raise ParameterError(f"input {label!r} changed since the run was recorded")
@@ -366,25 +372,21 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _run_command(args: argparse.Namespace, params: dict) -> int:
-    compute = _COMPUTE[args.command]
     t0 = time.perf_counter()
-    payload, inputs, outputs, artifacts, code = compute(params, args.seed)
+    payload, inputs, outputs, artifacts, code = _compute(args.command, params, args.seed)
     wall = time.perf_counter() - t0
-    for option, text in artifacts.items():
-        target = getattr(args, f"out_{option}", None)
+    for name, text in artifacts.items():
+        target = getattr(args, f"out_{name}", None)
         if target:
-            Path(target).write_text(text)
-    _emit(payload, args.json)
+            _write(target, text)
     manifest = RunManifest(
-        command=args.command,
-        params=params,
-        seed=args.seed,
-        inputs=inputs,
-        outputs=outputs,
-        wall_time=wall,
-        created=utc_stamp(),
+        args.command, params, args.seed, inputs, outputs, wall_time=wall, created=utc_stamp()
     )
-    path = save_manifest(manifest, args.manifest_dir)
+    try:
+        path = save_manifest(manifest, args.manifest_dir)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {args.manifest_dir}: {exc}") from None
+    _emit(payload, args.json)
     print(f"manifest: {path}", file=sys.stderr)
     return code
 
@@ -446,24 +448,25 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_parser(name: str, help_text: str, *files: str):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        for option in files:
+            p.add_argument(f"--{option}", required=True)
+        return p
 
-    p = add_parser("preserve", "serve a demand stream, verify, print the subgraph")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pairs", required=True)
+    p = add_parser(
+        "preserve", "serve a demand stream, verify, print the subgraph", "graph", "pairs"
+    )
     p.add_argument("--mode", default="fw", choices=["fw", "bw"])
     p.add_argument("--out-session", default=None, help="write a replayable session dump")
 
-    p = add_parser("precompute", "build non-adaptive path tables")
-    p.add_argument("--graph", required=True)
+    p = add_parser("precompute", "build non-adaptive path tables", "graph")
     p.add_argument("--p", type=int, default=None, help="known demand count")
     p.add_argument("--p-star", type=int, default=None, help="base level when p is unknown")
     p.add_argument("--scale", type=float, default=4.0)
     p.add_argument("--mode", default="fw", choices=["fw", "bw"])
 
-    p = add_parser("select", "answer one demand from the doubling tables")
-    p.add_argument("--graph", required=True)
+    p = add_parser("select", "answer one demand from the doubling tables", "graph")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--index", type=int, required=True, help="1-based demand index")
@@ -471,16 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=4.0)
     p.add_argument("--mode", default="fw", choices=["fw", "bw"])
 
-    p = add_parser("udsn", "simulate the online Steiner network router")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pairs", required=True)
+    p = add_parser("udsn", "simulate the online Steiner network router", "graph", "pairs")
     p.add_argument("--tau", type=int, default=None)
     p.add_argument("--T", type=int, default=None)
     p.add_argument("--sample-constant", type=float, default=2.0)
 
-    p = add_parser("oracle", "exhaustive minimum preserver (small inputs)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--pairs", required=True)
+    add_parser("oracle", "exhaustive minimum preserver (small inputs)", "graph", "pairs")
 
     p = add_parser("gen", "generate a seeded instance")
     p.add_argument("--kind", required=True)
@@ -529,7 +528,7 @@ def _params_for(args: argparse.Namespace) -> dict:
     params = {
         k: v for k, v in vars(args).items() if k not in _NOT_PARAMS and not k.startswith("out_")
     }
-    if args.command == "preserve" and args.pairs == "-":
+    if getattr(args, "pairs", None) == "-":
         # demands streamed on stdin are captured so replays see them
         params["pairs_text"] = sys.stdin.read()
     if args.command == "precompute" and args.p is not None and args.p_star is not None:

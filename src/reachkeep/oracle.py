@@ -40,7 +40,11 @@ FAMILY_KINDS = tuple(_KIND_KNOBS)
 
 def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
     h = DirectedGraph(n, edge_set)
-    return all(t in iter_bits(h.reach_mask(s)) for s, t in pairs)
+    for s, t in pairs:
+        mask = h.reach_mask(s)  # range-checks s before t is read
+        if not (t >= 0 and mask >> t & 1):
+            return False
+    return True
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:

@@ -370,12 +370,49 @@ def find_k_bridge(
     return None
 
 
-def _first_meeting(path2: Path, other: set[int]) -> tuple[int, int] | None:
-    """Earliest (position, vertex) of path2 inside ``other``."""
+def _first_meeting(path2: Path, positions: dict[int, int]) -> tuple[int, int] | None:
+    """Earliest position along path2 inside an anchor path, and the
+    meeting vertex's position along that anchor."""
     for pos, v in enumerate(path2):
-        if v in other:
-            return pos, v
+        if v in positions:
+            return pos, positions[v]
     return None
+
+
+def _meetings(s: PathSystem, i1: int, i3: int) -> list[tuple[int, int, int]]:
+    """(position on path i1, position on path i3, i2) for each member i2
+    of r_set(s, i1, i3), in r_set's order. Warns once, on behalf of
+    r_set's caller, when a candidate meets an anchor in several vertices."""
+    p = len(s.paths)
+    for name, idx in (("i1", i1), ("i3", i3)):
+        if not (0 <= idx < p):
+            raise BoundsError(f"{name}={idx} outside 0..{p - 1}")
+    pos1 = {v: i for i, v in enumerate(s.paths[i1])}
+    pos3 = {v: i for i, v in enumerate(s.paths[i3])}
+    members: list[tuple[int, int, int]] = []
+    warned = False
+    for i2 in range(i3 + 1, p):
+        if i2 == i1:
+            continue
+        path2 = s.paths[i2]
+        meet1 = _first_meeting(path2, pos1)
+        meet3 = _first_meeting(path2, pos3)
+        if meet1 is None or meet3 is None:
+            continue
+        if not warned:
+            common1 = sum(1 for v in path2 if v in pos1)
+            common3 = sum(1 for v in path2 if v in pos3)
+            if common1 > 1 or common3 > 1:
+                warnings.warn(
+                    "r_set: a candidate path meets an anchor path in more "
+                    "than one vertex; using the earliest meeting",
+                    stacklevel=3,
+                )
+                warned = True
+        if meet1[0] < meet3[0]:
+            members.append((meet1[1], meet3[1], i2))
+    members.sort(key=lambda m: (m[0], m[2]))
+    return members
 
 
 def r_set(s: PathSystem, i1: int, i3: int) -> list[int]:
@@ -387,37 +424,7 @@ def r_set(s: PathSystem, i1: int, i3: int) -> list[int]:
     one vertex. When a candidate meets a path in several vertices the
     earliest one along the candidate is used and a warning is issued.
     """
-    p = len(s.paths)
-    for name, idx in (("i1", i1), ("i3", i3)):
-        if not (0 <= idx < p):
-            raise BoundsError(f"{name}={idx} outside 0..{p - 1}")
-    set1 = set(s.paths[i1])
-    set3 = set(s.paths[i3])
-    pos1 = {v: i for i, v in enumerate(s.paths[i1])}
-    members: list[tuple[int, int]] = []  # (position along path i1, i2)
-    warned = False
-    for i2 in range(i3 + 1, p):
-        if i2 == i1:
-            continue
-        path2 = s.paths[i2]
-        meet1 = _first_meeting(path2, set1)
-        meet3 = _first_meeting(path2, set3)
-        if meet1 is None or meet3 is None:
-            continue
-        if not warned:
-            common1 = sum(1 for v in path2 if v in set1)
-            common3 = sum(1 for v in path2 if v in set3)
-            if common1 > 1 or common3 > 1:
-                warnings.warn(
-                    "r_set: a candidate path meets an anchor path in more "
-                    "than one vertex; using the earliest meeting",
-                    stacklevel=2,
-                )
-                warned = True
-        if meet1[0] < meet3[0]:
-            members.append((pos1[meet1[1]], i2))
-    members.sort()
-    return [i2 for _, i2 in members]
+    return [i2 for _, _, i2 in _meetings(s, i1, i3)]
 
 
 def verify_r_ordering(s: PathSystem, i1: int, i3: int) -> bool:
@@ -426,26 +433,12 @@ def verify_r_ordering(s: PathSystem, i1: int, i3: int) -> bool:
     retreat along path i3, and the set is no larger than path i1."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        members = r_set(s, i1, i3)
+        members = _meetings(s, i1, i3)
     if len(members) > len(s.paths[i1]):
         return False
-    set1 = set(s.paths[i1])
-    set3 = set(s.paths[i3])
-    pos1 = {v: i for i, v in enumerate(s.paths[i1])}
-    pos3 = {v: i for i, v in enumerate(s.paths[i3])}
-    last1 = -1
-    last3 = -1
-    for i2 in members:
-        path2 = s.paths[i2]
-        meet1 = _first_meeting(path2, set1)
-        meet3 = _first_meeting(path2, set3)
-        assert meet1 is not None and meet3 is not None
-        a = pos1[meet1[1]]
-        b = pos3[meet3[1]]
-        if a <= last1:
+    last1 = last3 = -1
+    for a, b, _ in members:
+        if a <= last1 or b < last3:
             return False
-        if b < last3:
-            return False
-        last1 = a
-        last3 = b
+        last1, last3 = a, b
     return True

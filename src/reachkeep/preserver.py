@@ -247,7 +247,7 @@ class CondensingPreserver:
         # The components whose trees are not in the output yet.
         self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
 
-    # Read only by perfbench/workloads.py; ROADMAP item 7 deletes it.
+    # Read only by perfbench/workloads.py; the library-counters ROADMAP item deletes it.
     inner = property(lambda self: self)
 
     @property
@@ -339,7 +339,7 @@ class CondensingPreserver:
 
 
 # Read only by perfbench/tracing.py, which wraps methods through this
-# name; ROADMAP item 7 deletes it.
+# name; the library-counters ROADMAP item deletes it.
 PreserverSession = CondensingPreserver
 
 

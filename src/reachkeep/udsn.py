@@ -175,7 +175,7 @@ class UdsnSession:
                 violation = sum(len(members[c]) for c in between) > self.params.tau
                 edges = bfs_route(self.g, s, t)
         added = self.output.add_all(edges)
-        # A hit's cost stays the legs' count: manifests hash it (ROADMAP item 8).
+        # A hit's cost stays the legs' count: manifests hash it (ROADMAP: UDSN route cost).
         cost = len(edges) if route == HIT else added
         # The phase counter moves only once the route succeeded.
         self.nontrivial_count += 1

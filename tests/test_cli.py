@@ -335,6 +335,32 @@ def test_infeasible_pair_is_a_usage_error(command, extra, message, tmp_path, cap
     assert not (tmp_path / "manifests").exists()
 
 
+@pytest.mark.parametrize("option", ["out-graph", "out-pairs", "out-session", "manifest-dir"])
+def test_unwritable_output_is_a_usage_error(option, tmp_path, capsys):
+    graph, pairs = tmp_path / "g.txt", tmp_path / "p.txt"
+    graph.write_text("n 3\n0 1\n1 2\n")
+    pairs.write_text("0 2\n")
+    manifests, target = tmp_path / "manifests", str(tmp_path / "nodir" / "out.txt")
+    if option in ("out-graph", "out-pairs"):
+        argv = ["gen", "--kind", "random-dag", "--n", "5", f"--{option}", target]
+    else:
+        argv = ["preserve", "--graph", str(graph), "--pairs", str(pairs)]
+        if option == "out-session":
+            argv += ["--out-session", target]
+        else:
+            # a directory under a regular file cannot be made
+            manifests = graph / "sub"
+            target = str(manifests)
+    code = cli_main(argv + ["--manifest-dir", str(manifests)])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "manifests").exists()
+
+
 def readme_cli_lines() -> list[list[str]]:
     """The ``reachkeep ...`` commands of the README's CLI block, each
     with its continuation lines joined, without the program name."""

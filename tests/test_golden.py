@@ -14,8 +14,11 @@ from __future__ import annotations
 import io
 import json
 import os
+import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 from reachkeep import verify_all
 from reachkeep.cli import main as cli_main
@@ -110,6 +113,77 @@ def test_golden_commands_rerecord_identically(tmp_path, capsys):
     assert sorted(p.stem for p in (tmp_path / "manifests").glob("*.json")) == golden_ids
     for name in ARTIFACTS:
         assert (out_dir / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, label, commands",
+    [
+        ("dag.txt", "graph", {"preserve", "precompute", "select", "oracle"}),
+        ("cyc.txt", "graph", {"preserve", "udsn"}),
+        ("cyc-pairs.txt", "pairs", {"preserve", "udsn"}),
+    ],
+)
+def test_replay_fails_the_runs_that_read_a_changed_input(name, label, commands, tmp_path,
+                                                         monkeypatch):
+    golden = tmp_path / "golden"
+    shutil.copytree(GOLDEN, golden)
+    with (golden / name).open("a") as f:
+        f.write("# a comment changes the file, not what it parses to\n")
+    readers = {}
+    for path in (golden / "runs").glob("*.json"):
+        manifest = json.loads(path.read_text())
+        if manifest["command"] != "gen" and manifest["params"].get(label) == name:
+            readers[manifest["id"]] = manifest["command"]
+    assert set(readers.values()) == commands
+    monkeypatch.chdir(golden)
+    results = verify_all(golden / "runs", replay_manifest)
+    assert len(results) == len(COMMANDS)
+    assert {r.manifest_id: r.reason for r in results if not r.ok} == {
+        run_id: f"replay failed: input {label!r} changed since the run was recorded"
+        for run_id in readers
+    }
+
+
+def manifests_in(directory: Path) -> list[dict]:
+    return [json.loads(p.read_text()) for p in sorted(directory.glob("*.json"))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["udsn", "--graph", "cyc.txt", "--pairs", "cyc-pairs.txt", "--T", "3", "--seed", "7"],
+        ["oracle", "--graph", "dag.txt", "--pairs", "dag-pairs.txt"],
+    ],
+    ids=["udsn", "oracle"],
+)
+def test_pairs_on_stdin_match_the_pairs_file(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    pairs_file = argv[argv.index("--pairs") + 1]
+    stdin_argv = [("-" if a == pairs_file else a) for a in argv]
+    assert cli_main(argv + ["--manifest-dir", str(tmp_path / "file")]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO((GOLDEN / pairs_file).read_text()))
+    assert cli_main(stdin_argv + ["--manifest-dir", str(tmp_path / "stdin")]) == 0
+    capsys.readouterr()
+    (from_file,), (from_stdin,) = manifests_in(tmp_path / "file"), manifests_in(tmp_path / "stdin")
+    assert from_stdin["params"]["pairs"] == "-"
+    assert from_stdin["params"]["pairs_text"] == (GOLDEN / pairs_file).read_text()
+    assert from_stdin["inputs"] == from_file["inputs"]
+    assert from_stdin["outputs"] == from_file["outputs"]
+    for directory in ("file", "stdin"):
+        results = verify_all(tmp_path / directory, replay_manifest)
+        assert [(r.ok, r.reason) for r in results] == [(True, None)]
+
+
+def test_graph_is_never_read_from_stdin(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n 3\n0 1\n1 2\n"))
+    (tmp_path / "p.txt").write_text("0 2\n")
+    code = cli_main(["preserve", "--graph", "-", "--pairs", "p.txt",
+                     "--manifest-dir", str(tmp_path / "manifests")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: cannot read -: ")
+    assert "Traceback" not in err
 
 
 if __name__ == "__main__":

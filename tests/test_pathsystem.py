@@ -718,3 +718,44 @@ class TestVerifyROrdering:
                     a = next(p for p, v in enumerate(path2) if v in set1)
                     b = next(p for p, v in enumerate(path2) if v in set3)
                     assert a < b
+
+    def test_ties_along_the_first_anchor_keep_index_order(self):
+        # paths 2 and 3 both meet anchor 0 at node 0; path 3 meets anchor 1 first
+        s = PathSystem(7, ((0, 1), (5, 6), (0, 6), (0, 5)))
+        assert r_set(s, 0, 1) == [2, 3]
+
+    def test_multi_meeting_warning_names_the_caller(self):
+        s = PathSystem(5, ((0, 1, 2), (3, 4), (0, 3, 2)))
+        with pytest.warns(UserWarning, match="more than one vertex") as record:
+            r_set(s, 0, 1)
+        assert [w.filename for w in record] == [__file__]
+
+
+def reference_r_ordering(s: PathSystem, i1: int, i3: int) -> bool:
+    """``verify_r_ordering`` as it was before it shared ``r_set``'s scan:
+    a second first-meeting search per member. Kept as the reference."""
+    import warnings as warnings_mod
+
+    with warnings_mod.catch_warnings():
+        warnings_mod.simplefilter("ignore")
+        members = r_set(s, i1, i3)
+    if len(members) > len(s.paths[i1]):
+        return False
+    pos1 = {v: i for i, v in enumerate(s.paths[i1])}
+    pos3 = {v: i for i, v in enumerate(s.paths[i3])}
+    last1 = last3 = -1
+    for i2 in members:
+        a = next(pos1[v] for v in s.paths[i2] if v in pos1)
+        b = next(pos3[v] for v in s.paths[i2] if v in pos3)
+        if a <= last1 or b < last3:
+            return False
+        last1, last3 = a, b
+    return True
+
+
+@given(path_systems(max_universe=7, max_paths=7))
+@settings(max_examples=200, deadline=None)
+def test_verify_r_ordering_matches_the_reference(s):
+    for i1 in range(len(s.paths)):
+        for i3 in range(len(s.paths)):
+            assert verify_r_ordering(s, i1, i3) == reference_r_ordering(s, i1, i3)
