@@ -1,8 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 a computation-level failure (verification
-mismatch, infeasible demand, missing table entry, surrogate monitor
-tripped), 2 malformed invocation or input.
+Exit codes: 0 success; 1 when a check fails (a session audit finds a
+violation, a replay diverges) or select finds no table entry; 2 on bad
+arguments or unreadable inputs, an infeasible demand pair included.
 
 Every run except ``verify`` records a manifest under --manifest-dir;
 ``verify`` without arguments replays that directory and reports any
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
 
@@ -95,18 +96,6 @@ def _inputs(params: dict, *labels: str) -> tuple[list[str], dict[str, str]]:
     return texts, {label: hash_text(text) for label, text in zip(labels, texts)}
 
 
-def _report_json(report) -> dict[str, object]:
-    return {
-        "acyclic": report.acyclic,
-        "size_ok": report.size_ok,
-        "expected_size": report.expected_size,
-        "actual_size": report.actual_size,
-        "bridges": {str(k): w and w.to_json_dict() for k, w in sorted(report.bridges.items())},
-        "unreachable_pairs": [list(p) for p in report.unreachable_pairs],
-        "ok": report.ok,
-    }
-
-
 def _session_dump(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]) -> dict:
     return {
         "n": g.n,
@@ -159,7 +148,7 @@ def _serve_and_audit(g: DirectedGraph, mode: GrowthMode, pairs: list[Pair]):
     report = verify_session(session)
     unpreserved = unreachable_pairs(session.output_graph(), pairs)
     audit = {
-        "report": _report_json(report),
+        "report": {**asdict(report), "ok": report.ok},
         "unpreserved_pairs": [list(p) for p in unpreserved],
     }
     return session, per_pair, audit, report.ok and not unpreserved
@@ -262,17 +251,8 @@ def _compute_oracle(params: dict, seed: int):
 
 
 def _compute_gen(params: dict, seed: int):
-    family = InstanceFamily(
-        kind=str(params["kind"]),
-        n=int(params["n"]),
-        seed=seed,
-        density=float(params["density"]),
-        pairs=int(params["pairs"]),
-        s_size=int(params["s_size"]),
-        side=str(params["side"]),
-        layers=int(params["layers"]),
-        part_length=int(params["part_length"]),
-    )
+    # gen's run parameters are exactly InstanceFamily's fields but seed
+    family = InstanceFamily(seed=seed, **params)
     g, stream = generate(family)
     graph_text = dump_graph(g)
     pairs_text = format_pairs(list(stream))

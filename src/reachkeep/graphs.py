@@ -38,9 +38,10 @@ class DirectedGraph:
             raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
         edge_set = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
-            if not (0 <= u < n and 0 <= v < n):
-                raise BoundsError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
+            u, v = e[0], e[1]
+            # type(), not isinstance(): a bool is an int
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
             if u == v:
                 raise BoundsError(f"self-loop ({u}, {v}) not allowed")
             edge_set.add((u, v))
@@ -318,7 +319,7 @@ class IncrementalClosure:
         self._hub = n  # n while there is no hub: no set holds bit n
 
     def _reject(self, u: int, v: int) -> NoReturn:
-        raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
+        raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{self.n - 1}")
 
     def _sets(self, r: int) -> tuple[int, int]:
         """The full descendant and ancestor sets of component r."""
@@ -335,7 +336,8 @@ class IncrementalClosure:
         if edge in self.edges:
             return False
         u, v = edge
-        if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
+        n = self.n
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
             self._reject(u, v)
         self.edges.add(edge)
         desc_a, anc_a = self._sets(self._comp[u])
@@ -353,18 +355,19 @@ class IncrementalClosure:
     def add_all(self, edges: Iterable[Edge]) -> int:
         """Insert every edge and return how many were new; the edges,
         the closure and the count are those of ``sum(map(self.add,
-        edges))``. The whole batch is bounds-checked before anything
-        changes.
+        edges))`` on int ids. Every edge is checked before anything
+        changes, even one equal to an edge present or earlier in the batch.
 
         The vertices of a strong component of the batch's edges, those
         already present included, reach one another once the batch is
         in, so that component is merged in one step instead of one
         closure update per edge. Every other edge goes through ``add``."""
-        batch = list(dict.fromkeys(edges))
+        batch = list(edges)
         n = self.n
         for u, v in batch:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
                 self._reject(u, v)
+        batch = list(dict.fromkeys(batch))
         vertex = list({w for e in batch for w in e})
         rest, new = batch, 0
         # Speed rule only, since add is exact on its own: a batch with

@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ParameterError, check_finite_positive
@@ -65,11 +65,7 @@ class RunManifest:
         return hash_json(self.identity_payload())[:16]
 
     def to_json_dict(self) -> dict[str, object]:
-        d = dict(self.identity_payload())
-        d["id"] = self.manifest_id
-        d["wall_time"] = self.wall_time
-        d["created"] = self.created
-        return d
+        return {**asdict(self), "id": self.manifest_id}
 
     @staticmethod
     def from_json_dict(d: dict[str, object]) -> RunManifest:

@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import InfeasiblePairError, ParameterError, SizeLimitError
-from .graphs import DirectedGraph, Edge, check_vertices, iter_bits
+from .graphs import MAX_VERTICES, DirectedGraph, Edge, check_vertices, iter_bits
 from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps this binding
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
 # is), but perfbench/tracing.py wraps this module's binding of them. A
@@ -229,8 +229,8 @@ class InstanceFamily:
             unused = f.default is not MISSING and f.name not in _KIND_KNOBS[self.kind]
             if unused and value != f.default:
                 raise ParameterError(f"{self.kind} does not use {f.name}, got {f.name}={value!r}")
-        if self.n < 1:
-            raise ParameterError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_VERTICES:
+            raise ParameterError(f"n must be in 1..{MAX_VERTICES}, got {self.n}")
         if self.pairs < 0:
             raise ParameterError(f"pairs must be >= 0, got {self.pairs}")
         if not (0.0 <= self.density <= 1.0):

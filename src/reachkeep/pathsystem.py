@@ -92,14 +92,6 @@ class BridgeWitness:
     river: int
     arcs: tuple[int, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "chain": list(self.chain),
-            "river": self.river,
-            "arcs": list(self.arcs),
-        }
-
 
 def _contains_before(path: Path, a: int, b: int) -> bool:
     seen_a = False

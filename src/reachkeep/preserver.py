@@ -88,8 +88,9 @@ class EdgeStore:
         if edge in self.edges:
             return False
         u, v = edge
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise BoundsError(f"edge ({u}, {v}) is a self-loop or outside 0..{self.n - 1}")
+        n = self.n
+        if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
+            raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{n - 1}")
         self.edges.add(edge)
         insort(self._out.setdefault(u, []), v)
         insort(self._in.setdefault(v, []), u)
@@ -345,6 +346,9 @@ PreserverSession = CondensingPreserver
 
 @dataclass
 class SessionReport:
+    """A session's audit. Its fields are the audit's JSON: a counter or a
+    timing that must stay out of the hashed result belongs on the session."""
+
     acyclic: bool
     size_ok: bool
     expected_size: int

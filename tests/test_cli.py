@@ -13,8 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachkeep import CondensingPreserver, GrowthMode
-from reachkeep.cli import _serve_and_audit
+from reachkeep import (
+    BridgeWitness,
+    CondensingPreserver,
+    DirectedGraph,
+    GrowthMode,
+    ParameterError,
+    RunManifest,
+    SessionReport,
+    canonical_json,
+    save_manifest,
+)
+from reachkeep import cli
+from reachkeep.cli import _bench_cells, _serve_and_audit
 from reachkeep.cli import main as cli_main
 from reachkeep.graphs import MAX_VERTICES, load_graph, parse_pairs
 from test_preserver import ringed_digraph_with_pairs
@@ -314,6 +325,33 @@ def test_vertex_count_above_the_cap_is_a_usage_error(name, text, tmp_path, capsy
     assert peak < 8 << 20
 
 
+def test_gen_above_the_vertex_cap_is_a_usage_error(tmp_path, capsys):
+    # path-union draws a linear number of edges, so even a missing check
+    # could not exhaust memory here
+    argv = ["gen", "--kind", "path-union", "--n", str(MAX_VERTICES + 1)]
+    tracemalloc.start()
+    try:
+        code, err = run(argv, tmp_path, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert err == [f"error: n must be in 1..{MAX_VERTICES}, got {MAX_VERTICES + 1}"]
+    assert peak < 8 << 20
+    assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("kind", ["sourcewise", "random-dag"])
+def test_bench_above_the_vertex_cap_is_refused_before_any_cell_runs(kind):
+    # every cell's family is built, and checked, before the sweep starts
+    params = {
+        "kind": kind, "ns": [50, MAX_VERTICES + 1], "modes": ["fw"], "density": 0.25,
+        "s_sizes": [1, 2, 4], "pair_factor": 20, "pair_counts": [10, 50],
+    }
+    with pytest.raises(ParameterError, match=f"got {MAX_VERTICES + 1}"):
+        _bench_cells(params, 0)
+
+
 @pytest.mark.parametrize(
     "command, extra, message",
     [
@@ -377,3 +415,83 @@ def test_readme_cli_walkthrough_runs_clean(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code = cli_main(argv)
         assert code == 0, (argv, capsys.readouterr().err)
+
+
+# The audit report and manifest serializers as they were written out by
+# hand, field by field, before both were read off their dataclasses.
+# Kept as the reference for the JSON a failing audit and a saved
+# manifest must keep.
+
+
+def reference_witness_json(w: BridgeWitness) -> dict:
+    return {"k": w.k, "chain": list(w.chain), "river": w.river, "arcs": list(w.arcs)}
+
+
+def reference_report_json(report: SessionReport) -> dict[str, object]:
+    return {
+        "acyclic": report.acyclic,
+        "size_ok": report.size_ok,
+        "expected_size": report.expected_size,
+        "actual_size": report.actual_size,
+        "bridges": {
+            str(k): w and reference_witness_json(w) for k, w in sorted(report.bridges.items())
+        },
+        "unreachable_pairs": [list(p) for p in report.unreachable_pairs],
+        "ok": report.ok,
+    }
+
+
+def reference_manifest_json(m: RunManifest) -> dict[str, object]:
+    d = dict(m.identity_payload())
+    d["id"] = m.manifest_id
+    d["wall_time"] = m.wall_time
+    d["created"] = m.created
+    return d
+
+
+AUDIT_REPORTS = {
+    # out of width order on purpose: the JSON sorts them
+    "witness-at-each-width": SessionReport(
+        acyclic=False,
+        size_ok=False,
+        expected_size=7,
+        actual_size=9,
+        bridges={
+            4: BridgeWitness(4, (5, 1, 3, 0), 2, (0, 1, 3)),
+            2: BridgeWitness(2, (0, 1), 0, (1,)),
+            3: BridgeWitness(3, (2, 0, 1), 1, (2, 0)),
+        },
+    ),
+    "unreachable-pairs": SessionReport(
+        True, True, 4, 4, {2: None, 3: None, 4: None}, [(0, 2), (2, 1), (0, 2)]
+    ),
+    "clean": SessionReport(True, True, 4, 4, {2: None, 3: None, 4: None}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_REPORTS))
+def test_audit_report_json_matches_the_reference(name, monkeypatch):
+    report = AUDIT_REPORTS[name]
+    monkeypatch.setattr(cli, "verify_session", lambda session: report)
+    g = DirectedGraph(3, [(0, 1), (1, 2)])
+    _, _, audit, ok = _serve_and_audit(g, GrowthMode.FORWARDS, [(0, 2)])
+    assert ok == report.ok == (name == "clean")
+    written, reference = audit["report"], reference_report_json(report)
+    assert canonical_json(written) == canonical_json(reference)
+    assert json.dumps(written, sort_keys=True, indent=2) == json.dumps(
+        reference, sort_keys=True, indent=2
+    )
+
+
+def test_saved_manifest_text_matches_the_reference(tmp_path):
+    manifest = RunManifest(
+        "preserve",
+        {"graph": "g.txt", "pairs": "-", "pairs_text": "p 1\n0 2\n", "mode": "bw"},
+        7,
+        {"graph": "a" * 64, "pairs": "b" * 64},
+        {"result": "c" * 64, "session": "d" * 64},
+        wall_time=0.125,
+        created="2026-01-02T03:04:05Z",
+    )
+    text = save_manifest(manifest, tmp_path).read_text()
+    assert text == json.dumps(reference_manifest_json(manifest), sort_keys=True, indent=2) + "\n"

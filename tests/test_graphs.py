@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -252,6 +253,92 @@ class TestDirectedGraph:
             store.add(e)
         for s in range(n):
             assert reachable_set(store, s) == reachable_set(g, s)
+
+
+# Ends that compare like a vertex id but are not exactly an int: a float
+# int() would truncate, a digit string, and bools, which subclass int.
+NON_INT_EDGES = [(0.9, 2), (0.5, 2), ("1", 2), (True, 2), (2, 1.0), (2, False)]
+
+
+def closure_state(closure: IncrementalClosure) -> tuple:
+    """Everything an insert may change, copied."""
+    return (
+        set(closure.edges),
+        list(closure._comp),
+        {r: list(m) for r, m in closure._members.items()},
+        closure._reps,
+        dict(closure._desc),
+        dict(closure._anc),
+        closure._hub,
+        [[closure.reaches(s, t) for t in range(closure.n)] for s in range(closure.n)],
+    )
+
+
+class TestVertexIdsAreInts:
+    """Every graph and edge container takes int ids only, names a bad end
+    by repr, and changes nothing before it raises."""
+
+    @staticmethod
+    def names(bad) -> str:
+        return re.escape(f"edge ({bad[0]!r}, {bad[1]!r})")
+
+    @pytest.mark.parametrize("bad", NON_INT_EDGES)
+    def test_directed_graph(self, bad):
+        with pytest.raises(BoundsError, match=self.names(bad)):
+            DirectedGraph(3, [(0, 1), bad])
+
+    @pytest.mark.parametrize("bad", NON_INT_EDGES)
+    def test_edge_store(self, bad):
+        store = EdgeStore(3)
+        store.add((0, 1))
+        with pytest.raises(BoundsError, match=self.names(bad)):
+            store.add(bad)
+        assert store.edges == {(0, 1)}
+        assert store._out == {0: [1]} and store._in == {1: [0]}
+
+    @pytest.mark.parametrize("bad", NON_INT_EDGES)
+    def test_incremental_closure_add(self, bad):
+        closure = IncrementalClosure(3)
+        closure.add_all([(0, 1), (1, 0)])
+        before = closure_state(closure)
+        with pytest.raises(BoundsError, match=self.names(bad)):
+            closure.add(bad)
+        assert closure_state(closure) == before
+
+    @pytest.mark.parametrize("bad", NON_INT_EDGES)
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_incremental_closure_add_all(self, bad, at):
+        closure = IncrementalClosure(3)
+        closure.add((0, 1))
+        before = closure_state(closure)
+        batch = [(1, 0), (0, 1)]  # closes a cycle, so the batch merge would run
+        batch.insert(at, bad)
+        with pytest.raises(BoundsError, match=self.names(bad)):
+            closure.add_all(batch)
+        assert closure_state(closure) == before
+
+    @pytest.mark.parametrize("twin", [(True, 2), (1.0, 2)])
+    def test_an_equal_duplicate_is_a_no_op(self, twin):
+        store, closure = EdgeStore(3), IncrementalClosure(3)
+        store.add((1, 2))
+        closure.add((1, 2))
+        before = closure_state(closure)
+        assert not store.add(twin) and not closure.add(twin)
+        assert closure_state(closure) == before
+        assert store.edges == {(1, 2)}
+        for edges in (store.edges, closure.edges):
+            assert [type(w) for e in edges for w in e] == [int, int]
+
+    @pytest.mark.parametrize("twin", [(True, 2), (1.0, 2)])
+    @pytest.mark.parametrize("batch", [[(2, 0)], [(1, 2), (2, 1)]])
+    def test_add_all_checks_an_equal_duplicate_too(self, twin, batch):
+        # a whole batch is checked first, so it has no no-op duplicate
+        closure = IncrementalClosure(3)
+        closure.add((1, 2))
+        before = closure_state(closure)
+        with pytest.raises(BoundsError, match=self.names(twin)):
+            closure.add_all(batch + [twin])
+        assert closure_state(closure) == before
 
 
 class TestTextFormat:

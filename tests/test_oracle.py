@@ -19,7 +19,8 @@ from reachkeep import (
     min_preserver,
     reachable_set,
 )
-from reachkeep.oracle import _GreedyAdversary, _preserves, reachable_pairs
+from reachkeep.graphs import MAX_VERTICES
+from reachkeep.oracle import FAMILY_KINDS, _GreedyAdversary, _preserves, reachable_pairs
 from test_nonadaptive import FullScanAdversary
 from test_preserver import dag_with_pairs, graphs_with_stray_pairs, outcome, reference_grow
 
@@ -270,6 +271,12 @@ class TestInstanceFamily:
             InstanceFamily(kind="random-dag", n=4, seed=1, pairs=-1)
         with pytest.raises(ParameterError):
             InstanceFamily(kind="random-dag", n=4, seed=1, density=1.5)
+
+    @pytest.mark.parametrize("kind", FAMILY_KINDS)
+    def test_vertex_count_above_the_cap_rejected(self, kind):
+        InstanceFamily(kind=kind, n=MAX_VERTICES, seed=1)
+        with pytest.raises(ParameterError, match=f"got {MAX_VERTICES + 1}"):
+            InstanceFamily(kind=kind, n=MAX_VERTICES + 1, seed=1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
