@@ -10,7 +10,6 @@ and everything else reduces to the component DAG.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NoReturn
 
@@ -85,8 +84,7 @@ class DirectedGraph:
         import heapq
 
         indeg = list(map(len, self._in))
-        heap = [v for v in range(self.n) if indeg[v] == 0]
-        heapq.heapify(heap)
+        heap = [v for v in range(self.n) if indeg[v] == 0]  # ascending, so a heap
         order: list[int] = []
         while heap:
             u = heapq.heappop(heap)
@@ -238,25 +236,37 @@ def format_pairs(pairs: list[tuple[int, int]]) -> str:
 
 
 def bfs_parents(
-    step: Callable[[int], Iterable[int]],
-    root: int,
-    within: set[int] | None = None,
+    adj: Sequence[Sequence[int]],
+    roots: Iterable[int],
+    comp: Sequence[int] | None = None,
     goal: int | None = None,
-) -> dict[int, int]:
-    """Breadth-first search from ``root`` along ``step(u)``, the
-    neighbours of u, visiting only vertices in ``within`` when given.
-    Returns the parent map ``{vertex: the vertex it was first reached
-    from, root: root}``. With a ``goal`` the search stops once that
-    vertex is reached; the parents on its chain to the root are the
-    same as in the full search."""
-    parent = {root: root}
-    queue = deque([root])
-    while queue and goal not in parent:
-        u = queue.popleft()
-        for v in step(u):
-            if v not in parent and (within is None or v in within):
-                parent[v] = u
-                queue.append(v)
+) -> list[int]:
+    """Breadth-first search from every root at once along ``adj[u]``,
+    the neighbours of u; with ``comp`` (vertex -> component id), only
+    along edges inside one component. Returns the parent list: the
+    vertex each vertex was first reached from, a root itself, -1 when
+    not reached. Without ``comp``, a ``goal`` stops the search once it
+    is reached; the parents on its chain to a root are those of the
+    full search. The library's one BFS, level by level in one list."""
+    parent = [-1] * len(adj)
+    queue = list(roots)
+    for r in queue:
+        parent[r] = r
+    if comp is None:
+        for u in queue:
+            for v in adj[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+                    if v == goal:
+                        return parent
+    else:
+        for u in queue:
+            c = comp[u]
+            for v in adj[u]:
+                if parent[v] < 0 and comp[v] == c:
+                    parent[v] = u
+                    queue.append(v)
     return parent
 
 
@@ -266,7 +276,9 @@ def reachable_set(g: DirectedGraph, root: int, reverse: bool = False) -> frozens
     ``out_neighbors`` / ``in_neighbors``, an ``EdgeStore`` too. The BFS
     reference only: the library reads ``DirectedGraph.reach_mask``."""
     check_vertices(g.n, root)
-    return frozenset(bfs_parents(g.in_neighbors if reverse else g.out_neighbors, root))
+    step = g.in_neighbors if reverse else g.out_neighbors
+    parent = bfs_parents(list(map(step, range(g.n))), (root,))
+    return frozenset(v for v, u in enumerate(parent) if u >= 0)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -559,7 +571,6 @@ def _strong_components(n: int, step: Callable[[int], Sequence[int]]) -> list[lis
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
             out = step(v)
             while pi < len(out):
                 w = out[pi]
@@ -567,25 +578,23 @@ def _strong_components(n: int, step: Callable[[int], Sequence[int]]) -> list[lis
                 if index[w] == -1:
                     work[-1] = (v, pi)
                     work.append((w, 0))
-                    advanced = True
                     break
                 if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
     return components
 
 
@@ -602,31 +611,25 @@ def condense(g: DirectedGraph) -> Condensation:
         for v in members:
             component_of[v] = cid
 
+    # One search per direction from every representative, kept inside
+    # each component: O(n + m) however many components there are.
+    reps = [members[0] for members in comps]
+    out_parent = bfs_parents(g._out, reps, component_of)
+    in_parent = bfs_parents(g._in, reps, component_of)
+    if -1 in out_parent or -1 in in_parent:
+        raise AssertionError("component not internally connected")
     tree_of: dict[int, tuple[Edge, ...]] = {}
     for cid, members in enumerate(comps):
-        if len(members) == 1:
-            continue
-        rep = members[0]
-        within = set(members)
-        out_parent = bfs_parents(g.out_neighbors, rep, within)
-        in_parent = bfs_parents(g.in_neighbors, rep, within)
-        if out_parent.keys() != within or in_parent.keys() != within:
-            raise AssertionError("component not internally connected")
-        tree = {(u, v) for v, u in out_parent.items() if v != rep}
-        tree.update((v, u) for v, u in in_parent.items() if v != rep)
-        tree_of[cid] = tuple(sorted(tree))
+        if len(members) > 1:
+            tree = {e for v in members[1:] for e in ((out_parent[v], v), (v, in_parent[v]))}
+            tree_of[cid] = tuple(sorted(tree))
 
-    dag_edges: set[Edge] = set()
-    lift: dict[Edge, Edge] = {}
+    lift: dict[Edge, Edge] = {}  # its keys are the dag's edges
     for u, v in sorted(g.edges):
         a, b = component_of[u], component_of[v]
-        if a == b:
-            continue
-        key = (a, b)
-        dag_edges.add(key)
-        if key not in lift:  # sorted iteration makes this the lex-min original edge
-            lift[key] = (u, v)
-    dag = DirectedGraph(len(comps), dag_edges)
+        if a != b:  # sorted iteration keeps the lex-min original edge
+            lift.setdefault((a, b), (u, v))
+    dag = DirectedGraph(len(comps), lift)
     return Condensation(g, tuple(component_of), tuple(tuple(c) for c in comps), dag, tree_of, lift)
 
 

@@ -213,7 +213,9 @@ def _assign_roles(
     arcs: list[int] = []
     used: set[int] = set()
 
-    def rec(pos: int) -> tuple[int, tuple[int, ...]] | None:
+    # rec and find_k_bridge's extend get themselves as an argument: one that
+    # called itself by name would be a cycle keeping the pair index alive.
+    def rec(pos: int, rec) -> tuple[int, tuple[int, ...]] | None:
         if pos == k1:
             for r in river_list:
                 if r not in used and _order_ok(constraint, arcs, r):
@@ -225,7 +227,7 @@ def _assign_roles(
                 continue
             used.add(cand)
             arcs.append(cand)
-            found = rec(pos + 1)
+            found = rec(pos + 1, rec)
             if found is not None:
                 return found
             arcs.pop()
@@ -235,7 +237,7 @@ def _assign_roles(
                 break
         return None
 
-    return rec(0)
+    return rec(0, rec)
 
 
 def find_k_bridge(
@@ -319,7 +321,7 @@ def find_k_bridge(
                     base ^= 1 << v
         return base
 
-    def extend(prefix: list[int], used_mask: int, taken: list[int], nexts) -> BridgeWitness | None:
+    def extend(prefix: list[int], used_mask: int, taken: list[int], nexts, extend):
         depth = len(prefix)
         if depth == k - 1:
             for v in nexts:
@@ -341,7 +343,7 @@ def find_k_bridge(
             prefix.append(v)
             mask = used_mask | (1 << v)
             child = candidates(prefix, mask, taken)
-            found = extend(prefix, mask, taken, iter_bits(child)) if child else None
+            found = extend(prefix, mask, taken, iter_bits(child), extend) if child else None
             prefix.pop()
             if one:
                 taken.pop()
@@ -356,7 +358,7 @@ def find_k_bridge(
             feeds = 0
             for b in after[x1]:
                 feeds |= pred[b]
-        found = extend([x1], 1 << x1, [], after[x1])
+        found = extend([x1], 1 << x1, [], after[x1], extend)
         if found is not None:
             return found
     return None

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasiblePairError, ParameterError, check_finite_positive
 from .graphs import (
@@ -99,8 +100,8 @@ def bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
     """Fewest-edges route, smallest-head tie-break. It stands in for a
     real low-cost router, so the ratios it yields are not certified."""
     check_vertices(g.n, s, t)
-    parent = bfs_parents(g.out_neighbors, s, goal=t)
-    if t not in parent:
+    parent = bfs_parents(g._out, (s,), goal=t)
+    if parent[t] < 0:
         raise InfeasiblePairError(f"{t} is not reachable from {s}")
     edges = []
     v = t
@@ -110,8 +111,7 @@ def bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
     return tuple(reversed(edges))
 
 
-@dataclass(frozen=True)
-class UdsnRecord:
+class UdsnRecord(NamedTuple):  # a tuple, as PairRecord: a trivial route builds just one
     index: int
     pair: Pair
     route: str
@@ -194,14 +194,9 @@ class UdsnSession:
 
     @property
     def opt_lower_bound(self) -> int:
-        terminals: set[int] = set()
-        p_hit = 0
-        for r in self.records:
-            if r.route == TRIVIAL:
-                continue
-            terminals.update(r.pair)
-            if r.route == HIT:
-                p_hit += 1
+        nontrivial = [r for r in self.records if r.route != TRIVIAL]
+        terminals = {v for r in nontrivial for v in r.pair}
+        p_hit = sum(r.route == HIT for r in nontrivial)
         bounds = [
             math.ceil(len(terminals) / 2),
             math.ceil(math.sqrt(self.nontrivial_count) / 2),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -587,6 +588,26 @@ class TestParentOracle:
         found = find_k_bridge(s, k, constraint)
         assert found == parent_find_k_bridge(s, k, constraint)
         assert found == unpruned_find_k_bridge(s, k, constraint)
+
+    @given(
+        path_systems(max_universe=8, max_paths=10, max_len=4),
+        st.sampled_from([3, 4]),
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_search_leaves_no_reference_cycle(self, s, k, constraint):
+        # The chain extension and the role assignment recurse; a helper
+        # that called itself through its closure cell made a cycle that
+        # held the pair index until the next full collection. Everything
+        # the search makes stays in the youngest generation while gc is off.
+        gc.collect(0)
+        gc.disable()
+        try:
+            found = find_k_bridge(s, k, constraint)
+            assert gc.collect(0) == 0
+        finally:
+            gc.enable()
+        assert found == parent_find_k_bridge(s, k, constraint)
 
     @given(one_owner_systems())
     @settings(max_examples=60, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gc
 import random
 
 from reachkeep import graphs, preserver
@@ -770,6 +771,25 @@ def closure_unreachable_pairs(session: CondensingPreserver) -> list:
 
 
 class TestVerifySession:
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_audit_leaves_no_reference_cycle(self, mode):
+        # Widths 3 and 4 extend chains with a recursive helper; one that
+        # called itself through its closure cell kept the pair index alive
+        # until the next full collection.
+        rng = random.Random(5)
+        n = 120
+        g = DirectedGraph(n, {tuple(sorted(rng.sample(range(n), 2))) for _ in range(4 * n)})
+        session = CondensingPreserver(g, mode)
+        for s, t in random_pairs(rng, g, 2 * n):
+            session.serve_pair(s, t)
+        gc.collect()
+        gc.disable()
+        try:
+            assert verify_session(session).ok
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_empty_session_audits_clean(self):
         report = verify_session(CondensingPreserver(DIAMOND))
         assert report.ok

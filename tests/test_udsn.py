@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from reachkeep import (
     InfeasiblePairError,
     ParameterError,
     UdsnParams,
+    UdsnRecord,
     UdsnSession,
     bfs_route,
     condense,
@@ -27,7 +30,9 @@ from reachkeep import (
     load_graph,
     reachable_set,
 )
+from reachkeep import udsn
 from reachkeep.graphs import parse_pairs
+from test_bfs_kernel import parent_bfs_route
 from test_preserver import graphs_with_stray_pairs, outcome
 
 CHAIN3 = DirectedGraph(3, {(0, 1), (1, 2)})
@@ -388,3 +393,95 @@ class TestAggregates:
                 assert session.output.reaches(s, t) == reference.output.reaches(s, t)
         assert max(map(len, condense(g).components)) >= 5
         assert any(r.route == HIT for r in session.records)
+
+
+@dataclass(frozen=True)
+class DataclassUdsnRecord:
+    """``UdsnRecord`` as it was, a frozen dataclass. Kept as the reference."""
+
+    index: int
+    pair: tuple[int, int]
+    route: str
+    via: int | None
+    edges_added: int
+    thin_violation: bool = False
+
+
+def reference_run(g: DirectedGraph, params: UdsnParams, seed: int, pairs) -> UdsnSession:
+    """A session served with the dataclass records and the dict-and-deque
+    route search: the serve path as it was before both changed."""
+    with mock.patch.object(udsn, "UdsnRecord", DataclassUdsnRecord), mock.patch.object(
+        udsn, "bfs_route", parent_bfs_route
+    ):
+        session = UdsnSession(g, params, seed=seed)
+        for s, t in pairs:
+            session.serve(s, t)
+    return session
+
+
+def golden_cyc_cases():
+    golden = Path(__file__).resolve().parent / "golden"
+    g = load_graph((golden / "cyc.txt").read_text())
+    pairs = parse_pairs((golden / "cyc-pairs.txt").read_text())
+    # the golden stream, then every feasible pair once in a seeded order
+    rest = [(s, t) for s in range(g.n) for t in sorted(reachable_set(g, s)) if s != t]
+    for seed in range(8):
+        random.Random(seed).shuffle(rest)
+        for T in range(4):
+            # one to a few relays
+            params = UdsnParams(tau=(2, 5, 12)[seed % 3], T=T, sample_constant=(0.05, 0.2, 1.0)[T % 3])
+            yield g, params, seed, pairs + rest
+
+
+def ringed_cases():
+    for seed in range(10):
+        rng = random.Random(seed)
+        g = ringed_digraph(rng)
+        pairs = []
+        for _ in range(2 * g.n):
+            s = rng.randrange(g.n)
+            pairs.append((s, rng.choice(sorted(reachable_set(g, s)))))
+        params = UdsnParams(tau=rng.choice((2, 4, 8)), T=rng.randint(0, 3), sample_constant=0.1)
+        yield g, params, seed, pairs
+
+
+class TestUdsnRecord:
+    def test_fields_default_and_keywords(self):
+        assert UdsnRecord._fields == (
+            "index", "pair", "route", "via", "edges_added", "thin_violation"
+        )
+        assert UdsnRecord._field_defaults == {"thin_violation": False}
+        record = UdsnRecord(index=3, pair=(1, 2), route=HIT, via=5, edges_added=4)
+        assert record == UdsnRecord(3, (1, 2), HIT, 5, 4, False)
+        assert record.thin_violation is False
+        assert record._asdict() == {
+            "index": 3, "pair": (1, 2), "route": HIT, "via": 5, "edges_added": 4,
+            "thin_violation": False,
+        }
+
+    def test_immutable(self):
+        record = UdsnRecord(0, (0, 1), TRIVIAL, None, 0)
+        with pytest.raises(AttributeError):
+            record.route = HIT
+        with pytest.raises(FrozenInstanceError):  # the reference refuses too
+            DataclassUdsnRecord(0, (0, 1), TRIVIAL, None, 0).route = HIT
+
+    def test_records_and_summary_match_the_dataclass_session(self):
+        routes, violations = set(), 0
+        for g, params, seed, pairs in [*golden_cyc_cases(), *ringed_cases()]:
+            session = UdsnSession(g, params, seed=seed)
+            for s, t in pairs:
+                session.serve(s, t)
+            reference = reference_run(g, params, seed, pairs)
+            assert len(session.records) == len(reference.records) == len(pairs)
+            for got, want in zip(session.records, reference.records):
+                assert type(got) is UdsnRecord and type(want) is DataclassUdsnRecord
+                for name in UdsnRecord._fields:
+                    assert getattr(got, name) == getattr(want, name)
+                    assert type(getattr(got, name)) is type(getattr(want, name))
+            assert session.summary() == reference.summary()
+            assert session.output.edges == reference.output.edges
+            routes |= {r.route for r in session.records}
+            violations += len(session.sampling_failures)
+        assert routes == {TRIVIAL, FIRST_T, HIT, THIN}  # thin ones from the ringed graphs
+        assert violations > 0
