@@ -52,13 +52,7 @@ class RunManifest:
     def identity_payload(self) -> dict[str, object]:
         """Everything that must replay identically. Timing and
         timestamps stay out on purpose."""
-        return {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
+        return {k: v for k, v in asdict(self).items() if k not in ("wall_time", "created")}
 
     @property
     def manifest_id(self) -> str:

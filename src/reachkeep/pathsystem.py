@@ -24,6 +24,7 @@ from .errors import BoundsError, ParameterError
 from .graphs import DirectedGraph, iter_bits
 
 Path = tuple[int, ...]
+_NO_GROUPS: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -126,18 +127,21 @@ def validate_witness(
 
 
 class _PairIndex:
-    """Ordered-pair index of a finished system, built in one pass.
+    """Ordered-pair index of a finished system, built in two passes.
 
     For every ordered pair (a, b) that some path contains as a
     subsequence, ``owner[(a, b)]`` is the smallest path holding it, and
     ``shared[(a, b)]`` lists the paths holding it in ascending order
-    when there are two or more. succ/pred expose the pair relation as
-    bitmasks and ``after[a]`` lists a's successors in ascending order.
-    ``sole[a][q]`` is the bitmask of the vertices b whose pair (a, b)
-    lies on path q and on no other.
+    when there are two or more. ``succ[a]`` masks a's successors, and
+    ``sole[a][q]`` those whose pair with a is on path q alone. Sweeping
+    each path A backwards, W unites the successors off A (outside
+    ``sole[v][A]``) of the vertices v after a on A; an a on two paths
+    with a later vertex joins ``starts[3]`` if W meets its successors
+    off A, and ``starts[4]`` if W meets ``feeds[a]``, the vertices before
+    one a precedes, kept instead of pred. ``after`` lists their successors.
     """
 
-    __slots__ = ("owner", "shared", "succ", "pred", "after", "sole")
+    __slots__ = ("owner", "shared", "succ", "sole", "feeds", "starts", "after")
 
     def __init__(self, paths: tuple[Path, ...]):
         owner: dict[tuple[int, int], int] = {}
@@ -149,20 +153,18 @@ class _PairIndex:
             # a one-vertex path holds no ordered pair
             if len(path) < 2:
                 continue
-            earlier = 1 << path[0]
-            for b in path[1:]:
-                pred[b] = pred.get(b, 0) | earlier
-                earlier |= 1 << b
             later = 1 << path[-1]
             for i in range(len(path) - 2, -1, -1):
                 a = path[i]
-                succ[a] = succ.get(a, 0) | later
+                succ[a] = succ[a] | later if a in succ else later
                 sole.setdefault(a, {})[idx] = later
                 for b in path[i + 1 :]:
+                    pred[b] = pred.get(b, 0) | 1 << a
                     q = owner.setdefault((a, b), idx)
                     if q != idx:
                         shared.setdefault((a, b), [q]).append(idx)
                 later |= 1 << a
+        feeds = {a: 0 for a, groups in sole.items() if len(groups) > 1}
         # a shared pair is on no path alone: clear it from each of its paths
         for (a, b), qs in shared.items():
             groups = sole[a]
@@ -172,13 +174,23 @@ class _PairIndex:
                     del groups[q]
             if not groups:
                 del sole[a]
-        after: dict[int, list[int]] = {}
         for a, b in owner:
-            after.setdefault(a, []).append(b)
-        for bs in after.values():
-            bs.sort()
-        self.owner, self.shared, self.succ, self.pred = owner, shared, succ, pred
-        self.after, self.sole = after, sole
+            if a in feeds:
+                feeds[a] |= pred[b]
+        starts = self.starts = {3: set(), 4: set()}
+        for idx, path in enumerate(paths):
+            # off A, only the last vertex and those on two paths have successors
+            w = succ.get(path[-1], 0)
+            for a in path[-2::-1]:
+                if a in feeds:
+                    off = succ[a] ^ sole.get(a, _NO_GROUPS).get(idx, 0)
+                    if w & off:
+                        starts[3].add(a)
+                    if w & feeds[a]:
+                        starts[4].add(a)
+                    w |= off
+        self.owner, self.shared, self.succ, self.sole, self.feeds = owner, shared, succ, sole, feeds
+        self.after = {a: list(iter_bits(succ[a])) for a in starts[3] | starts[4]}
 
     def paths_of(self, pair: tuple[int, int]) -> list[int]:
         """The ascending paths holding ``pair``."""
@@ -253,16 +265,17 @@ def find_k_bridge(
 
     A 2-bridge is a pair held by two paths, so width 2 is read off the
     index: the smallest shared pair, its first path as the arc and its
-    second as the river, with no search. Wider chains skip two kinds
-    that cannot carry a witness, so the search order and the witness
-    are those of the full enumeration: chains where two roles (hops or
+    second as the river, with no search. Wider chains skip three kinds
+    that cannot carry a witness, so the search order and the witness are
+    those of the full enumeration: chains from an unflagged start (a
+    witness's x_3 is in W as its second hop is off its first arc A, and
+    follows x_1 off A or precedes x_4), chains where two roles (hops or
     the river) have the same one-path occurrence list [q], since both
-    would have to be q, and candidates none of whose successors can be
-    the next chain vertex (it must precede a vertex x_1 precedes, or
-    for the last hop follow x_1), tested before any bookkeeping. In a
-    chain with no shared pair each role has one path, which the
-    candidate masks already keep distinct, so only the order
-    constraint is checked.
+    would have to be q, and candidates none of whose successors can be the
+    next chain vertex (it must precede a vertex x_1 precedes, or for the
+    last hop follow x_1), tested before any bookkeeping. In a chain with
+    no shared pair each role has one path, which the candidate masks
+    already keep distinct, so only the order constraint is checked.
     """
     if type(k) is not int or k not in (2, 3, 4):
         raise ParameterError(f"k must be in 2..4, got {k}")
@@ -277,9 +290,7 @@ def find_k_bridge(
         arc, river = shared[pair][:2]
         return BridgeWitness(k=2, chain=pair, river=river, arcs=(arc,))
     succ = index.succ
-    pred = index.pred
     sole = index.sole
-    no_groups: dict[int, int] = {}
 
     def try_chain(chain: tuple[int, ...]) -> BridgeWitness | None:
         pairs = [(chain[i], chain[i + 1]) for i in range(k - 1)]
@@ -303,7 +314,7 @@ def find_k_bridge(
         its one-path hops."""
         last = prefix[-1]
         base = succ.get(last, 0) & ~used_mask
-        groups = sole.get(last, no_groups)
+        groups = sole.get(last, _NO_GROUPS)
         for q in taken:
             base &= ~groups.get(q, 0)
         if len(prefix) == k - 2:
@@ -311,7 +322,7 @@ def find_k_bridge(
         else:
             first = prefix[0]
             base &= succ[first]
-            river_groups = sole.get(first, no_groups)
+            river_groups = sole.get(first, _NO_GROUPS)
             for q in taken:
                 base &= ~river_groups.get(q, 0)
             # the last hop and the river may share one one-path list
@@ -351,14 +362,9 @@ def find_k_bridge(
                 return found
         return None
 
-    after = index.after
-    for x1 in sorted(after):
-        if k == 4:
-            # the vertices that precede some vertex x1 precedes
-            feeds = 0
-            for b in after[x1]:
-                feeds |= pred[b]
-        found = extend([x1], 1 << x1, [], after[x1], extend)
+    for x1 in sorted(index.starts[k]):
+        feeds = index.feeds[x1]
+        found = extend([x1], 1 << x1, [], index.after[x1], extend)
         if found is not None:
             return found
     return None

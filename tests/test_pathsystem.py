@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -175,11 +176,13 @@ class ParentSystemIndex:
                 groups[q] = groups.get(q, 0) | (1 << b)
 
 
-class ParentPairIndex(pathsystem._PairIndex):
+class ParentPairIndex:
     """The one-owner index as it was built before one-vertex paths were
-    skipped: every path goes through both loops. Kept as the oracle."""
+    skipped: every path goes through both loops, and every vertex keeps
+    its predecessor mask and its full successor list. Kept as the
+    oracle."""
 
-    __slots__ = ()
+    __slots__ = ("owner", "shared", "succ", "pred", "after", "sole")
 
     def __init__(self, paths):
         owner: dict[tuple[int, int], int] = {}
@@ -222,14 +225,38 @@ class ParentPairIndex(pathsystem._PairIndex):
         self.after, self.sole = after, sole
 
 
+def parent_feeds(parent: ParentPairIndex, a: int) -> int:
+    """The vertices that precede some vertex a precedes, as the width-4
+    search built them for every start from the parent's fields."""
+    feeds = 0
+    for b in parent.after[a]:
+        feeds |= parent.pred[b]
+    return feeds
+
+
+def every_start_index(paths) -> pathsystem._PairIndex:
+    """The parent's build in the shape the search reads, with every
+    vertex that has a successor flagged at both widths: a search over it
+    walks every start, as the parent's did."""
+    parent = ParentPairIndex(paths)
+    index = object.__new__(pathsystem._PairIndex)
+    index.owner, index.shared, index.succ = parent.owner, parent.shared, parent.succ
+    index.sole, index.after = parent.sole, parent.after
+    index.feeds = {a: parent_feeds(parent, a) for a in parent.after}
+    index.starts = {3: set(parent.after), 4: set(parent.after)}
+    return index
+
+
 def parent_find_k_bridge(
     s: PathSystem,
     k: int,
     order_constraint: OrderConstraint | str = OrderConstraint.NONE,
+    only: int | None = None,
 ) -> BridgeWitness | None:
     """The search over full occurrence lists, with a width-2 search, the
     feeds mask at every width above 2 and a role assignment for every
-    chain: the oracle for the one-owner search."""
+    chain: the oracle for the one-owner search. With ``only`` set, the
+    chains start at that vertex alone."""
     if k not in (2, 3, 4):
         raise ParameterError(f"k must be in 2..4, got {k}")
     constraint = OrderConstraint(order_constraint)
@@ -292,6 +319,8 @@ def parent_find_k_bridge(
         return None
 
     for x1 in sorted(succ):
+        if only is not None and x1 != only:
+            continue
         feeds = 0
         if k > 2:
             for b in iter_bits(succ[x1]):
@@ -328,6 +357,22 @@ def systems_with_one_vertex_paths(draw, max_universe=9, max_paths=14, max_len=6)
         length = draw(st.integers(2, min(max_len, n))) if long else 1
         paths.append(tuple(draw(st.permutations(tuple(range(n))))[:length]))
     return PathSystem(n, tuple(paths))
+
+
+@st.composite
+def repeated_stretch_systems(draw):
+    """Systems in which a later stretch of a path is also a path of its
+    own, with a path joining the first vertex to the stretch's end, all
+    in random order: a second hop's pair then lies on the first arc's
+    path too, so it is on that path but not on it alone."""
+    base = draw(path_systems(max_universe=8, max_paths=5, max_len=5))
+    paths = list(base.paths)
+    for path in base.paths:
+        if len(path) >= 3 and draw(st.booleans()):
+            i = draw(st.integers(1, len(path) - 2))
+            j = draw(st.integers(i + 1, len(path) - 1))
+            paths += [path[i:], (path[0], path[j])]
+    return PathSystem(base.universe, tuple(draw(st.permutations(paths))))
 
 
 @st.composite
@@ -561,13 +606,19 @@ class TestPrunedSearch:
 
     def test_index_groups_one_path_pairs(self):
         s = PathSystem(4, ((0, 1, 2), (0, 1), (3, 2)))
-        index = s.pair_index
+        index, parent = s.pair_index, ParentPairIndex(s.paths)
         assert index.sole == {0: {0: 1 << 2}, 1: {0: 1 << 2}, 3: {2: 1 << 2}}
         assert index.owner == {(0, 1): 0, (0, 2): 0, (1, 2): 0, (3, 2): 2}
         assert index.shared == {(0, 1): [0, 1]}
-        assert index.after == {0: [1, 2], 1: [2], 3: [2]}
+        assert parent.after == {0: [1, 2], 1: [2], 3: [2]}
         assert index.succ == {0: 0b110, 1: 0b100, 3: 0b100}
-        assert index.pred == {1: 0b1, 2: 0b1011}
+        assert parent.pred == {1: 0b1, 2: 0b1011}
+        # Only 0 lies on two paths with a later vertex. On path 1, W = {2}
+        # through (1, 2), which path 0 does not hold alone, and 2 follows
+        # 0 off path 1: 0 starts width 3. feeds[0] = {0, 1, 3} misses W.
+        assert index.feeds == {0: parent_feeds(parent, 0)} == {0: 0b1011}
+        assert index.starts == {3: {0}, 4: set()}
+        assert index.after == {0: parent.after[0]} == {0: [1, 2]}
 
 
 class TestParentOracle:
@@ -640,8 +691,14 @@ class TestIndexSkipsOneVertexPaths:
     @settings(max_examples=400, deadline=None)
     def test_same_index_as_the_parent_build(self, s):
         index, parent = s.pair_index, ParentPairIndex(s.paths)
-        for name in ("owner", "shared", "succ", "pred", "sole", "after"):
+        for name in ("owner", "shared", "succ", "sole"):
             assert getattr(index, name) == getattr(parent, name), name
+        # pred and the full after live on in what replaced them
+        for a, feeds in index.feeds.items():
+            assert feeds == parent_feeds(parent, a), a
+        assert set(index.after) == index.starts[3] | index.starts[4]
+        for a, bs in index.after.items():
+            assert bs == parent.after[a], a
 
     @given(
         systems_with_one_vertex_paths(),
@@ -651,16 +708,77 @@ class TestIndexSkipsOneVertexPaths:
     @settings(max_examples=400, deadline=None)
     def test_same_witness_as_the_parent_build(self, s, k, constraint):
         on_parent = PathSystem(s.universe, s.paths)
-        on_parent.__dict__["pair_index"] = ParentPairIndex(s.paths)
+        on_parent.__dict__["pair_index"] = every_start_index(s.paths)
         found = find_k_bridge(s, k, constraint)
         assert found == find_k_bridge(on_parent, k, constraint)
         assert found == parent_find_k_bridge(s, k, constraint)
 
     def test_one_vertex_paths_add_nothing(self):
-        index = PathSystem(4, ((3,), (0, 1), (1,), (2,), (0,))).pair_index
+        paths = ((3,), (0, 1), (1,), (2,), (0,))
+        index, parent = PathSystem(4, paths).pair_index, ParentPairIndex(paths)
         assert (index.owner, index.shared) == ({(0, 1): 1}, {})
-        assert (index.succ, index.pred, index.after) == ({0: 0b10}, {1: 0b1}, {0: [1]})
+        assert (parent.succ, parent.pred, parent.after) == ({0: 0b10}, {1: 0b1}, {0: [1]})
+        assert index.succ == parent.succ
         assert index.sole == {0: {1: 0b10}}
+        # 0 lies on one path with a later vertex, so nothing is flagged
+        assert (index.feeds, index.starts, index.after) == ({}, {3: set(), 4: set()}, {})
+
+
+class TestFlaggedStarts:
+    """The chain starts the index flags for widths 3 and 4 against every
+    start from which the parent's search, walking that start alone,
+    finds a witness."""
+
+    @given(
+        st.one_of(
+            path_systems(max_universe=8, max_paths=8),
+            # short paths leave most pairs on one path
+            path_systems(max_universe=10, max_paths=10, max_len=3),
+            one_owner_systems(),
+            systems_with_one_vertex_paths(),
+            repeated_stretch_systems(),
+        ),
+        st.sampled_from([3, 4]),
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_every_witness_start_is_flagged(self, s, k, constraint):
+        index = s.pair_index
+        counts = Counter(a for path in s.paths for a in path[:-1])
+        tested = {a for a, count in counts.items() if count > 1}
+        assert set(index.feeds) == tested
+        assert index.starts[k] <= tested
+        for x1 in ParentPairIndex(s.paths).after:
+            if parent_find_k_bridge(s, k, constraint, only=x1) is not None:
+                assert x1 in index.starts[k], x1
+
+    @pytest.mark.parametrize(
+        "paths, k",
+        [
+            (((0, 1, 2), (1, 2), (0, 2)), 3),
+            (((0, 1, 2), (1, 2), (2, 3), (0, 3)), 4),
+        ],
+    )
+    def test_second_hop_shared_with_the_first_arc(self, paths, k):
+        # The witness's first arc is path 0, which also holds its second
+        # hop (1, 2). Path 0 does not hold that pair alone, so W at 0 on
+        # path 0 keeps 2; path 0's own later mask would remove it.
+        s = PathSystem(4, paths)
+        found = find_k_bridge(s, k)
+        assert found is not None and found.chain == tuple(range(k)) and found.arcs[0] == 0
+        assert found == parent_find_k_bridge(s, k)
+        assert 0 in s.pair_index.starts[k]
+        assert not s.pair_index.sole.get(1, {}).get(0, 0) >> 2 & 1
+
+    def test_width_4_start_whose_x3_does_not_follow_it(self):
+        # x_3 = 2 is in W at 0 on path 0 and precedes x_4 = 3 as 0 does,
+        # but 0 precedes only 1 and 3
+        s = PathSystem(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+        assert s.pair_index.succ[0] == 0b1010
+        assert s.pair_index.starts == {3: set(), 4: {0}}
+        found = find_k_bridge(s, 4)
+        assert found is not None and found.chain == (0, 1, 2, 3)
+        assert found == parent_find_k_bridge(s, 4)
 
 
 class TestPrefixMonotonicity:
