@@ -20,7 +20,6 @@ from .graphs import (
     IncrementalClosure,
     condense,
     dump_graph,
-    lift_edge,
     load_graph,
     reachable_set,
 )
@@ -63,10 +62,6 @@ from .pathsystem import (
     PathSystem,
     find_k_bridge,
     is_acyclic,
-    r_set,
-    reversed_system,
-    validate_witness,
-    verify_r_ordering,
 )
 from .preserver import (
     CondensingPreserver,

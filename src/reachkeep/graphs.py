@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NoReturn
 
-from .errors import BoundsError, MissingEntryError, ParseError
+from .errors import BoundsError, ParseError
 
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # two ids and the line number they were read from
@@ -31,6 +31,9 @@ class DirectedGraph:
     __slots__ = ("n", "edges", "_out", "_in", "_topo", "_topo_known", "_closure")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
+        # type(), not isinstance(): a bool is an int
+        if type(n) is not int:
+            raise BoundsError(f"vertex count must be an int, got {n!r}")
         if n < 0:
             raise BoundsError(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
@@ -38,7 +41,6 @@ class DirectedGraph:
         edge_set = set()
         for e in edges:
             u, v = e[0], e[1]
-            # type(), not isinstance(): a bool is an int
             if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
                 raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
             if u == v:
@@ -506,12 +508,15 @@ class Condensation:
     """Result of collapsing strong components.
 
     ``dag`` lives on component ids assigned in increasing order of each
-    component's minimum original vertex. A DAG input is its own ``dag``:
-    one-vertex components with identity ids, no trees and an identity
-    lift. Each non-trivial component keeps the sorted union of two BFS
-    trees of original edges, one into and one out of its min-id
-    representative: the edges a preserver adds for it. The two trees
-    may share edges; ``tree_edge_count`` is the 2(|C|-1) accounting.
+    component's minimum original vertex, and ``_lift`` maps each of its
+    edges to the lexicographically smallest original edge crossing the
+    same component pair. A DAG input is its own ``dag``: one-vertex
+    components with identity ids, no trees and an empty ``_lift``, as
+    each edge lifts to itself. Each non-trivial component keeps the
+    sorted union of two BFS trees of original edges, one into and one
+    out of its min-id representative: the edges a preserver adds for it.
+    The two trees may share edges; ``tree_edge_count`` is the 2(|C|-1)
+    accounting.
     """
 
     __slots__ = (
@@ -603,8 +608,7 @@ def condense(g: DirectedGraph) -> Condensation:
     if len(comps) == g.n:
         # Every component is one vertex: g is a DAG and its own condensation.
         ids = tuple(range(g.n))
-        lift = dict(zip(g.edges, g.edges))
-        return Condensation(g, ids, tuple((v,) for v in ids), g, {}, lift)
+        return Condensation(g, ids, tuple((v,) for v in ids), g, {}, {})
     comps.sort(key=lambda c: c[0])
     component_of = [0] * g.n
     for cid, members in enumerate(comps):
@@ -631,13 +635,3 @@ def condense(g: DirectedGraph) -> Condensation:
             lift.setdefault((a, b), (u, v))
     dag = DirectedGraph(len(comps), lift)
     return Condensation(g, tuple(component_of), tuple(tuple(c) for c in comps), dag, tree_of, lift)
-
-
-def lift_edge(c: Condensation, dag_edge: Edge) -> Edge:
-    """Map a condensation edge back to the lexicographically smallest
-    original edge crossing the same component pair."""
-    key = (int(dag_edge[0]), int(dag_edge[1]))
-    try:
-        return c._lift[key]
-    except KeyError:
-        raise MissingEntryError(f"no dag edge {key} in condensation") from None

@@ -16,7 +16,7 @@ or last arc in the path sequence.
 from __future__ import annotations
 
 import enum
-import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,7 +24,6 @@ from .errors import BoundsError, ParameterError
 from .graphs import DirectedGraph, iter_bits
 
 Path = tuple[int, ...]
-_NO_GROUPS: dict[int, int] = {}
 
 
 @dataclass(frozen=True)
@@ -34,6 +33,9 @@ class PathSystem:
 
     def __post_init__(self):
         n = self.universe
+        # bool is an int subclass, so the exact type tests reject True
+        if type(n) is not int:
+            raise BoundsError(f"universe must be an int, got {n!r}")
         if n < 0:
             raise BoundsError(f"universe must be >= 0, got {n}")
         for idx, path in enumerate(self.paths):
@@ -42,7 +44,6 @@ class PathSystem:
             if len(set(path)) != len(path):
                 raise BoundsError(f"path {idx} repeats a vertex: {path}")
             for v in path:
-                # bool is an int subclass, so the exact type test rejects True
                 if type(v) is not int or not 0 <= v < n:
                     raise BoundsError(f"path {idx} uses vertex {v!r}, not an int in 0..{n - 1}")
 
@@ -55,12 +56,6 @@ class PathSystem:
         """Ordered-pair index of all paths, built on first use and kept;
         every ``find_k_bridge`` call on this system reads it."""
         return _PairIndex(self.paths)
-
-
-def reversed_system(s: PathSystem) -> PathSystem:
-    """Reverse every path while keeping the path order. Swaps the roles
-    of the first-arc and last-arc order constraints."""
-    return PathSystem(s.universe, tuple(tuple(reversed(p)) for p in s.paths))
 
 
 def is_acyclic(s: PathSystem) -> tuple[bool, tuple[int, ...] | None]:
@@ -94,107 +89,143 @@ class BridgeWitness:
     arcs: tuple[int, ...]
 
 
-def _contains_before(path: Path, a: int, b: int) -> bool:
-    seen_a = False
-    for v in path:
-        if v == a:
-            seen_a = True
-        elif v == b:
-            return seen_a
-    return False
-
-
-def validate_witness(
-    s: PathSystem, w: BridgeWitness, order_constraint: OrderConstraint | str = OrderConstraint.NONE
-) -> bool:
-    """Re-check a witness against the system it came from."""
-    constraint = OrderConstraint(order_constraint)
-    if w.k != len(w.chain) or w.k != len(w.arcs) + 1:
-        return False
-    if len(set(w.chain)) != w.k:
-        return False
-    roles = (w.river,) + w.arcs
-    if len(set(roles)) != len(roles):
-        return False
-    if any(not (0 <= i < len(s.paths)) for i in roles):
-        return False
-    if not _contains_before(s.paths[w.river], w.chain[0], w.chain[-1]):
-        return False
-    for i, arc in enumerate(w.arcs):
-        if not _contains_before(s.paths[arc], w.chain[i], w.chain[i + 1]):
-            return False
-    return _order_ok(constraint, w.arcs, w.river)
-
-
 class _PairIndex:
-    """Ordered-pair index of a finished system, built in two passes.
+    """Ordered-pair index of a finished system: per-vertex masks and path
+    lists, from which the per-pair facts are derived on demand.
 
-    For every ordered pair (a, b) that some path contains as a
-    subsequence, ``owner[(a, b)]`` is the smallest path holding it, and
-    ``shared[(a, b)]`` lists the paths holding it in ascending order
-    when there are two or more. ``succ[a]`` masks a's successors, and
-    ``sole[a][q]`` those whose pair with a is on path q alone. Sweeping
-    each path A backwards, W unites the successors off A (outside
-    ``sole[v][A]``) of the vertices v after a on A; an a on two paths
-    with a later vertex joins ``starts[3]`` if W meets its successors
-    off A, and ``starts[4]`` if W meets ``feeds[a]``, the vertices before
-    one a precedes, kept instead of pred. ``after`` lists their successors.
+    ``succ[a]`` masks a's successors on all paths. A vertex with a later
+    vertex on one path only maps in ``one`` to that path, which holds
+    every pair it starts alone. One with a later vertex on two paths or
+    more maps in ``many`` to those paths, ascending; ``shared[a]`` masks
+    the b whose pair with a lies on two of them or more, and ``feeds[a]``
+    the vertices before one a precedes. ``owner``, ``paths_of`` and
+    ``sole`` read these, finding a's position on a path with
+    ``tuple.index``; a vertex in ``many`` gets a ``{b: path}`` row when
+    ``owner`` first asks for it. Sweeping each path A backwards, W
+    unites the successors off A of the vertices after a on A; a vertex
+    in ``many`` joins ``starts[3]`` if W meets its successors off A, and
+    ``starts[4]`` if W meets ``feeds[a]``. ``after`` lists the
+    successors of the starts.
     """
 
-    __slots__ = ("owner", "shared", "succ", "sole", "feeds", "starts", "after")
+    __slots__ = ("paths", "succ", "one", "many", "shared", "feeds", "starts", "after", "_rows")
 
     def __init__(self, paths: tuple[Path, ...]):
-        owner: dict[tuple[int, int], int] = {}
-        shared: dict[tuple[int, int], list[int]] = {}
-        succ: dict[int, int] = {}
+        one: dict[int, int] = {}
+        many: dict[int, list[int]] = {}
         pred: dict[int, int] = {}
-        sole: dict[int, dict[int, int]] = {}
+        # Only a vertex in many gets feeds or can be flagged, so the sweeps
+        # below run from the end of each path down to the lowest such vertex.
+        lowest: dict[int, int] = {}
         for idx, path in enumerate(paths):
             # a one-vertex path holds no ordered pair
             if len(path) < 2:
                 continue
+            earlier = 0
+            for i in range(len(path) - 1):
+                a, b = path[i], path[i + 1]
+                earlier |= 1 << a
+                pred[b] = pred[b] | earlier if b in pred else earlier
+                if a in many:
+                    many[a].append(idx)
+                elif a in one:
+                    q = one.pop(a)
+                    many[a] = [q, idx]
+                    j = paths[q].index(a)
+                    if lowest.get(q, j) >= j:
+                        lowest[q] = j
+                else:
+                    one[a] = idx
+                    continue
+                lowest.setdefault(idx, i)
+        # feeds[a] unites pred over a's successors: one suffix sweep per path,
+        # and pred is freed before the successor masks are built
+        feeds = dict.fromkeys(many, 0)
+        for q, low in lowest.items():
+            path, acc = paths[q], 0
+            for i in range(len(path) - 1, low, -1):
+                acc |= pred[path[i]]
+                if path[i - 1] in feeds:
+                    feeds[path[i - 1]] |= acc
+        del pred
+        succ: dict[int, int] = {}
+        shared: dict[int, int] = {}
+        for path in paths:
+            if len(path) < 2:
+                continue
             later = 1 << path[-1]
-            for i in range(len(path) - 2, -1, -1):
-                a = path[i]
-                succ[a] = succ[a] | later if a in succ else later
-                sole.setdefault(a, {})[idx] = later
-                for b in path[i + 1 :]:
-                    pred[b] = pred.get(b, 0) | 1 << a
-                    q = owner.setdefault((a, b), idx)
-                    if q != idx:
-                        shared.setdefault((a, b), [q]).append(idx)
-                later |= 1 << a
-        feeds = {a: 0 for a, groups in sole.items() if len(groups) > 1}
-        # a shared pair is on no path alone: clear it from each of its paths
-        for (a, b), qs in shared.items():
-            groups = sole[a]
-            for q in qs:
-                groups[q] ^= 1 << b
-                if not groups[q]:
-                    del groups[q]
-            if not groups:
-                del sole[a]
-        for a, b in owner:
-            if a in feeds:
-                feeds[a] |= pred[b]
-        starts = self.starts = {3: set(), 4: set()}
-        for idx, path in enumerate(paths):
-            # off A, only the last vertex and those on two paths have successors
-            w = succ.get(path[-1], 0)
             for a in path[-2::-1]:
+                if a in succ:
+                    both = succ[a] & later
+                    if both:
+                        shared[a] = shared.get(a, 0) | both
+                    succ[a] |= later
+                else:
+                    succ[a] = later
+                later |= 1 << a
+        starts = {3: set(), 4: set()}
+        for q, low in lowest.items():
+            path = paths[q]
+            # off A, only the last vertex and those in many have successors
+            w = succ.get(path[-1], 0)
+            later = 1 << path[-1]
+            for a in reversed(path[low:-1]):
                 if a in feeds:
-                    off = succ[a] ^ sole.get(a, _NO_GROUPS).get(idx, 0)
+                    # A holds alone the pairs with its later vertices that
+                    # are not shared
+                    off = succ[a] ^ (later & ~shared[a] if a in shared else later)
                     if w & off:
                         starts[3].add(a)
                     if w & feeds[a]:
                         starts[4].add(a)
                     w |= off
-        self.owner, self.shared, self.succ, self.sole, self.feeds = owner, shared, succ, sole, feeds
+                later |= 1 << a
+        self.paths, self.succ, self.one, self.many = paths, succ, one, many
+        self.shared, self.feeds, self.starts = shared, feeds, starts
         self.after = {a: list(iter_bits(succ[a])) for a in starts[3] | starts[4]}
+        self._rows: dict[int, dict[int, int]] = {}
 
-    def paths_of(self, pair: tuple[int, int]) -> list[int]:
-        """The ascending paths holding ``pair``."""
-        return self.shared.get(pair) or [self.owner[pair]]
+    def owner(self, a: int, b: int) -> int:
+        """The one path holding the pair (a, b), or -1 when two or more do."""
+        q = self.one.get(a)
+        return q if q is not None else self.row(a)[b]
+
+    def row(self, a: int) -> dict[int, int]:
+        """``{b: owner(a, b)}`` for a vertex in ``many``, kept once built."""
+        row = self._rows.get(a)
+        if row is None:
+            row = self._rows[a] = {}
+            for q in self.many[a]:
+                path = self.paths[q]
+                for b in path[path.index(a) + 1 :]:
+                    row[b] = -1 if b in row else q
+        return row
+
+    def paths_of(self, a: int, b: int) -> list[int]:
+        """The ascending paths holding the pair (a, b)."""
+        q = self.one.get(a)
+        if q is not None:
+            return [q]
+        paths = self.paths
+        return [q for q in self.many[a] if b in paths[q][paths[q].index(a) + 1 :]]
+
+    def paths_at(self, a: int) -> Sequence[int]:
+        """The ascending paths on which a has a later vertex."""
+        q = self.one.get(a)
+        return (q,) if q is not None else self.many.get(a, ())
+
+    def sole(self, a: int, q: int) -> int:
+        """Mask of the b whose pair with a lies on path q alone; 0 for q = -1."""
+        alone = self.one.get(a)
+        if alone is not None:
+            return self.succ[a] if alone == q else 0
+        path = self.paths[q] if q >= 0 else ()
+        if a not in path:
+            return 0
+        mask = 0
+        for b in path[path.index(a) + 1 :]:
+            mask |= 1 << b
+        return mask & ~self.shared.get(a, 0)
 
 
 def _order_ok(constraint: OrderConstraint, arcs, river: int) -> bool:
@@ -281,62 +312,62 @@ def find_k_bridge(
         raise ParameterError(f"k must be in 2..4, got {k}")
     constraint = OrderConstraint(order_constraint)
     index = s.pair_index
-    owner = index.owner
     shared = index.shared
     if k == 2:
         if not shared:
             return None
-        pair = min(shared)
-        arc, river = shared[pair][:2]
-        return BridgeWitness(k=2, chain=pair, river=river, arcs=(arc,))
+        a = min(shared)
+        b = (shared[a] & -shared[a]).bit_length() - 1
+        arc, river = index.paths_of(a, b)[:2]
+        return BridgeWitness(k=2, chain=(a, b), river=river, arcs=(arc,))
     succ = index.succ
-    sole = index.sole
+    one, owner, sole, paths_at = index.one, index.owner, index.sole, index.paths_at
 
-    def try_chain(chain: tuple[int, ...]) -> BridgeWitness | None:
-        pairs = [(chain[i], chain[i + 1]) for i in range(k - 1)]
-        pairs.append((chain[0], chain[-1]))
-        if shared.keys().isdisjoint(pairs):
-            *arcs, river = map(owner.__getitem__, pairs)
+    def try_chain(chain: tuple[int, ...], hops: list[int]) -> BridgeWitness | None:
+        arcs = [*hops, owner(chain[-2], chain[-1])]
+        river = owner(chain[0], chain[-1])
+        if river >= 0 and -1 not in arcs:
             if not _order_ok(constraint, arcs, river):
                 return None
         else:
-            got = _assign_roles(
-                [index.paths_of(p) for p in pairs[:-1]], index.paths_of(pairs[-1]), constraint
-            )
+            hop_lists = [index.paths_of(chain[i], chain[i + 1]) for i in range(k - 1)]
+            got = _assign_roles(hop_lists, index.paths_of(chain[0], chain[-1]), constraint)
             if got is None:
                 return None
             river, arcs = got
         return BridgeWitness(k=k, chain=chain, river=river, arcs=tuple(arcs))
 
-    def candidates(prefix: list[int], used_mask: int, taken: list[int]) -> int:
+    def candidates(prefix: list[int], used_mask: int, hops: list[int]) -> int:
         """Bitmask of the next chain vertices after ``prefix``, which
-        holds two chain vertices or more; ``taken`` holds the paths of
-        its one-path hops."""
+        holds two chain vertices or more; ``hops`` holds the path of each
+        of its hops, -1 for a shared one."""
         last = prefix[-1]
-        base = succ.get(last, 0) & ~used_mask
-        groups = sole.get(last, _NO_GROUPS)
-        for q in taken:
-            base &= ~groups.get(q, 0)
-        if len(prefix) == k - 2:
-            base &= feeds
-        else:
-            first = prefix[0]
-            base &= succ[first]
-            river_groups = sole.get(first, _NO_GROUPS)
-            for q in taken:
-                base &= ~river_groups.get(q, 0)
-            # the last hop and the river may share one one-path list
-            for v in iter_bits(base):
-                hop, river = (last, v), (first, v)
-                if hop not in shared and river not in shared and owner[hop] == owner[river]:
-                    base ^= 1 << v
+        alone = one.get(last)
+        if alone in hops:
+            return 0  # each next hop would be on that path alone
+        # the mask cuts first: most candidate sets are empty after them
+        to_river = len(prefix) == k - 1
+        base = succ.get(last, 0) & ~used_mask & (succ[prefix[0]] if to_river else feeds)
+        if alone is None:
+            for q in hops:
+                if base:
+                    base &= ~sole(last, q)
+        if not (base and to_river):
+            return base
+        first = prefix[0]
+        for q in hops:
+            base &= ~sole(first, q)
+        # the last hop and the river may lie on one path alone
+        for q in paths_at(last):
+            if base and q in first_paths:
+                base &= ~(sole(last, q) & sole(first, q))
         return base
 
-    def extend(prefix: list[int], used_mask: int, taken: list[int], nexts, extend):
+    def extend(prefix: list[int], used_mask: int, hops: list[int], nexts, extend):
         depth = len(prefix)
         if depth == k - 1:
             for v in nexts:
-                found = try_chain((*prefix, v))
+                found = try_chain((*prefix, v), hops)
                 if found is not None:
                     return found
             return None
@@ -344,101 +375,26 @@ def find_k_bridge(
         # v's own next vertex must lie in cut: it feeds the river, or it
         # closes the chain and so follows x_1
         cut = succ[prefix[0]] if depth == k - 2 else feeds
+        alone = one.get(last)
+        row = None if alone is not None else index.row(last)
         for v in nexts:
             if not succ.get(v, 0) & cut:
                 continue
-            hop = (last, v)
-            one = hop not in shared
-            if one:
-                taken.append(owner[hop])
+            hops.append(alone if row is None else row[v])
             prefix.append(v)
             mask = used_mask | (1 << v)
-            child = candidates(prefix, mask, taken)
-            found = extend(prefix, mask, taken, iter_bits(child), extend) if child else None
+            child = candidates(prefix, mask, hops)
+            found = extend(prefix, mask, hops, iter_bits(child), extend) if child else None
             prefix.pop()
-            if one:
-                taken.pop()
+            hops.pop()
             if found is not None:
                 return found
         return None
 
     for x1 in sorted(index.starts[k]):
         feeds = index.feeds[x1]
+        first_paths = set(paths_at(x1))
         found = extend([x1], 1 << x1, [], index.after[x1], extend)
         if found is not None:
             return found
     return None
-
-
-def _first_meeting(path2: Path, positions: dict[int, int]) -> tuple[int, int] | None:
-    """Earliest position along path2 inside an anchor path, and the
-    meeting vertex's position along that anchor."""
-    for pos, v in enumerate(path2):
-        if v in positions:
-            return pos, positions[v]
-    return None
-
-
-def _meetings(s: PathSystem, i1: int, i3: int) -> list[tuple[int, int, int]]:
-    """(position on path i1, position on path i3, i2) for each member i2
-    of r_set(s, i1, i3), in r_set's order. Warns once, on behalf of
-    r_set's caller, when a candidate meets an anchor in several vertices."""
-    p = len(s.paths)
-    for name, idx in (("i1", i1), ("i3", i3)):
-        if not (0 <= idx < p):
-            raise BoundsError(f"{name}={idx} outside 0..{p - 1}")
-    pos1 = {v: i for i, v in enumerate(s.paths[i1])}
-    pos3 = {v: i for i, v in enumerate(s.paths[i3])}
-    members: list[tuple[int, int, int]] = []
-    warned = False
-    for i2 in range(i3 + 1, p):
-        if i2 == i1:
-            continue
-        path2 = s.paths[i2]
-        meet1 = _first_meeting(path2, pos1)
-        meet3 = _first_meeting(path2, pos3)
-        if meet1 is None or meet3 is None:
-            continue
-        if not warned:
-            common1 = sum(1 for v in path2 if v in pos1)
-            common3 = sum(1 for v in path2 if v in pos3)
-            if common1 > 1 or common3 > 1:
-                warnings.warn(
-                    "r_set: a candidate path meets an anchor path in more "
-                    "than one vertex; using the earliest meeting",
-                    stacklevel=3,
-                )
-                warned = True
-        if meet1[0] < meet3[0]:
-            members.append((meet1[1], meet3[1], i2))
-    members.sort(key=lambda m: (m[0], m[2]))
-    return members
-
-
-def r_set(s: PathSystem, i1: int, i3: int) -> list[int]:
-    """Indices i2 of paths after i3 that meet path i1 strictly before
-    they meet path i3, sorted by where the meeting with path i1 falls
-    along path i1.
-
-    Intended for systems where any two relevant paths meet in at most
-    one vertex. When a candidate meets a path in several vertices the
-    earliest one along the candidate is used and a warning is issued.
-    """
-    return [i2 for _, _, i2 in _meetings(s, i1, i3)]
-
-
-def verify_r_ordering(s: PathSystem, i1: int, i3: int) -> bool:
-    """Check the ordering law on r_set(s, i1, i3): meetings with path
-    i1 strictly advance along path i1, meetings with path i3 never
-    retreat along path i3, and the set is no larger than path i1."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        members = _meetings(s, i1, i3)
-    if len(members) > len(s.paths[i1]):
-        return False
-    last1 = last3 = -1
-    for a, b, _ in members:
-        if a <= last1 or b < last3:
-            return False
-        last1, last3 = a, b
-    return True

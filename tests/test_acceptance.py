@@ -25,19 +25,17 @@ from reachkeep import (
     min_preserver,
     precompute_index_sensitive,
     precompute_known_p,
-    r_set,
     reachable_set,
-    reversed_system,
     select_entry,
     size_envelope_general,
     size_envelope_source_restricted,
     surrogate_monitor,
     verify_all,
-    verify_r_ordering,
 )
 from reachkeep.cli import main as cli_main
 from reachkeep.cli import replay_manifest
 from reachkeep.seeding import rng_for
+from reference import r_set, reversed_system, verify_r_ordering
 
 
 def emit(capsys, number: int, ok: bool, detail: str) -> None:

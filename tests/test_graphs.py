@@ -23,13 +23,13 @@ from reachkeep.graphs import (
     condense,
     dump_graph,
     format_pairs,
-    lift_edge,
     load_graph,
     parse_pairs,
     reachable_set,
 )
 from reachkeep.preserver import EdgeStore
 from reachkeep.udsn import bfs_route
+from reference import lift_edge
 
 
 def closure_oracle(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -202,6 +202,11 @@ class TestDirectedGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(BoundsError):
             DirectedGraph(3, [(1, 1)])
+
+    @pytest.mark.parametrize("n", [True, 2.5, "3", 3.0])
+    def test_rejects_a_vertex_count_that_is_not_an_int(self, n):
+        with pytest.raises(BoundsError, match=f"vertex count must be an int, got {n!r}"):
+            DirectedGraph(n, [])
 
     def test_deduplicates(self):
         g = DirectedGraph(3, [(0, 1), (0, 1), (1, 2)])
@@ -461,6 +466,7 @@ class TestCondensation:
         assert c.representative == tuple(range(n))
         assert c.tree_edge_count == 0
         assert all(c.tree_edges_of(v) == () for v in range(n))
+        assert c._lift == {}  # each edge lifts to itself, so no table is kept
         for e in g.edges:
             assert lift_edge(c, e) == e
         u, v = next(iter(g.edges))

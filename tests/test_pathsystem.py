@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -19,11 +20,8 @@ from reachkeep.pathsystem import (
     PathSystem,
     find_k_bridge,
     is_acyclic,
-    r_set,
-    reversed_system,
-    validate_witness,
-    verify_r_ordering,
 )
+from reference import r_set, reversed_system, validate_witness, verify_r_ordering
 
 NONE = OrderConstraint.NONE
 FIRST = OrderConstraint.FIRST_ARC_BEFORE_RIVER
@@ -235,16 +233,33 @@ def parent_feeds(parent: ParentPairIndex, a: int) -> int:
 
 
 def every_start_index(paths) -> pathsystem._PairIndex:
-    """The parent's build in the shape the search reads, with every
-    vertex that has a successor flagged at both widths: a search over it
-    walks every start, as the parent's did."""
+    """The index with the parent's build of the fields the flags come
+    from, and every vertex that has a successor flagged at both widths:
+    a search over it walks every start, as the parent's did."""
     parent = ParentPairIndex(paths)
-    index = object.__new__(pathsystem._PairIndex)
-    index.owner, index.shared, index.succ = parent.owner, parent.shared, parent.succ
-    index.sole, index.after = parent.sole, parent.after
+    index = pathsystem._PairIndex(paths)
+    index.after = parent.after
     index.feeds = {a: parent_feeds(parent, a) for a in parent.after}
     index.starts = {3: set(parent.after), 4: set(parent.after)}
     return index
+
+
+def pair_layout(index: pathsystem._PairIndex) -> tuple[dict, dict, dict]:
+    """``owner``, ``shared`` and ``sole`` in the layout the index stored
+    before it derived them from per-vertex path lists: the smallest path of
+    every ordered pair, the ascending paths of each pair held by two or
+    more, and per vertex the nonzero masks of the pairs one path holds
+    alone."""
+    paths = index.paths
+    pairs = {(a, b) for path in paths for i, a in enumerate(path) for b in path[i + 1 :]}
+    holders = {pair: index.paths_of(*pair) for pair in pairs}
+    sole: dict[int, dict[int, int]] = {}
+    for a in index.succ:
+        for q in range(len(paths)):
+            if mask := index.sole(a, q):
+                sole.setdefault(a, {})[q] = mask
+    owner = {pair: qs[0] for pair, qs in holders.items()}
+    return owner, {pair: qs for pair, qs in holders.items() if len(qs) > 1}, sole
 
 
 def parent_find_k_bridge(
@@ -413,6 +428,11 @@ class TestPathSystem:
     def test_rejects_a_vertex_that_is_not_an_int(self, vertex):
         with pytest.raises(BoundsError, match=f"path 1 uses vertex {vertex!r}, not an int"):
             PathSystem(3, ((0, 1), (vertex, 2)))
+
+    @pytest.mark.parametrize("universe", [2.5, "3", True, 3.0])
+    def test_rejects_a_universe_that_is_not_an_int(self, universe):
+        with pytest.raises(BoundsError, match=f"universe must be an int, got {universe!r}"):
+            PathSystem(universe, ((0, 1), (0, 1)))
 
     def test_size_degree_support(self):
         s = PathSystem(5, ((0, 1, 2), (1, 3)))
@@ -597,7 +617,7 @@ class TestPrunedSearch:
         ):
             builds.clear()
             s = PathSystem(5, paths)
-            assert s.pair_index.shared == shared
+            assert pair_layout(s.pair_index)[1] == shared
             witnesses = [find_k_bridge(s, k, FIRST) for k in (2, 3, 4)]
             assert [find_k_bridge(s, k, FIRST) for k in (2, 3, 4)] == witnesses
             assert witnesses == [parent_find_k_bridge(s, k, FIRST) for k in (2, 3, 4)]
@@ -607,9 +627,10 @@ class TestPrunedSearch:
     def test_index_groups_one_path_pairs(self):
         s = PathSystem(4, ((0, 1, 2), (0, 1), (3, 2)))
         index, parent = s.pair_index, ParentPairIndex(s.paths)
-        assert index.sole == {0: {0: 1 << 2}, 1: {0: 1 << 2}, 3: {2: 1 << 2}}
-        assert index.owner == {(0, 1): 0, (0, 2): 0, (1, 2): 0, (3, 2): 2}
-        assert index.shared == {(0, 1): [0, 1]}
+        owner, shared, sole = pair_layout(index)
+        assert sole == {0: {0: 1 << 2}, 1: {0: 1 << 2}, 3: {2: 1 << 2}}
+        assert owner == {(0, 1): 0, (0, 2): 0, (1, 2): 0, (3, 2): 2}
+        assert shared == {(0, 1): [0, 1]}
         assert parent.after == {0: [1, 2], 1: [2], 3: [2]}
         assert index.succ == {0: 0b110, 1: 0b100, 3: 0b100}
         assert parent.pred == {1: 0b1, 2: 0b1011}
@@ -691,8 +712,8 @@ class TestIndexSkipsOneVertexPaths:
     @settings(max_examples=400, deadline=None)
     def test_same_index_as_the_parent_build(self, s):
         index, parent = s.pair_index, ParentPairIndex(s.paths)
-        for name in ("owner", "shared", "succ", "sole"):
-            assert getattr(index, name) == getattr(parent, name), name
+        assert pair_layout(index) == (parent.owner, parent.shared, parent.sole)
+        assert index.succ == parent.succ
         # pred and the full after live on in what replaced them
         for a, feeds in index.feeds.items():
             assert feeds == parent_feeds(parent, a), a
@@ -716,10 +737,11 @@ class TestIndexSkipsOneVertexPaths:
     def test_one_vertex_paths_add_nothing(self):
         paths = ((3,), (0, 1), (1,), (2,), (0,))
         index, parent = PathSystem(4, paths).pair_index, ParentPairIndex(paths)
-        assert (index.owner, index.shared) == ({(0, 1): 1}, {})
+        owner, shared, sole = pair_layout(index)
+        assert (owner, shared) == ({(0, 1): 1}, {})
         assert (parent.succ, parent.pred, parent.after) == ({0: 0b10}, {1: 0b1}, {0: [1]})
         assert index.succ == parent.succ
-        assert index.sole == {0: {1: 0b10}}
+        assert sole == {0: {1: 0b10}}
         # 0 lies on one path with a later vertex, so nothing is flagged
         assert (index.feeds, index.starts, index.after) == ({}, {3: set(), 4: set()}, {})
 
@@ -768,7 +790,7 @@ class TestFlaggedStarts:
         assert found is not None and found.chain == tuple(range(k)) and found.arcs[0] == 0
         assert found == parent_find_k_bridge(s, k)
         assert 0 in s.pair_index.starts[k]
-        assert not s.pair_index.sole.get(1, {}).get(0, 0) >> 2 & 1
+        assert not s.pair_index.sole(1, 0) >> 2 & 1
 
     def test_width_4_start_whose_x3_does_not_follow_it(self):
         # x_3 = 2 is in W at 0 on path 0 and precedes x_4 = 3 as 0 does,
@@ -779,6 +801,63 @@ class TestFlaggedStarts:
         found = find_k_bridge(s, 4)
         assert found is not None and found.chain == (0, 1, 2, 3)
         assert found == parent_find_k_bridge(s, 4)
+
+
+class TestDerivedPairFacts:
+    """The index that derives owners, shared pairs and one-path masks from
+    per-vertex path lists, against the searches and builds it replaced."""
+
+    @given(
+        st.one_of(
+            path_systems(max_universe=10, max_paths=10, max_len=10),
+            repeated_stretch_systems(),
+            one_owner_systems(),
+            systems_with_one_vertex_paths(),
+        ),
+        st.sampled_from([2, 3, 4]),
+        st.sampled_from([NONE, FIRST, LAST]),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_same_witness_as_the_parent_search(self, s, k, constraint):
+        assert find_k_bridge(s, k, constraint) == parent_find_k_bridge(s, k, constraint)
+
+    @given(st.one_of(path_systems(max_universe=8, max_paths=8), repeated_stretch_systems()))
+    @settings(max_examples=300, deadline=None)
+    def test_accessors_match_the_parent_build(self, s):
+        index, parent = s.pair_index, ParentPairIndex(s.paths)
+        expected = {
+            pair: -1 if pair in parent.shared else q for pair, q in parent.owner.items()
+        }
+        for (a, b), q in expected.items():
+            assert index.owner(a, b) == q, (a, b)
+            assert index.shared.get(a, 0) >> b & 1 == (q == -1), (a, b)
+        for a in index.succ:
+            on = [q for q, path in enumerate(s.paths) if a in path[:-1]]
+            assert list(index.paths_at(a)) == on, a
+            assert (a in index.one, a in index.many) == (len(on) == 1, len(on) > 1), a
+            if a in index.many:
+                assert index.row(a) == {b: expected[a, b] for b in iter_bits(index.succ[a])}, a
+            assert index.sole(a, -1) == 0
+
+    def test_build_peak_is_at_most_half_the_parent_build(self):
+        g, stream = generate(
+            InstanceFamily(kind="random-dag", n=2000, seed=1, density=9 / 1999, pairs=4000)
+        )
+        session = CondensingPreserver(g, "fw")
+        for s, t in stream:
+            session.serve_pair(s, t)
+        paths = session.z_system().paths
+
+        def build_peak(build) -> int:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                build(paths)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert 2 * build_peak(pathsystem._PairIndex) <= build_peak(ParentPairIndex)
 
 
 class TestPrefixMonotonicity:

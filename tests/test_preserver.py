@@ -24,7 +24,6 @@ from reachkeep import (
     generate,
     grow_backwards,
     grow_forwards,
-    lift_edge,
     reachable_set,
     size_envelope_general,
     size_envelope_source_restricted,
@@ -33,6 +32,7 @@ from reachkeep import (
 from reachkeep.graphs import check_vertices
 from reachkeep.pathsystem import find_k_bridge, is_acyclic
 from reachkeep.preserver import SessionReport, _walk, unreachable_pairs
+from reference import lift_edge
 from test_nonadaptive import time_limit
 
 DIAMOND = DirectedGraph(4, {(0, 1), (1, 2), (0, 2), (2, 3)})
@@ -363,7 +363,8 @@ class ParentSession(CondensingPreserver):
     before serving a pair took one range test and one growth call: the
     pair checked by ``check_vertices``, each growth call re-testing the
     DAG and the range, and every new edge looked up in the lift, on a
-    DAG too. Kept as the reference."""
+    DAG too (through the reference ``lift_edge``, as a DAG's condensation
+    keeps no lift table). Kept as the reference."""
 
     def _choose_path(self, s: int, t: int, new: list) -> tuple[int, ...]:
         grow = parent_grow_forwards if self.mode is GrowthMode.FORWARDS else parent_grow_backwards
@@ -391,7 +392,7 @@ class ParentSession(CondensingPreserver):
                 if comp in pending:
                     pending.remove(comp)
                     added.extend(cond.tree_edges_of(comp))
-        added.extend(map(cond._lift.__getitem__, new))
+        added.extend(lift_edge(cond, e) for e in new)
         record = PairRecord((s, t), path, new, tuple(added))
         self.log.append(record)
         return record.added

@@ -17,14 +17,12 @@ PUBLIC_NAMES = [
     "SizeLimitError", "THIN", "TRIVIAL", "UdsnParams", "UdsnRecord", "UdsnSession",
     "VerificationResult", "WHILE_LOOP", "bench_cell", "bench_sweep", "bfs_route",
     "canonical_json", "condense", "default_surrogate", "dump_graph", "find_k_bridge",
-    "generate", "greedy_adversary_step", "grow_backwards", "grow_forwards",
-    "hash_json", "hash_text", "hit_by", "is_acyclic", "is_thin", "lift_edge",
-    "load_graph", "load_manifest", "min_preserver", "precompute_index_sensitive",
-    "precompute_known_p", "primary_rows", "r_set", "reachable_set", "reversed_system",
-    "rng_for", "save_manifest", "select_entry", "size_envelope_general",
-    "size_envelope_source_restricted", "sourcewise_cells", "split_seed",
-    "surrogate_monitor", "validate_witness", "verify_all", "verify_r_ordering",
-    "verify_session",
+    "generate", "greedy_adversary_step", "grow_backwards", "grow_forwards", "hash_json",
+    "hash_text", "hit_by", "is_acyclic", "is_thin", "load_graph", "load_manifest",
+    "min_preserver", "precompute_index_sensitive", "precompute_known_p", "primary_rows",
+    "reachable_set", "rng_for", "save_manifest", "select_entry",
+    "size_envelope_general", "size_envelope_source_restricted", "sourcewise_cells",
+    "split_seed", "surrogate_monitor", "verify_all", "verify_session",
 ]
 
 
