@@ -27,6 +27,7 @@ from .harness import (
     RunManifest,
     VerificationResult,
     bench_cell,
+    bench_grid,
     bench_sweep,
     canonical_json,
     hash_json,
@@ -34,7 +35,6 @@ from .harness import (
     load_manifest,
     primary_rows,
     save_manifest,
-    sourcewise_cells,
     verify_all,
 )
 from .nonadaptive import (

@@ -30,14 +30,15 @@ from .errors import (
 )
 from .graphs import DirectedGraph, check_vertices, dump_graph, format_pairs, load_graph, parse_pairs
 from .harness import (
+    BENCH_KNOBS,
     RunManifest,
+    bench_grid,
     bench_sweep,
     canonical_json,
     hash_json,
     hash_text,
     primary_rows,
     save_manifest,
-    sourcewise_cells,
     utc_stamp,
     verify_all,
 )
@@ -55,7 +56,6 @@ from .preserver import (
     unreachable_pairs,
     verify_session,
 )
-from .seeding import split_seed
 from .udsn import UdsnParams, UdsnSession
 
 Pair = tuple[int, int]
@@ -75,6 +75,16 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read {path}: {exc}") from None
+
+
+def _read_stdin() -> str:
+    """stdin's text, read as strictly as _read reads a file: a stream
+    decoded with surrogateescape keeps an undecodable byte as a lone
+    surrogate, which the round trip turns back into a decode error."""
+    try:
+        return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise ParameterError(f"cannot read stdin: {exc}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -266,46 +276,9 @@ def _compute_gen(params: dict, seed: int):
     return payload, {}, None, {"graph": graph_text, "pairs": pairs_text}, 0
 
 
-# The bench knobs that one kind ignores, with their defaults: s_sizes and
-# pair_factor shape sourcewise sweeps only, pair_counts the other kinds.
-# Another value where it is ignored would give one sweep two manifest ids.
-_BENCH_KNOBS = {"s_sizes": [1, 2, 4], "pair_factor": 20, "pair_counts": [10, 50]}
-
-
-def _bench_cells(params: dict, seed: int):
-    kind = str(params["kind"])
-    ignored = ("pair_counts",) if kind == "sourcewise" else ("s_sizes", "pair_factor")
-    for key in ignored:
-        if params[key] != _BENCH_KNOBS[key]:
-            raise ParameterError(f"{kind} does not use {key}, got {key}={params[key]!r}")
-    ns = [int(x) for x in params["ns"]]
-    modes = [GrowthMode(str(m)) for m in params["modes"]]
-    if kind == "sourcewise":
-        return sourcewise_cells(
-            ns,
-            [int(x) for x in params["s_sizes"]],
-            pair_factor=int(params["pair_factor"]),
-            seed=seed,
-            modes=modes,
-            density=float(params["density"]),
-        )
-    cells = []
-    for n in ns:
-        for p in [int(x) for x in params["pair_counts"]]:
-            for mode in modes:
-                family = InstanceFamily(
-                    kind=kind,
-                    n=n,
-                    seed=split_seed(seed, "bench", kind, n, p, mode.value),
-                    density=float(params["density"]),
-                    pairs=p,
-                )
-                cells.append((family, mode))
-    return cells
-
-
 def _compute_bench(params: dict, seed: int):
-    rows = bench_sweep(_bench_cells(params, seed), constant=float(params["constant"]))
+    grid = {k: v for k, v in params.items() if k != "constant"}
+    rows = bench_sweep(bench_grid(seed=seed, **grid), constant=float(params["constant"]))
     failed = any("error" in row for row in rows)
     return {"rows": rows}, {}, primary_rows(rows), {}, 1 if failed else 0
 
@@ -479,9 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("bench", "seeded sweep over generated instances")
     p.add_argument("--kind", default="sourcewise")
     p.add_argument("--ns", default="50,100")
-    p.add_argument("--s-sizes", default="1,2,4")
-    p.add_argument("--pair-counts", default="10,50")
-    p.add_argument("--pair-factor", type=int, default=20)
+    p.add_argument("--s-sizes", default=",".join(map(str, BENCH_KNOBS["s_sizes"])))
+    p.add_argument("--pair-counts", default=",".join(map(str, BENCH_KNOBS["pair_counts"])))
+    p.add_argument("--pair-factor", type=int, default=BENCH_KNOBS["pair_factor"])
     p.add_argument("--modes", default="fw,bw")
     p.add_argument("--density", type=float, default=0.25)
     p.add_argument("--constant", type=float, default=16.0)
@@ -510,7 +483,7 @@ def _params_for(args: argparse.Namespace) -> dict:
     }
     if getattr(args, "pairs", None) == "-":
         # demands streamed on stdin are captured so replays see them
-        params["pairs_text"] = sys.stdin.read()
+        params["pairs_text"] = _read_stdin()
     if args.command == "precompute" and args.p is not None and args.p_star is not None:
         raise ParameterError("--p and --p-star are mutually exclusive")
     if args.command == "bench":

@@ -57,5 +57,6 @@ def check_finite_positive(name: str, value: float) -> None:
 
 def check_count(name: str, value: int) -> None:
     """Reject a count that is not an integer of at least 1."""
-    if int(value) != value or value < 1:
-        raise ParameterError(f"{name} must be an integer >= 1, got {value}")
+    # type(), not isinstance(): a bool is an int, and a float would be truncated.
+    if type(value) is not int or value < 1:
+        raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")

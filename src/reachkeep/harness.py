@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -135,7 +135,7 @@ def verify_all(directory: str | Path, runner: Runner) -> list[VerificationResult
         try:
             raw = json.loads(path.read_text())
             manifest = RunManifest.from_json_dict(raw)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             stored_id, reason = "", f"unreadable: {exc}"
         else:
             stored_id = str(raw.get("id", ""))
@@ -207,30 +207,47 @@ def primary_rows(rows: list[dict[str, object]]) -> list[dict[str, object]]:
     return [{k: v for k, v in row.items() if k != "wall_time"} for row in rows]
 
 
-def sourcewise_cells(
+# The bench knobs that one kind ignores, with their defaults: s_sizes and
+# pair_factor shape sourcewise sweeps only, pair_counts the other kinds.
+# Another value where it is ignored would give one sweep two manifest ids.
+BENCH_KNOBS = {"s_sizes": (1, 2, 4), "pair_factor": 20, "pair_counts": (10, 50)}
+
+
+def bench_grid(
+    kind: str,
     ns: Iterable[int],
-    s_sizes: Iterable[int],
-    pair_factor: int = 20,
-    seed: int = 0,
-    modes: Iterable[GrowthMode | str] = (GrowthMode.FORWARDS, GrowthMode.BACKWARDS),
-    density: float = 0.25,
+    modes: Iterable[GrowthMode | str],
+    seed: int,
+    density: float,
+    s_sizes: Sequence[int] = BENCH_KNOBS["s_sizes"],
+    pair_factor: int = BENCH_KNOBS["pair_factor"],
+    pair_counts: Sequence[int] = BENCH_KNOBS["pair_counts"],
 ) -> list[tuple[InstanceFamily, GrowthMode]]:
-    """Shared-terminal grid: the restricted side has s_size vertices and
-    the stream carries pair_factor demands per shared terminal."""
+    """Every cell of a bench sweep, each family built and so checked
+    before any cell runs. A sourcewise grid runs n, then s_size, then
+    mode: the restricted side has s_size vertices (sinks for forwards
+    growth, sources for backwards) and the stream carries pair_factor
+    demands per shared terminal. Other kinds run n, then pair count,
+    then mode. A knob the kind ignores must keep its default."""
+    given = {"s_sizes": s_sizes, "pair_factor": pair_factor, "pair_counts": pair_counts}
+    for key in ("pair_counts",) if kind == "sourcewise" else ("s_sizes", "pair_factor"):
+        value = given[key]
+        # a list, as the CLI and a manifest give it, matches its tuple default
+        if (tuple(value) if isinstance(value, list) else value) != BENCH_KNOBS[key]:
+            raise ParameterError(f"{kind} does not use {key}, got {key}={value!r}")
+    modes = [GrowthMode(m) for m in modes]
+    sourcewise = kind == "sourcewise"
     cells = []
     for n in ns:
-        for s_size in s_sizes:
+        for size in s_sizes if sourcewise else pair_counts:
             for mode in modes:
-                mode = GrowthMode(mode)
-                side = "sink" if mode is GrowthMode.FORWARDS else "source"
-                family = InstanceFamily(
-                    kind="sourcewise",
-                    n=n,
-                    seed=split_seed(seed, "bench", n, s_size, mode.value),
-                    density=density,
-                    pairs=pair_factor * s_size,
-                    s_size=s_size,
-                    side=side,
-                )
+                if sourcewise:
+                    side = "sink" if mode is GrowthMode.FORWARDS else "source"
+                    labels = (n, size, mode.value)
+                    knobs = {"pairs": pair_factor * size, "s_size": size, "side": side}
+                else:
+                    labels, knobs = (kind, n, size, mode.value), {"pairs": size}
+                cell_seed = split_seed(seed, "bench", *labels)
+                family = InstanceFamily(kind=kind, n=n, seed=cell_seed, density=density, **knobs)
                 cells.append((family, mode))
     return cells

@@ -21,7 +21,7 @@ from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps thi
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
 # is), but perfbench/tracing.py wraps this module's binding of them. A
 # walk is one call either way: its new-edge list is an argument.
-from .preserver import GrowthMode, grow_backwards, grow_forwards
+from .preserver import GrowthMode, grow_backwards, grow_forwards, unreachable_pairs
 from .seeding import rng_for
 
 Pair = tuple[int, int]
@@ -36,15 +36,6 @@ _KIND_KNOBS = {
     "sourcewise": ("density", "pairs", "s_size", "side"),
 }
 FAMILY_KINDS = tuple(_KIND_KNOBS)
-
-
-def _preserves(n: int, edge_set: Iterable[Edge], pairs: list[Pair]) -> bool:
-    h = DirectedGraph(n, edge_set)
-    for s, t in pairs:
-        mask = h.reach_mask(s)  # range-checks s before t is read
-        if not (t >= 0 and mask >> t & 1):
-            return False
-    return True
 
 
 def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
@@ -71,7 +62,9 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
         return frozenset()
 
     edges_sorted = sorted(g.edges)
-    mandatory = {e for e in edges_sorted if not _preserves(g.n, g.edges - {e}, pair_list)}
+    mandatory = {
+        e for e in edges_sorted if unreachable_pairs(DirectedGraph(g.n, g.edges - {e}), pair_list)
+    }
 
     def useful(e: Edge) -> bool:
         return any(
@@ -84,7 +77,7 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
     for k in range(len(pool) + 1):
         for combo in combinations(pool, k):
             candidate = base + list(combo)
-            if _preserves(g.n, candidate, pair_list):
+            if not unreachable_pairs(DirectedGraph(g.n, candidate), pair_list):
                 return frozenset(candidate)
     raise AssertionError("unreachable: the full edge set preserves all pairs")
 

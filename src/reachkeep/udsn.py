@@ -69,20 +69,22 @@ class UdsnParams:
         return n if raw >= n else math.ceil(raw)
 
 
-def is_thin(g: DirectedGraph, s: int, t: int, tau: int) -> bool:
-    """True when at most tau vertices lie on some path from s to t: the
-    popcount of s's forward and t's backward ``reach_mask`` (any digraph)."""
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {tau}")
-    return (g.reach_mask(s) & g.reach_mask(t, reverse=True)).bit_count() <= tau
-
-
 def _between(cond: Condensation, s: int, t: int) -> int:
     """Bitset of the components on some s-to-t path of ``cond.graph``. A
     vertex lies on such a path exactly when its component does on the
     condensation's DAG, so this reads that DAG's closure."""
     comp = cond.component_of
     return cond.dag.reach_mask(comp[s]) & cond.dag.reach_mask(comp[t], reverse=True)
+
+
+def is_thin(cond: Condensation, s: int, t: int, tau: int) -> bool:
+    """True when at most tau vertices lie on some s-to-t path of
+    ``cond.graph``: the members of the components ``_between`` holds."""
+    if tau < 1:
+        raise ParameterError(f"tau must be >= 1, got {tau}")
+    check_vertices(cond.graph.n, s, t)
+    members = cond.components
+    return sum(len(members[c]) for c in iter_bits(_between(cond, s, t))) <= tau
 
 
 def hit_by(cond: Condensation, s: int, t: int, sample: tuple[int, ...]) -> int | None:
@@ -169,10 +171,7 @@ class UdsnSession:
                 edges = self.fw_leg.serve_pair(s, via) + self.bw_leg.serve_pair(via, t)
             else:
                 route = THIN
-                # is_thin(self.g, ...) on the closure hit_by reads, not on G's own.
-                members = self.condensation.components
-                between = iter_bits(_between(self.condensation, s, t))
-                violation = sum(len(members[c]) for c in between) > self.params.tau
+                violation = not is_thin(self.condensation, s, t, self.params.tau)
                 edges = bfs_route(self.g, s, t)
         added = self.output.add_all(edges)
         # A hit's cost stays the legs' count: manifests hash it (ROADMAP: UDSN route cost).

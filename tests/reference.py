@@ -1,14 +1,19 @@
 """Reference code the library no longer carries: the witness checker,
-path-system reversal, the meeting-order diagnostics and the condensation
-edge lift. Tests import them from here."""
+path-system reversal, the meeting-order diagnostics, the condensation
+edge lift and the two bench grid builders ``bench_grid`` replaced.
+Tests import them from here."""
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable
 
-from reachkeep.errors import BoundsError, MissingEntryError
+from reachkeep.errors import BoundsError, MissingEntryError, ParameterError
 from reachkeep.graphs import Condensation, Edge
+from reachkeep.oracle import InstanceFamily
 from reachkeep.pathsystem import BridgeWitness, OrderConstraint, Path, PathSystem, _order_ok
+from reachkeep.preserver import GrowthMode
+from reachkeep.seeding import split_seed
 
 
 def reversed_system(s: PathSystem) -> PathSystem:
@@ -134,3 +139,70 @@ def lift_edge(c: Condensation, dag_edge: Edge) -> Edge:
         return c._lift[key]
     except KeyError:
         raise MissingEntryError(f"no dag edge {key} in condensation") from None
+
+
+def sourcewise_cells(
+    ns: Iterable[int],
+    s_sizes: Iterable[int],
+    pair_factor: int = 20,
+    seed: int = 0,
+    modes: Iterable[GrowthMode | str] = (GrowthMode.FORWARDS, GrowthMode.BACKWARDS),
+    density: float = 0.25,
+) -> list[tuple[InstanceFamily, GrowthMode]]:
+    """Shared-terminal grid: the restricted side has s_size vertices and
+    the stream carries pair_factor demands per shared terminal."""
+    cells = []
+    for n in ns:
+        for s_size in s_sizes:
+            for mode in modes:
+                mode = GrowthMode(mode)
+                side = "sink" if mode is GrowthMode.FORWARDS else "source"
+                family = InstanceFamily(
+                    kind="sourcewise",
+                    n=n,
+                    seed=split_seed(seed, "bench", n, s_size, mode.value),
+                    density=density,
+                    pairs=pair_factor * s_size,
+                    s_size=s_size,
+                    side=side,
+                )
+                cells.append((family, mode))
+    return cells
+
+
+# The bench knobs that one kind ignores, with their defaults: s_sizes and
+# pair_factor shape sourcewise sweeps only, pair_counts the other kinds.
+# Another value where it is ignored would give one sweep two manifest ids.
+_BENCH_KNOBS = {"s_sizes": [1, 2, 4], "pair_factor": 20, "pair_counts": [10, 50]}
+
+
+def _bench_cells(params: dict, seed: int):
+    kind = str(params["kind"])
+    ignored = ("pair_counts",) if kind == "sourcewise" else ("s_sizes", "pair_factor")
+    for key in ignored:
+        if params[key] != _BENCH_KNOBS[key]:
+            raise ParameterError(f"{kind} does not use {key}, got {key}={params[key]!r}")
+    ns = [int(x) for x in params["ns"]]
+    modes = [GrowthMode(str(m)) for m in params["modes"]]
+    if kind == "sourcewise":
+        return sourcewise_cells(
+            ns,
+            [int(x) for x in params["s_sizes"]],
+            pair_factor=int(params["pair_factor"]),
+            seed=seed,
+            modes=modes,
+            density=float(params["density"]),
+        )
+    cells = []
+    for n in ns:
+        for p in [int(x) for x in params["pair_counts"]]:
+            for mode in modes:
+                family = InstanceFamily(
+                    kind=kind,
+                    n=n,
+                    seed=split_seed(seed, "bench", kind, n, p, mode.value),
+                    density=float(params["density"]),
+                    pairs=p,
+                )
+                cells.append((family, mode))
+    return cells

@@ -19,6 +19,7 @@ from reachkeep import (
     UdsnParams,
     UdsnSession,
     bench_sweep,
+    condense,
     default_surrogate,
     generate,
     is_thin,
@@ -306,10 +307,11 @@ def test_criterion_07_steiner_routing(capsys):
             violations.append(
                 f"{tag}: {len(session.sampling_failures)} sampling failures"
             )
+        cond = condense(g)
         for record in session.records:
             profile[record.route] += 1
             if record.route == THIN and not is_thin(
-                g, *record.pair, params.tau
+                cond, *record.pair, params.tau
             ):
                 violations.append(f"{tag}: thick pair {record.pair} routed thin")
         out = session.output_graph()

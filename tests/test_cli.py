@@ -4,8 +4,10 @@ per-pair rows that ``preserve`` reads from the session's log."""
 
 from __future__ import annotations
 
+import io
 import json
 import shlex
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -24,8 +26,8 @@ from reachkeep import (
     canonical_json,
     save_manifest,
 )
-from reachkeep import cli
-from reachkeep.cli import _bench_cells, _serve_and_audit
+from reachkeep import bench_grid, cli
+from reachkeep.cli import _serve_and_audit
 from reachkeep.cli import main as cli_main
 from reachkeep.graphs import MAX_VERTICES, load_graph, parse_pairs
 from test_preserver import ringed_digraph_with_pairs
@@ -166,6 +168,40 @@ def test_undecodable_input_file_is_a_usage_error(bad, tmp_path, capsys):
     assert code == 2
     assert len(err) == 1 and err[0].startswith(f"error: cannot read {files[bad]}: ")
     assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("errors", ["surrogateescape", "strict"])
+def test_undecodable_stdin_is_a_usage_error(errors, tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text("n 3\n0 1\n1 2\n")
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe0 2\n"), encoding="utf-8", errors=errors)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = cli_main(
+        ["preserve", "--graph", str(graph), "--pairs", "-", "--manifest-dir", str(tmp_path / "m")]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == [
+        "error: cannot read stdin: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
+    ]
+    assert captured.out == ""
+    assert not (tmp_path / "m").exists()
+
+
+def test_verify_reports_a_manifest_entry_it_cannot_open(tmp_path, capsys):
+    manifests = tmp_path / "manifests"
+    assert run(["gen", "--kind", "random-dag", "--n", "5"], tmp_path, capsys)[0] == 0
+    (manifests / "x.json").mkdir()
+    code = cli_main(["verify", "--manifest-dir", str(manifests), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    payload = json.loads(captured.out)
+    assert (payload["checked"], payload["failed"]) == (2, 1)
+    (bad,) = [r for r in payload["results"] if not r["ok"]]
+    assert bad["path"] == str(manifests / "x.json")
+    assert bad["reason"].startswith("unreadable: ")
 
 
 @pytest.mark.parametrize("target", ["missing", "file", "empty-dir"])
@@ -349,7 +385,7 @@ def test_bench_above_the_vertex_cap_is_refused_before_any_cell_runs(kind):
         "s_sizes": [1, 2, 4], "pair_factor": 20, "pair_counts": [10, 50],
     }
     with pytest.raises(ParameterError, match=f"got {MAX_VERTICES + 1}"):
-        _bench_cells(params, 0)
+        bench_grid(seed=0, **params)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachkeep import harness
 from reachkeep import (
@@ -15,6 +17,7 @@ from reachkeep import (
     ParameterError,
     RunManifest,
     bench_cell,
+    bench_grid,
     bench_sweep,
     canonical_json,
     generate,
@@ -26,10 +29,12 @@ from reachkeep import (
     rng_for,
     save_manifest,
     size_envelope_source_restricted,
-    sourcewise_cells,
     verify_all,
     verify_session,
 )
+from reachkeep.oracle import FAMILY_KINDS
+from reference import _BENCH_KNOBS, _bench_cells
+from test_preserver import outcome
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
@@ -201,7 +206,10 @@ class TestBench:
         assert set(rows[0]) - set(primary[0]) == {"wall_time"}
 
     def test_sourcewise_grid_shape(self):
-        cells = sourcewise_cells(ns=[10, 20], s_sizes=[1, 2], pair_factor=5)
+        cells = bench_grid(
+            "sourcewise", ns=[10, 20], modes=["fw", "bw"], seed=0, density=0.25,
+            s_sizes=[1, 2], pair_factor=5,
+        )
         assert len(cells) == 8  # 2 ns x 2 sizes x 2 modes
         seeds = set()
         for family, mode in cells:
@@ -211,6 +219,43 @@ class TestBench:
             assert family.side == expected_side
             seeds.add(family.seed)
         assert len(seeds) == 8  # every cell draws from its own stream
+
+
+@st.composite
+def bench_params(draw):
+    """CLI-shaped bench parameters over every family kind. A knob the
+    kind ignores often keeps its default, and a cell may be invalid."""
+    sizes = st.lists(st.integers(1, 6), min_size=1, max_size=3)
+    return {
+        "kind": draw(st.sampled_from(FAMILY_KINDS)),
+        "ns": draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)),
+        "modes": draw(st.lists(st.sampled_from(["fw", "bw"]), min_size=1, max_size=2)),
+        "density": draw(st.sampled_from([0.0, 0.25, 0.5])),
+        "s_sizes": draw(st.just(_BENCH_KNOBS["s_sizes"]) | sizes),
+        "pair_factor": draw(st.just(_BENCH_KNOBS["pair_factor"]) | st.integers(0, 5)),
+        "pair_counts": draw(st.just(_BENCH_KNOBS["pair_counts"]) | sizes),
+    }
+
+
+class TestBenchGridAgainstReference:
+    @given(bench_params(), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_same_cells_as_the_parent_grids(self, params, seed):
+        got = outcome(lambda: bench_grid(seed=seed, **params))
+        assert got == outcome(lambda: _bench_cells(params, seed))
+
+    @pytest.mark.parametrize(
+        "kind, knob, value",
+        [("sourcewise", "pair_counts", [7])]
+        + [(kind, "s_sizes", [3]) for kind in FAMILY_KINDS if kind != "sourcewise"]
+        + [(kind, "pair_factor", 5) for kind in FAMILY_KINDS if kind != "sourcewise"],
+    )
+    def test_ignored_knob_is_refused_from_the_library(self, kind, knob, value):
+        params = {"kind": kind, "ns": [10], "modes": ["fw"], "density": 0.25}
+        with pytest.raises(ParameterError) as raised:
+            bench_grid(seed=0, **params, **{knob: value})
+        expected = outcome(lambda: _bench_cells({**params, **_BENCH_KNOBS, knob: value}, 0))
+        assert expected == (ParameterError, str(raised.value))
 
 
 class FaultySession(CondensingPreserver):

@@ -20,7 +20,8 @@ from reachkeep import (
     reachable_set,
 )
 from reachkeep.graphs import MAX_VERTICES
-from reachkeep.oracle import FAMILY_KINDS, _GreedyAdversary, _preserves, reachable_pairs
+from reachkeep.oracle import FAMILY_KINDS, _GreedyAdversary, reachable_pairs
+from reachkeep.preserver import unreachable_pairs
 from test_nonadaptive import FullScanAdversary
 from test_preserver import dag_with_pairs, graphs_with_stray_pairs, outcome, reference_grow
 
@@ -118,9 +119,9 @@ def bfs_reachable_pairs(g: DirectedGraph) -> list:
 
 
 def bfs_preserves(n: int, edge_set, pairs) -> bool:
-    """``_preserves`` as it was before it read ``reach_mask``: one
-    ``reachable_set`` sweep of an ``EdgeStore`` per distinct source.
-    Kept as the reference."""
+    """The pair-preservation check as it was before it read
+    ``reach_mask``: one ``reachable_set`` sweep of an ``EdgeStore`` per
+    distinct source. Kept as the reference."""
     h = EdgeStore(n)
     for e in edge_set:
         h.add(e)
@@ -143,17 +144,14 @@ class TestClosureAgainstBfs:
     @given(graphs_with_stray_pairs())
     @settings(max_examples=150, deadline=None)
     def test_preserves_matches_bfs(self, case):
+        # min_preserver's check: an edge set preserves the pairs when
+        # unreachable_pairs finds none of them cut
         g, pairs = case
         edges = sorted(g.edges)
         for edge_set in [edges] + [edges[:i] + edges[i + 1 :] for i in range(len(edges))]:
-            got = outcome(lambda: _preserves(g.n, edge_set, pairs))
-            assert got == outcome(lambda: bfs_preserves(g.n, edge_set, pairs))
-
-    def test_preserves_reads_pairs_in_order(self):
-        assert not _preserves(4, CHAIN4.edges, [(3, 0), (9, 0)])
-        with pytest.raises(BoundsError, match="vertex 9 outside range 0..3"):
-            _preserves(4, CHAIN4.edges, [(0, 3), (9, 0)])
-        assert not _preserves(4, CHAIN4.edges, [(0, -1)])
+            got = outcome(lambda: unreachable_pairs(DirectedGraph(g.n, edge_set), pairs))
+            want = outcome(lambda: [p for p in pairs if not bfs_preserves(g.n, edge_set, [p])])
+            assert got == want
 
 
 class TestGreedyAdversary:

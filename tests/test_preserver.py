@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import gc
 import random
+import re
 
 from reachkeep import graphs, preserver
 from reachkeep import (
@@ -21,6 +22,7 @@ from reachkeep import (
     ParameterError,
     ReachkeepError,
     condense,
+    default_surrogate,
     generate,
     grow_backwards,
     grow_forwards,
@@ -1142,6 +1144,16 @@ class TestSizeEnvelope:
     def test_general_envelope_rejects_bad_parameters(self, args):
         with pytest.raises(ParameterError):
             size_envelope_general(*args)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "3", 2.5], ids=repr)
+    @pytest.mark.parametrize("name", ["n", "p"])
+    def test_a_count_must_be_exactly_an_int(self, name, value):
+        counts = {"n": 10, "p": 3, name: value}
+        message = re.escape(f"{name} must be an integer >= 1, got {value!r}")
+        with pytest.raises(ParameterError, match=message):
+            size_envelope_general(counts["n"], counts["p"], 1.0)
+        with pytest.raises(ParameterError, match=message):
+            default_surrogate(10).evaluate(counts["n"], counts["p"])
 
     @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]))
     @settings(max_examples=40, deadline=None)

@@ -15,13 +15,13 @@ PUBLIC_NAMES = [
     "OrderConstraint", "PairRecord", "ParameterError", "ParseError", "PathSystem",
     "PathTable", "RESIDUAL", "ReachkeepError", "RunManifest", "SessionReport",
     "SizeLimitError", "THIN", "TRIVIAL", "UdsnParams", "UdsnRecord", "UdsnSession",
-    "VerificationResult", "WHILE_LOOP", "bench_cell", "bench_sweep", "bfs_route",
+    "VerificationResult", "WHILE_LOOP", "bench_cell", "bench_grid", "bench_sweep", "bfs_route",
     "canonical_json", "condense", "default_surrogate", "dump_graph", "find_k_bridge",
     "generate", "greedy_adversary_step", "grow_backwards", "grow_forwards", "hash_json",
     "hash_text", "hit_by", "is_acyclic", "is_thin", "load_graph", "load_manifest",
     "min_preserver", "precompute_index_sensitive", "precompute_known_p", "primary_rows",
     "reachable_set", "rng_for", "save_manifest", "select_entry",
-    "size_envelope_general", "size_envelope_source_restricted", "sourcewise_cells",
+    "size_envelope_general", "size_envelope_source_restricted",
     "split_seed", "surrogate_monitor", "verify_all", "verify_session",
 ]
 
