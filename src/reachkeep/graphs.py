@@ -18,9 +18,9 @@ from .errors import BoundsError, ParseError
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # two ids and the line number they were read from
 
-# A graph costs about 170 bytes per vertex before its edges (adjacency
-# lists and tuples), so at this cap even an edgeless graph read from a
-# 9-byte header stays under about 180 MB.
+# Building a graph peaks at about 81 bytes per vertex before its edges
+# (a list per vertex, then tuples), so at this cap even an edgeless graph
+# read from a 9-byte header stays under about 90 MB.
 MAX_VERTICES = 1 << 20
 
 
@@ -28,7 +28,7 @@ class DirectedGraph:
     """Immutable digraph on vertices 0..n-1. Self-loops are rejected,
     duplicate edges collapse."""
 
-    __slots__ = ("n", "edges", "_out", "_in", "_topo", "_topo_known", "_closure")
+    __slots__ = ("n", "edge_count", "_out", "_in", "_topo", "_topo_known", "_closure")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         # type(), not isinstance(): a bool is an int
@@ -38,30 +38,31 @@ class DirectedGraph:
             raise BoundsError(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
             raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
-        edge_set = set()
-        for e in edges:
+        out: list[list[int]] = [[] for _ in range(n)]
+        for e in edges:  # only e[0] and e[1] are read, so a (u, v, line) row is an edge
             u, v = e[0], e[1]
             if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
                 raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
             if u == v:
                 raise BoundsError(f"self-loop ({u}, {v}) not allowed")
-            edge_set.add((u, v))
-        self.n = n
-        self.edges = frozenset(edge_set)
-        out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edge_set:
             out[u].append(v)
-            inc[v].append(u)
-        self._out = tuple(tuple(sorted(vs)) for vs in out)
-        self._in = tuple(tuple(sorted(us)) for us in inc)
+        self.n = n
+        self._out = tuple(tuple(sorted(set(vs))) for vs in out)
+        del out  # the head lists go before the in-lists are built
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for u, vs in enumerate(self._out):  # ascending tails, so each in-list comes out sorted
+            for v in vs:
+                inc[v].append(u)
+        self._in = tuple(map(tuple, inc))
+        self.edge_count = sum(map(len, self._out))
         self._topo: tuple[int, ...] | None = None
         self._topo_known = False
         self._closure: list[list[int] | None] = [None, None]
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[Edge]:
+        """The edge set, built from the adjacency on each read."""
+        return frozenset((u, v) for u, vs in enumerate(self._out) for v in vs)
 
     # The accessors sit on every search's inner loop and reach_mask on
     # every growth call, so they call check_vertices only once the
@@ -77,7 +78,7 @@ class DirectedGraph:
         return self._in[v]
 
     def __contains__(self, e: Edge) -> bool:
-        return tuple(e) in self.edges
+        return 0 <= e[0] < self.n and e[1] in self._out[e[0]]
 
     def topological_order(self) -> tuple[int, ...] | None:
         """Kahn's algorithm with a min-id tie break. None when cyclic."""
@@ -141,14 +142,10 @@ class DirectedGraph:
         return masks[v]
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, DirectedGraph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
+        return isinstance(other, DirectedGraph) and self._out == other._out
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self._out)
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, m={self.edge_count})"
@@ -212,12 +209,16 @@ def load_graph(text: str) -> DirectedGraph:
     n, rows = read_rows(text, "n", "edges")
     if n is None:
         n = max((max(u, v) for u, v, _ in rows), default=-1) + 1
-    for u, v, line_no in rows:
-        if u >= n or v >= n:
-            raise ParseError(f"edge ({u}, {v}) outside declared range n={n}", line_no)
-        if u == v:
-            raise ParseError(f"self-loop ({u}, {v}) not allowed", line_no)
-    return DirectedGraph(n, [(u, v) for u, v, _ in rows])
+    try:
+        return DirectedGraph(n, rows)
+    except BoundsError:
+        # The first bad row, in file order, outranks a vertex count above MAX_VERTICES.
+        for u, v, line_no in rows:
+            if u >= n or v >= n:
+                raise ParseError(f"edge ({u}, {v}) outside declared range n={n}", line_no) from None
+            if u == v:
+                raise ParseError(f"self-loop ({u}, {v}) not allowed", line_no) from None
+        raise
 
 
 def dump_graph(g: DirectedGraph) -> str:
@@ -629,9 +630,9 @@ def condense(g: DirectedGraph) -> Condensation:
             tree_of[cid] = tuple(sorted(tree))
 
     lift: dict[Edge, Edge] = {}  # its keys are the dag's edges
-    for u, v in sorted(g.edges):
-        a, b = component_of[u], component_of[v]
-        if a != b:  # sorted iteration keeps the lex-min original edge
-            lift.setdefault((a, b), (u, v))
+    for u, vs in enumerate(g._out):  # ascending edges, so the lex-min original edge is kept
+        for v in vs:
+            if component_of[u] != component_of[v]:
+                lift.setdefault((component_of[u], component_of[v]), (u, v))
     dag = DirectedGraph(len(comps), lift)
     return Condensation(g, tuple(component_of), tuple(tuple(c) for c in comps), dag, tree_of, lift)

@@ -61,10 +61,8 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
     if not pair_list:
         return frozenset()
 
-    edges_sorted = sorted(g.edges)
-    mandatory = {
-        e for e in edges_sorted if unreachable_pairs(DirectedGraph(g.n, g.edges - {e}), pair_list)
-    }
+    edges = g.edges
+    mandatory = {e for e in edges if unreachable_pairs(DirectedGraph(g.n, edges - {e}), pair_list)}
 
     def useful(e: Edge) -> bool:
         return any(
@@ -72,7 +70,7 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
             for s, t in pair_list
         )
 
-    pool = [e for e in edges_sorted if e not in mandatory and useful(e)]
+    pool = [e for e in sorted(edges) if e not in mandatory and useful(e)]
     base = sorted(mandatory)
     for k in range(len(pool) + 1):
         for combo in combinations(pool, k):
@@ -222,10 +220,10 @@ class InstanceFamily:
             unused = f.default is not MISSING and f.name not in _KIND_KNOBS[self.kind]
             if unused and value != f.default:
                 raise ParameterError(f"{self.kind} does not use {f.name}, got {f.name}={value!r}")
-        if not 1 <= self.n <= MAX_VERTICES:
-            raise ParameterError(f"n must be in 1..{MAX_VERTICES}, got {self.n}")
-        if self.pairs < 0:
-            raise ParameterError(f"pairs must be >= 0, got {self.pairs}")
+        if type(self.n) is not int or not 1 <= self.n <= MAX_VERTICES:
+            raise ParameterError(f"n must be in 1..{MAX_VERTICES}, got {self.n!r}")
+        if type(self.pairs) is not int or self.pairs < 0:
+            raise ParameterError(f"pairs must be >= 0, got {self.pairs!r}")
         if not (0.0 <= self.density <= 1.0):
             raise ParameterError(f"density must be in [0, 1], got {self.density}")
         if self.kind == "sourcewise":
@@ -233,19 +231,20 @@ class InstanceFamily:
                 raise ParameterError("sourcewise needs n >= 2")
             if self.side not in ("source", "sink"):
                 raise ParameterError(f"side must be source or sink, got {self.side!r}")
-            if not 1 <= self.s_size < self.n:
+            if type(self.s_size) is not int or not 1 <= self.s_size < self.n:
                 raise ParameterError(
-                    f"sourcewise needs 1 <= s_size <= n-1, got s_size={self.s_size}, n={self.n}"
+                    f"sourcewise needs 1 <= s_size <= n-1, got s_size={self.s_size!r}, n={self.n}"
                 )
-        if self.kind == "layered" and self.layers != 0 and not 2 <= self.layers <= self.n:
+        layers_ok = type(self.layers) is int and (self.layers == 0 or 2 <= self.layers <= self.n)
+        if self.kind == "layered" and not layers_ok:
             raise ParameterError(
-                f"layered needs layers 0 (auto) or 2..n, got layers={self.layers}, n={self.n}"
+                f"layered needs layers 0 (auto) or 2..n, got layers={self.layers!r}, n={self.n}"
             )
         if self.kind == "path-union":
-            if self.n < max(2, self.part_length):
+            if type(self.part_length) is not int or self.n < max(2, self.part_length):
                 raise ParameterError(
                     f"path-union needs n >= max(2, part_length), got n={self.n}, "
-                    f"part_length={self.part_length}"
+                    f"part_length={self.part_length!r}"
                 )
             if self.part_length < 2:
                 raise ParameterError(

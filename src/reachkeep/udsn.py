@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InfeasiblePairError, ParameterError, check_finite_positive
+from .errors import InfeasiblePairError, ParameterError, check_count, check_finite_positive
 from .graphs import (
     Condensation,
     DirectedGraph,
@@ -49,10 +49,9 @@ class UdsnParams:
     sample_constant: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise ParameterError(f"tau must be >= 1, got {self.tau}")
-        if self.T < 0:
-            raise ParameterError(f"T must be >= 0, got {self.T}")
+        check_count("tau", self.tau)
+        if type(self.T) is not int or self.T < 0:  # the sample waits for exactly T first-T routes
+            raise ParameterError(f"T must be an integer >= 0, got {self.T!r}")
         check_finite_positive("sample_constant", self.sample_constant)
 
     @staticmethod

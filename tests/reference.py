@@ -1,6 +1,7 @@
 """Reference code the library no longer carries: the witness checker,
 path-system reversal, the meeting-order diagnostics, the condensation
-edge lift and the two bench grid builders ``bench_grid`` replaced.
+edge lift, the two bench grid builders ``bench_grid`` replaced, and the
+graph container and graph-file reader that kept a set of edge tuples.
 Tests import them from here."""
 
 from __future__ import annotations
@@ -8,8 +9,16 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable
 
-from reachkeep.errors import BoundsError, MissingEntryError, ParameterError
-from reachkeep.graphs import Condensation, Edge
+from reachkeep.errors import BoundsError, MissingEntryError, ParameterError, ParseError
+from reachkeep.graphs import (
+    MAX_VERTICES,
+    Condensation,
+    DirectedGraph,
+    Edge,
+    _strong_components,
+    bfs_parents,
+    read_rows,
+)
 from reachkeep.oracle import InstanceFamily
 from reachkeep.pathsystem import BridgeWitness, OrderConstraint, Path, PathSystem, _order_ok
 from reachkeep.preserver import GrowthMode
@@ -206,3 +215,106 @@ def _bench_cells(params: dict, seed: int):
                 )
                 cells.append((family, mode))
     return cells
+
+
+class ReferenceGraph(DirectedGraph):
+    """``DirectedGraph`` as it was built while it stored its edge set:
+    a set of edge tuples first, then a sort per vertex for ``_out`` and
+    ``_in``. ``edges``, ``edge_count``, ``in``, ``==`` and ``hash`` read
+    that set, as they did; every other method is the library's, run on
+    the adjacency built here."""
+
+    __slots__ = ("_edges",)
+
+    def __init__(self, n: int, edges: Iterable[Edge]):
+        # type(), not isinstance(): a bool is an int
+        if type(n) is not int:
+            raise BoundsError(f"vertex count must be an int, got {n!r}")
+        if n < 0:
+            raise BoundsError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_VERTICES:
+            raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
+        edge_set = set()
+        for e in edges:
+            u, v = e[0], e[1]
+            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+                raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
+            if u == v:
+                raise BoundsError(f"self-loop ({u}, {v}) not allowed")
+            edge_set.add((u, v))
+        self.n = n
+        self._edges = frozenset(edge_set)
+        out: list[list[int]] = [[] for _ in range(n)]
+        inc: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edge_set:
+            out[u].append(v)
+            inc[v].append(u)
+        self._out = tuple(tuple(sorted(vs)) for vs in out)
+        self._in = tuple(tuple(sorted(us)) for us in inc)
+        self._topo: tuple[int, ...] | None = None
+        self._topo_known = False
+        self._closure: list[list[int] | None] = [None, None]
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return self._edges
+
+    @property
+    def edge_count(self) -> int:
+        return len(self._edges)
+
+    def __contains__(self, e: Edge) -> bool:
+        return tuple(e) in self._edges
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, DirectedGraph)
+            and self.n == other.n
+            and self.edges == other.edges
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges))
+
+
+def reference_load_graph(text: str) -> ReferenceGraph:
+    """``load_graph`` as it was when it checked every row in its own
+    loop before the constructor checked them again."""
+    n, rows = read_rows(text, "n", "edges")
+    if n is None:
+        n = max((max(u, v) for u, v, _ in rows), default=-1) + 1
+    for u, v, line_no in rows:
+        if u >= n or v >= n:
+            raise ParseError(f"edge ({u}, {v}) outside declared range n={n}", line_no)
+        if u == v:
+            raise ParseError(f"self-loop ({u}, {v}) not allowed", line_no)
+    return ReferenceGraph(n, [(u, v) for u, v, _ in rows])
+
+
+def reference_condense(g: ReferenceGraph) -> Condensation:
+    """``condense`` as it was when its lift loop read ``sorted(g.edges)``;
+    the component DAG is a ``ReferenceGraph``."""
+    comps = _strong_components(g.n, g._out.__getitem__)
+    if len(comps) == g.n:
+        ids = tuple(range(g.n))
+        return Condensation(g, ids, tuple((v,) for v in ids), g, {}, {})
+    comps.sort(key=lambda c: c[0])
+    component_of = [0] * g.n
+    for cid, members in enumerate(comps):
+        for v in members:
+            component_of[v] = cid
+    reps = [members[0] for members in comps]
+    out_parent = bfs_parents(g._out, reps, component_of)
+    in_parent = bfs_parents(g._in, reps, component_of)
+    tree_of: dict[int, tuple[Edge, ...]] = {}
+    for cid, members in enumerate(comps):
+        if len(members) > 1:
+            tree = {e for v in members[1:] for e in ((out_parent[v], v), (v, in_parent[v]))}
+            tree_of[cid] = tuple(sorted(tree))
+    lift: dict[Edge, Edge] = {}
+    for u, v in sorted(g.edges):
+        a, b = component_of[u], component_of[v]
+        if a != b:
+            lift.setdefault((a, b), (u, v))
+    dag = ReferenceGraph(len(comps), lift)
+    return Condensation(g, tuple(component_of), tuple(tuple(c) for c in comps), dag, tree_of, lift)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,6 +310,22 @@ class TestInstanceFamily:
     def test_knob_outside_its_domain_rejected(self, knobs, name):
         with pytest.raises(ParameterError, match=f"{name}={knobs[name]}"):
             InstanceFamily(n=10, seed=1, **knobs)
+
+    @pytest.mark.parametrize("value", [True, 4.5, "3"])
+    @pytest.mark.parametrize(
+        "kind, knob",
+        [
+            ("random-dag", "n"),
+            ("random-dag", "pairs"),
+            ("sourcewise", "s_size"),
+            ("layered", "layers"),
+            ("path-union", "part_length"),
+        ],
+    )
+    def test_count_that_is_not_an_int_rejected(self, kind, knob, value):
+        # a bool is an int, and a float or a str used to pass or fail later in generate
+        with pytest.raises(ParameterError, match=re.escape(repr(value))):
+            InstanceFamily(kind=kind, **{"n": 10, "seed": 1, knob: value})
 
     @pytest.mark.parametrize(
         "kind, knob, value",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import FrozenInstanceError, dataclass
 from pathlib import Path
 from unittest import mock
@@ -136,6 +137,12 @@ class TestParams:
             UdsnParams(tau=1, T=1, sample_constant=0.0)
         with pytest.raises(ParameterError):
             UdsnParams.defaults_for(0)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    @pytest.mark.parametrize("field", ["tau", "T"])
+    def test_tau_and_T_must_be_integers(self, field, value):
+        with pytest.raises(ParameterError, match=re.escape(f"{field} must be an integer")):
+            UdsnParams(**{"tau": 2, "T": 1, field: value})
 
     @pytest.mark.parametrize("constant", [math.nan, math.inf])
     def test_non_finite_sample_constant_rejected(self, constant):
