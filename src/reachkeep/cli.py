@@ -15,19 +15,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from itertools import chain
 from pathlib import Path
 
-from .errors import (
-    BoundsError,
-    CyclicGraphError,
-    InfeasiblePairError,
-    ParameterError,
-    ParseError,
-    ReachkeepError,
-    SizeLimitError,
-)
+from .errors import ParameterError, ParseError, ReachkeepError
 from .graphs import DirectedGraph, check_vertices, dump_graph, format_pairs, load_graph, parse_pairs
 from .harness import (
     BENCH_KNOBS,
@@ -56,18 +48,10 @@ from .preserver import (
     unreachable_pairs,
     verify_session,
 )
+from .seeding import MASK64
 from .udsn import UdsnParams, UdsnSession
 
 Pair = tuple[int, int]
-
-USAGE_ERRORS = (
-    ParseError,
-    ParameterError,
-    BoundsError,
-    SizeLimitError,
-    CyclicGraphError,
-    InfeasiblePairError,
-)
 
 
 def _read(path: str) -> str:
@@ -228,11 +212,9 @@ def _compute_select(params: dict, seed: int):
 
 def _compute_udsn(params: dict, seed: int):
     g, pairs, inputs = _graph_and_pairs(params)
-    base = UdsnParams.defaults_for(g.n)
-    udsn_params = UdsnParams(
-        tau=base.tau if params["tau"] is None else int(params["tau"]),
-        T=base.T if params["T"] is None else int(params["T"]),
-        sample_constant=float(params["sample_constant"]),
+    given = {k: int(params[k]) for k in ("tau", "T") if params[k] is not None}
+    udsn_params = replace(
+        UdsnParams.defaults_for(g.n), sample_constant=float(params["sample_constant"]), **given
     )
     session = UdsnSession(g, udsn_params, seed=seed)
     for s, t in pairs:
@@ -325,6 +307,8 @@ def _emit(payload: dict, as_json: bool) -> None:
 
 
 def _run_command(args: argparse.Namespace, params: dict) -> int:
+    if not 0 <= args.seed <= MASK64:  # split_seed keeps 64 bits, so two seeds would alias
+        raise ParameterError(f"seed must be in 0..{MASK64}, got {args.seed}")
     t0 = time.perf_counter()
     payload, inputs, outputs, artifacts, code = _compute(args.command, params, args.seed)
     wall = time.perf_counter() - t0
@@ -502,12 +486,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _run_command(args, _params_for(args))
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ReachkeepError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ and everything else reduces to the component DAG.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 from .errors import BoundsError, ParseError
@@ -505,6 +506,8 @@ class IncrementalClosure:
         return DirectedGraph(self.n, self.edges)
 
 
+# eq=False and repr=False: equality stays identity, the repr the default.
+@dataclass(slots=True, eq=False, repr=False)
 class Condensation:
     """Result of collapsing strong components.
 
@@ -520,32 +523,16 @@ class Condensation:
     accounting.
     """
 
-    __slots__ = (
-        "graph",
-        "component_of",
-        "components",
-        "representative",
-        "dag",
-        "_lift",
-        "_tree_of",
-    )
+    graph: DirectedGraph
+    component_of: tuple[int, ...]
+    components: tuple[tuple[int, ...], ...]
+    dag: DirectedGraph
+    _tree_of: dict[int, tuple[Edge, ...]]  # no entry for one-vertex components
+    _lift: dict[Edge, Edge]
+    representative: tuple[int, ...] = field(init=False)
 
-    def __init__(
-        self,
-        graph: DirectedGraph,
-        component_of: tuple[int, ...],
-        components: tuple[tuple[int, ...], ...],
-        dag: DirectedGraph,
-        tree_of: dict[int, tuple[Edge, ...]],
-        lift: dict[Edge, Edge],
-    ):
-        self.graph = graph
-        self.component_of = component_of
-        self.components = components
-        self.representative = tuple(c[0] for c in components)
-        self.dag = dag
-        self._tree_of = tree_of  # no entry for one-vertex components
-        self._lift = lift
+    def __post_init__(self) -> None:
+        self.representative = tuple(c[0] for c in self.components)
 
     @property
     def tree_edge_count(self) -> int:

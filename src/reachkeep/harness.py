@@ -14,10 +14,10 @@ import hashlib
 import json
 import time
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ParameterError, check_finite_positive
+from .errors import ParameterError, check_finite_positive, check_unused
 from .oracle import InstanceFamily, generate
 from .preserver import (
     CondensingPreserver,
@@ -63,15 +63,8 @@ class RunManifest:
 
     @staticmethod
     def from_json_dict(d: dict[str, object]) -> RunManifest:
-        return RunManifest(
-            command=str(d["command"]),
-            params=dict(d["params"]),  # type: ignore[arg-type]
-            seed=int(d["seed"]),  # type: ignore[call-overload]
-            inputs=dict(d["inputs"]),  # type: ignore[arg-type]
-            outputs=dict(d["outputs"]),  # type: ignore[arg-type]
-            wall_time=float(d.get("wall_time", 0.0)),  # type: ignore[arg-type]
-            created=str(d.get("created", "")),
-        )
+        given = {f.name: d[f.name] for f in fields(RunManifest) if f.name in d}
+        return RunManifest(**given)  # type: ignore[arg-type]
 
 
 def utc_stamp() -> str:
@@ -231,10 +224,7 @@ def bench_grid(
     then mode. A knob the kind ignores must keep its default."""
     given = {"s_sizes": s_sizes, "pair_factor": pair_factor, "pair_counts": pair_counts}
     for key in ("pair_counts",) if kind == "sourcewise" else ("s_sizes", "pair_factor"):
-        value = given[key]
-        # a list, as the CLI and a manifest give it, matches its tuple default
-        if (tuple(value) if isinstance(value, list) else value) != BENCH_KNOBS[key]:
-            raise ParameterError(f"{kind} does not use {key}, got {key}={value!r}")
+        check_unused(kind, key, given[key], BENCH_KNOBS[key])
     modes = [GrowthMode(m) for m in modes]
     sourcewise = kind == "sourcewise"
     cells = []

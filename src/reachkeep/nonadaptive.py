@@ -136,10 +136,6 @@ def precompute_known_p(
 ) -> PathTable:
     """Build the table for a known demand count p over all reachable
     pairs of the DAG g (reflexive pairs included)."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
-    if g.n < 1:
-        raise ParameterError("graph must have at least one vertex")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
     return _build_tables(g, [(p, surrogate.evaluate(g.n, p) / p)], selector)[0]
 
@@ -155,15 +151,12 @@ def precompute_index_sensitive(
     that the tables would repeat, so the stack stops there. A surrogate
     still below the cap past level sys.maxsize is rejected: no demand
     index reaches such a level."""
-    if g.n < 1:
-        raise ParameterError("graph must have at least one vertex")
-    base = p_star if p_star is not None else g.n
-    if base < 1:
-        raise ParameterError(f"p_star must be >= 1, got {base}")
+    if p_star is not None and p_star < 1:
+        raise ParameterError(f"p_star must be >= 1, got {p_star}")
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
     cap = surrogate.cap(g.n)
     levels: list[tuple[int, float]] = []
-    q = base
+    q = p_star if p_star is not None else g.n
     while True:
         budget = surrogate.evaluate(g.n, q)
         levels.append((q, budget / q))

@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, fields
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .errors import InfeasiblePairError, ParameterError, SizeLimitError
+from .errors import InfeasiblePairError, ParameterError, SizeLimitError, check_unused
 from .graphs import MAX_VERTICES, DirectedGraph, Edge, check_vertices, iter_bits
 from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps this binding
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
@@ -216,15 +216,13 @@ class InstanceFamily:
         if self.kind not in FAMILY_KINDS:
             raise ParameterError(f"unknown family kind {self.kind!r}")
         for f in fields(self):
-            value = getattr(self, f.name)
-            unused = f.default is not MISSING and f.name not in _KIND_KNOBS[self.kind]
-            if unused and value != f.default:
-                raise ParameterError(f"{self.kind} does not use {f.name}, got {f.name}={value!r}")
+            if f.default is not MISSING and f.name not in _KIND_KNOBS[self.kind]:
+                check_unused(self.kind, f.name, getattr(self, f.name), f.default)
         if type(self.n) is not int or not 1 <= self.n <= MAX_VERTICES:
             raise ParameterError(f"n must be in 1..{MAX_VERTICES}, got {self.n!r}")
         if type(self.pairs) is not int or self.pairs < 0:
             raise ParameterError(f"pairs must be >= 0, got {self.pairs!r}")
-        if not (0.0 <= self.density <= 1.0):
+        if type(self.density) is bool or not (0.0 <= self.density <= 1.0):
             raise ParameterError(f"density must be in [0, 1], got {self.density}")
         if self.kind == "sourcewise":
             if self.n < 2:

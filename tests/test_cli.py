@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reachkeep
 from reachkeep import (
     BridgeWitness,
     CondensingPreserver,
@@ -26,7 +27,7 @@ from reachkeep import (
     canonical_json,
     save_manifest,
 )
-from reachkeep import bench_grid, cli
+from reachkeep import MissingEntryError, ReachkeepError, bench_grid, cli
 from reachkeep.cli import _serve_and_audit
 from reachkeep.cli import main as cli_main
 from reachkeep.graphs import MAX_VERTICES, load_graph, parse_pairs
@@ -404,6 +405,77 @@ def test_infeasible_pair_is_a_usage_error(command, extra, message, tmp_path, cap
     code, err = run(
         [command, "--graph", str(graph), "--pairs", str(pairs), *extra], tmp_path, capsys
     )
+    assert code == 2
+    assert err == [message]
+    assert not (tmp_path / "manifests").exists()
+
+
+EXPORTED_ERRORS = [
+    getattr(reachkeep, name) for name in reachkeep.__all__
+    if name != "ReachkeepError"
+    and isinstance(getattr(reachkeep, name), type)
+    and issubclass(getattr(reachkeep, name), ReachkeepError)
+]
+
+
+def test_every_error_class_is_exported():
+    assert [cls.__name__ for cls in EXPORTED_ERRORS] == [
+        "BoundsError", "CyclicGraphError", "InfeasiblePairError", "MissingEntryError",
+        "ParameterError", "ParseError", "SizeLimitError",
+    ]
+
+
+@pytest.mark.parametrize("error", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_own_status(error, tmp_path, monkeypatch, capsys):
+    def raising(params, seed):
+        raise error("injected")
+
+    monkeypatch.setitem(cli._COMPUTE, "oracle", raising)
+    code, err = run(["oracle", "--graph", "g.txt", "--pairs", "p.txt"], tmp_path, capsys)
+    # only a missing table entry is a failed check; the rest are bad input
+    assert code == (1 if error is MissingEntryError else 2) == error.exit_code
+    assert err == ["error: injected"]
+    assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 5 + 2**64])
+def test_seed_outside_64_bits_is_a_usage_error(seed, tmp_path, capsys):
+    # split_seed keeps the low 64 bits, so seed and seed + 2**64 would
+    # draw the same instance under two manifest ids
+    code, err = run(
+        ["gen", "--kind", "random-dag", "--n", "6", "--pairs", "3", "--seed", str(seed)],
+        tmp_path, capsys,
+    )
+    assert code == 2
+    assert err == [f"error: seed must be in 0..{2**64 - 1}, got {seed}"]
+    assert not (tmp_path / "manifests").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_at_either_end_of_64_bits_runs(seed, tmp_path, capsys):
+    code, err = run(
+        ["--seed", str(seed), "gen", "--kind", "random-dag", "--n", "6", "--pairs", "3"],
+        tmp_path, capsys,
+    )
+    assert code == 0
+    (path,) = (tmp_path / "manifests").iterdir()
+    assert json.loads(path.read_text())["seed"] == seed
+    assert err == [f"manifest: {path}"]
+
+
+@pytest.mark.parametrize(
+    "text, extra, message",
+    [
+        ("n 3\n0 1\n1 2\n", ["--p", "0"], "error: p must be an integer >= 1, got 0"),
+        ("n 0\n", [], "error: n must be >= 1, got 0"),
+        ("n 0\n", ["--p", "2"], "error: n must be >= 1, got 0"),
+    ],
+    ids=["p0", "empty-graph", "empty-graph-known-p"],
+)
+def test_precompute_count_checks_come_from_the_surrogate(text, extra, message, tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    code, err = run(["precompute", "--graph", str(graph), *extra], tmp_path, capsys)
     assert code == 2
     assert err == [message]
     assert not (tmp_path / "manifests").exists()

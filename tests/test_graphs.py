@@ -610,6 +610,26 @@ class TestCondensation:
         assert lift_edge(c, de) == (0, 2)
 
     @given(small_graphs)
+    @settings(max_examples=40, deadline=None)
+    def test_representative_is_each_components_least_vertex(self, case):
+        n, edges = case
+        c = condense(DirectedGraph(n, edges))
+        assert c.representative == tuple(comp[0] for comp in c.components)
+        assert c.representative == tuple(min(comp) for comp in c.components)
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (1, 2)], [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2)]], ids=["dag", "cyclic"]
+    )
+    def test_equality_is_identity(self, edges):
+        g = DirectedGraph(4, edges)
+        a, b = condense(g), condense(g)
+        assert a == a and a != b
+        assert a.components == b.components and a.representative == b.representative
+        assert hash(a) == object.__hash__(a)
+        assert not hasattr(a, "__dict__")  # slotted: attributes are slot reads
+        assert repr(a).startswith("<reachkeep.graphs.Condensation object at ")
+
+    @given(small_graphs)
     @settings(max_examples=60, deadline=None)
     def test_matches_scc_oracle(self, case):
         n, edges = case

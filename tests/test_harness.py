@@ -86,6 +86,16 @@ class TestRunManifest:
         back = RunManifest.from_json_dict(d)
         assert back == m
 
+    @pytest.mark.parametrize("dropped", [(), ("wall_time",), ("created",), ("wall_time", "created")])
+    def test_reader_takes_the_fields_and_ignores_the_id(self, dropped):
+        m = toy_manifest(5, wall_time=1.25)
+        d = {k: v for k, v in m.to_json_dict().items() if k not in dropped}
+        d["id"] = "not the id"
+        back = RunManifest.from_json_dict(d)
+        assert back.identity_payload() == m.identity_payload()
+        assert back.wall_time == (0.0 if "wall_time" in dropped else 1.25)
+        assert back.created == ("" if "created" in dropped else m.created)
+
     def test_save_names_file_by_id(self, tmp_path):
         m = toy_manifest(7)
         path = save_manifest(m, tmp_path)
@@ -141,6 +151,25 @@ class TestVerifyAll:
         assert [r.ok for r in results] == [False, False]
         assert all("unreadable" in r.reason for r in results)
 
+    def test_manifest_without_a_seed_is_unreadable(self, tmp_path):
+        path = save_manifest(toy_manifest(1), tmp_path)
+        raw = json.loads(path.read_text())
+        del raw["seed"]
+        path.write_text(json.dumps(raw))
+        (result,) = verify_all(tmp_path, toy_runner)
+        assert not result.ok
+        assert result.reason.startswith("unreadable: ")
+
+    def test_retyped_seed_breaks_identity(self, tmp_path):
+        # the reader coerces nothing: "0" is not the seed 0 the id was made from
+        path = save_manifest(toy_manifest(1), tmp_path)
+        raw = json.loads(path.read_text())
+        raw["seed"] = "0"
+        path.write_text(json.dumps(raw))
+        (result,) = verify_all(tmp_path, toy_runner)
+        assert not result.ok
+        assert "identity mismatch" in result.reason
+
     def test_results_come_back_sorted_by_path(self, tmp_path):
         for x in (4, 5, 6, 7):
             save_manifest(toy_manifest(x), tmp_path)
@@ -178,6 +207,10 @@ class TestBench:
             size_envelope_source_restricted(10, 10, 1, constant)
         with pytest.raises(ParameterError, match="finite and positive"):
             bench_cell(fam, "fw", constant)
+
+    def test_constant_must_not_be_a_bool(self):
+        with pytest.raises(ParameterError, match="constant must be finite and positive, got True"):
+            size_envelope_source_restricted(10, 10, 1, True)
 
     def test_sweep_captures_failures_as_rows(self, monkeypatch):
         # A family that cannot be generated is rejected on construction,
@@ -256,6 +289,26 @@ class TestBenchGridAgainstReference:
             bench_grid(seed=0, **params, **{knob: value})
         expected = outcome(lambda: _bench_cells({**params, **_BENCH_KNOBS, knob: value}, 0))
         assert expected == (ParameterError, str(raised.value))
+
+    @pytest.mark.parametrize(
+        "knobs, refused",
+        [
+            ({"pair_factor": 20.0, "s_sizes": [1.0, 2, 4]}, "s_sizes=[1.0, 2, 4]"),
+            ({"s_sizes": (1.0, 2, 4)}, "s_sizes=(1.0, 2, 4)"),
+            ({"pair_factor": 20.0}, "pair_factor=20.0"),
+            ({"pair_factor": True, "s_sizes": [True, 2, 4]}, "s_sizes=[True, 2, 4]"),
+        ],
+    )
+    def test_ignored_knob_equal_to_its_default_in_another_type_is_refused(self, knobs, refused):
+        # a manifest would record 20.0 or [1.0, 2, 4], so one sweep would get two ids
+        with pytest.raises(ParameterError) as raised:
+            bench_grid("random-dag", [5], ["fw"], 0, 0.25, **knobs)
+        assert str(raised.value) == f"random-dag does not use {refused.split('=')[0]}, got {refused}"
+
+    @pytest.mark.parametrize("s_sizes", [[1, 2, 4], (1, 2, 4)])
+    def test_ignored_knob_as_list_or_tuple_of_the_default_is_taken(self, s_sizes):
+        cells = bench_grid("random-dag", [5], ["fw"], 0, 0.25, s_sizes=s_sizes, pair_factor=20)
+        assert cells == bench_grid("random-dag", [5], ["fw"], 0, 0.25)
 
 
 class FaultySession(CondensingPreserver):

@@ -86,6 +86,8 @@ class TestSurrogate:
             default_surrogate(0)
         with pytest.raises(ParameterError):
             default_surrogate(4, scale=0.0)
+        with pytest.raises(ParameterError, match="scale must be finite and positive, got True"):
+            default_surrogate(5, scale=True)
 
     def test_scale_moves_the_budget(self):
         assert default_surrogate(10, scale=1.0).evaluate(10, 4) == pytest.approx(30.0)
@@ -127,6 +129,8 @@ class TestKnownP:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             precompute_known_p(CHAIN4, 0)
+        with pytest.raises(ParameterError, match="p must be an integer >= 1, got 0"):
+            precompute_known_p(CHAIN4, 0, linear_surrogate(1.0))
 
     def test_deterministic(self):
         a = precompute_known_p(CHAIN4, 2, surrogate=linear_surrogate(1.0))
@@ -199,6 +203,17 @@ class TestIndexSensitive:
     def test_rejects_bad_base(self):
         with pytest.raises(ParameterError):
             precompute_index_sensitive(CHAIN4, p_star=0)
+        with pytest.raises(ParameterError, match="p_star must be >= 1, got 0"):
+            precompute_index_sensitive(DirectedGraph(0, []), linear_surrogate(1.0), p_star=0)
+
+    @pytest.mark.parametrize("surrogate", [None, linear_surrogate(1.0)], ids=["default", "custom"])
+    @pytest.mark.parametrize("p_star", [None, 2])
+    def test_empty_graph_is_refused_by_the_surrogate(self, surrogate, p_star):
+        # the default surrogate refuses n = 0 when built, a custom one when evaluated
+        with pytest.raises(ParameterError, match="n must be (an integer )?>= 1, got 0"):
+            precompute_index_sensitive(DirectedGraph(0, []), surrogate, p_star=p_star)
+        with pytest.raises(ParameterError, match="n must be (an integer )?>= 1, got 0"):
+            precompute_known_p(DirectedGraph(0, []), 2, surrogate)
 
     def test_never_saturating_surrogate_is_rejected(self):
         # 10n = 120 stays below the cap n(n-1) = 132 at every level.

@@ -347,6 +347,29 @@ class TestInstanceFamily:
             InstanceFamily(kind=kind, n=10, seed=1, **{knob: value})
 
     @pytest.mark.parametrize(
+        "knobs, refused",
+        [
+            ({"s_size": True, "layers": 0.0}, "s_size=True"),
+            ({"layers": 0.0}, "layers=0.0"),
+            ({"part_length": 4.0}, "part_length=4.0"),
+            ({"side": ["source"]}, "side=['source']"),
+        ],
+    )
+    def test_ignored_knob_equal_to_its_default_in_another_type_rejected(self, knobs, refused):
+        # a manifest records True, 0.0 and 4.0 as such, so one instance would get two ids
+        with pytest.raises(ParameterError) as raised:
+            InstanceFamily(kind="random-dag", n=5, seed=0, **knobs)
+        assert str(raised.value) == f"random-dag does not use {refused.split('=')[0]}, got {refused}"
+
+    def test_ignored_knob_at_its_default_accepted(self):
+        family = InstanceFamily(kind="random-dag", n=5, seed=0, s_size=1, layers=0, side="source")
+        assert family == InstanceFamily(kind="random-dag", n=5, seed=0)
+
+    def test_density_must_not_be_a_bool(self):
+        with pytest.raises(ParameterError, match=re.escape("density must be in [0, 1], got True")):
+            InstanceFamily(kind="random-dag", n=5, seed=0, density=True)
+
+    @pytest.mark.parametrize(
         "knobs",
         [
             {"kind": "sourcewise", "s_size": 1},

@@ -149,6 +149,10 @@ class TestParams:
         with pytest.raises(ParameterError, match="finite and positive"):
             UdsnParams(tau=1, T=1, sample_constant=constant)
 
+    def test_bool_sample_constant_rejected(self):
+        with pytest.raises(ParameterError, match="sample_constant must be finite and positive, got True"):
+            UdsnParams(tau=1, T=1, sample_constant=True)
+
     def test_sample_size_clamps_to_n(self):
         assert UdsnParams(tau=4, T=0).sample_size(10) == 10
         assert UdsnParams(tau=1, T=0).sample_size(1) == 1
