@@ -10,6 +10,8 @@ and everything else reduces to the component DAG.
 
 from __future__ import annotations
 
+import heapq
+import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NoReturn
@@ -29,7 +31,7 @@ class DirectedGraph:
     """Immutable digraph on vertices 0..n-1. Self-loops are rejected,
     duplicate edges collapse."""
 
-    __slots__ = ("n", "edge_count", "_out", "_in", "_topo", "_topo_known", "_closure")
+    __slots__ = ("n", "edge_count", "_out", "_in", "_topo", "_closure")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         # type(), not isinstance(): a bool is an int
@@ -56,8 +58,7 @@ class DirectedGraph:
                 inc[v].append(u)
         self._in = tuple(map(tuple, inc))
         self.edge_count = sum(map(len, self._out))
-        self._topo: tuple[int, ...] | None = None
-        self._topo_known = False
+        self._topo: tuple[int, ...] | None | bool = False  # False until computed, None when cyclic
         self._closure: list[list[int] | None] = [None, None]
 
     @property
@@ -83,10 +84,8 @@ class DirectedGraph:
 
     def topological_order(self) -> tuple[int, ...] | None:
         """Kahn's algorithm with a min-id tie break. None when cyclic."""
-        if self._topo_known:
+        if self._topo is not False:
             return self._topo
-        import heapq
-
         indeg = list(map(len, self._in))
         heap = [v for v in range(self.n) if indeg[v] == 0]  # ascending, so a heap
         order: list[int] = []
@@ -98,7 +97,6 @@ class DirectedGraph:
                 if indeg[w] == 0:
                     heapq.heappush(heap, w)
         self._topo = tuple(order) if len(order) == self.n else None
-        self._topo_known = True
         return self._topo
 
     @property
@@ -164,7 +162,12 @@ def read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[
     ``<header> <count>`` line before any row, then rows of two
     non-negative integers; ``#`` starts a comment, blank lines are
     skipped. Returns the count (None without a header) and the rows as
-    (a, b, line number). Each failure is a ParseError with its line."""
+    (a, b, line number). ``write_rows``' own layout is read in bulk, any
+    other text line by line; each failure is a ParseError with its line."""
+    # (?a): ASCII digits only, and 19 of them stay far below int's digit limit
+    if bulk := re.fullmatch(rf"(?a){header} (\d{{1,19}})\n(?:\d{{1,19}}[ \t]+\d{{1,19}}\n)*", text):
+        ids = map(int, text.split()[2:])  # one iterator, read twice per row
+        return int(bulk[1]), list(zip(ids, ids, range(2, text.count("\n") + 1)))
     count: int | None = None
     rows: list[Row] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -348,8 +351,8 @@ class IncrementalClosure:
         return desc, anc
 
     def add(self, edge: Edge) -> bool:
-        """Insert edge; False when it was already present."""
-        if edge in self.edges:
+        """Insert edge; False when it was present with the same int ends."""
+        if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
             return False
         u, v = edge
         n = self.n
@@ -592,11 +595,11 @@ def _strong_components(n: int, step: Callable[[int], Sequence[int]]) -> list[lis
 
 
 def condense(g: DirectedGraph) -> Condensation:
-    comps = _strong_components(g.n, g._out.__getitem__)
-    if len(comps) == g.n:
-        # Every component is one vertex: g is a DAG and its own condensation.
+    if g.topological_order() is not None:
+        # g is a DAG and its own condensation; growth and the audit read this order too.
         ids = tuple(range(g.n))
         return Condensation(g, ids, tuple((v,) for v in ids), g, {}, {})
+    comps = _strong_components(g.n, g._out.__getitem__)
     comps.sort(key=lambda c: c[0])
     component_of = [0] * g.n
     for cid, members in enumerate(comps):

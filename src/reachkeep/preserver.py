@@ -85,7 +85,7 @@ class EdgeStore:
         self._in: dict[int, list[int]] = {}
 
     def add(self, edge: Edge) -> bool:
-        if edge in self.edges:
+        if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
             return False
         u, v = edge
         n = self.n
@@ -143,19 +143,16 @@ def _grow(
     """grow_forwards, or grow_backwards when backwards. The DAG test
     reads the cached topological order once there is one, and
     check_vertices runs only once the inline range test has failed."""
-    if g._topo is None and not g.is_dag:
+    if not g._topo and not g.is_dag:
         raise CyclicGraphError("growth requires a DAG input")
     n = g.n
     if not (0 <= s < n and 0 <= t < n):
         check_vertices(n, s, t)
-    if not backwards:
-        member = g.reach_mask(t, reverse=True)
-        if not member >> s & 1:
-            raise InfeasiblePairError(f"{t} not reachable from {s}")
-        return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
-    member = g.reach_mask(s)
-    if not member >> t & 1:
+    member = g.reach_mask(s) if backwards else g.reach_mask(t, reverse=True)
+    if not member >> (t if backwards else s) & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
+    if not backwards:
+        return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
     taken: list[Edge] = []
     path = _walk(t, s, member, h._in, g._in, taken)
     path.reverse()
@@ -246,7 +243,7 @@ class CondensingPreserver:
         self.h = EdgeStore(self.dag.n)
         self.log: list[PairRecord] = []
         # The components whose trees are not in the output yet.
-        self._pending = {c for c, members in enumerate(condensation.components) if len(members) > 1}
+        self._pending = set(condensation._tree_of)
 
     # Read only by perfbench/workloads.py; the library-counters ROADMAP item deletes it.
     inner = property(lambda self: self)

@@ -1,8 +1,9 @@
 """Reference code the library no longer carries: the witness checker,
 path-system reversal, the meeting-order diagnostics, the condensation
 edge lift, the two bench grid builders ``bench_grid`` replaced, and the
-graph container and graph-file reader that kept a set of edge tuples.
-Tests import them from here."""
+graph container and graph-file reader that kept a set of edge tuples,
+and the text reader that read every file line by line. Tests import
+them from here."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from reachkeep.graphs import (
     Condensation,
     DirectedGraph,
     Edge,
+    Row,
     _strong_components,
     bfs_parents,
-    read_rows,
 )
 from reachkeep.oracle import InstanceFamily
 from reachkeep.pathsystem import BridgeWitness, OrderConstraint, Path, PathSystem, _order_ok
@@ -251,8 +252,7 @@ class ReferenceGraph(DirectedGraph):
             inc[v].append(u)
         self._out = tuple(tuple(sorted(vs)) for vs in out)
         self._in = tuple(tuple(sorted(us)) for us in inc)
-        self._topo: tuple[int, ...] | None = None
-        self._topo_known = False
+        self._topo: tuple[int, ...] | None | bool = False
         self._closure: list[list[int] | None] = [None, None]
 
     @property
@@ -277,10 +277,46 @@ class ReferenceGraph(DirectedGraph):
         return hash((self.n, self.edges))
 
 
+def reference_read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[Row]]:
+    """``read_rows`` as it was before it read ``write_rows``' own layout
+    in bulk: every text goes through this line loop."""
+    count: int | None = None
+    rows: list[Row] = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] == header:
+            if count is not None:
+                raise ParseError(f"duplicate '{header}' header", line_no)
+            if rows:
+                raise ParseError(f"'{header}' header must come before {rows_name}", line_no)
+            if len(parts) != 2:
+                raise ParseError(f"header must be '{header} <count>'", line_no)
+            try:
+                count = int(parts[1])
+            except ValueError:
+                raise ParseError(f"bad count {parts[1]!r}", line_no) from None
+            if count < 0:
+                raise ParseError("count must be >= 0", line_no)
+            continue
+        if len(parts) != 2:
+            raise ParseError(f"expected two ids, got {line.strip()!r}", line_no)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer id in {line.strip()!r}", line_no) from None
+        if a < 0 or b < 0:
+            raise ParseError(f"negative id in {line.strip()!r}", line_no)
+        rows.append((a, b, line_no))
+    return count, rows
+
+
 def reference_load_graph(text: str) -> ReferenceGraph:
     """``load_graph`` as it was when it checked every row in its own
     loop before the constructor checked them again."""
-    n, rows = read_rows(text, "n", "edges")
+    n, rows = reference_read_rows(text, "n", "edges")
     if n is None:
         n = max((max(u, v) for u, v, _ in rows), default=-1) + 1
     for u, v, line_no in rows:

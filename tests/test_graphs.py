@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 from collections import deque
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reachkeep import graphs
 from reachkeep.errors import (
     BoundsError,
     InfeasiblePairError,
@@ -28,10 +31,18 @@ from reachkeep.graphs import (
     load_graph,
     parse_pairs,
     reachable_set,
+    read_rows,
+    write_rows,
 )
 from reachkeep.preserver import EdgeStore
 from reachkeep.udsn import bfs_route
-from reference import ReferenceGraph, lift_edge, reference_condense, reference_load_graph
+from reference import (
+    ReferenceGraph,
+    lift_edge,
+    reference_condense,
+    reference_load_graph,
+    reference_read_rows,
+)
 
 
 def closure_oracle(n: int, edges: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -324,17 +335,33 @@ class TestVertexIdsAreInts:
             closure.add_all(batch)
         assert closure_state(closure) == before
 
-    @pytest.mark.parametrize("twin", [(True, 2), (1.0, 2)])
-    def test_an_equal_duplicate_is_a_no_op(self, twin):
+    @pytest.mark.parametrize("twin", [(True, 2), (1.0, 2), (1, 2.0)])
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_an_equal_duplicate_is_rejected(self, twin, stored):
+        # only an edge with int ends counts as stored, so an equal edge with
+        # another end raises as it does on an empty container
         store, closure = EdgeStore(3), IncrementalClosure(3)
-        store.add((1, 2))
-        closure.add((1, 2))
+        if stored:
+            store.add((1, 2))
+            closure.add((1, 2))
         before = closure_state(closure)
-        assert not store.add(twin) and not closure.add(twin)
+        with pytest.raises(BoundsError, match=self.names(twin)):
+            store.add(twin)
+        with pytest.raises(BoundsError, match=self.names(twin)):
+            closure.add(twin)
         assert closure_state(closure) == before
-        assert store.edges == {(1, 2)}
+        assert store.edges == ({(1, 2)} if stored else set())
         for edges in (store.edges, closure.edges):
-            assert [type(w) for e in edges for w in e] == [int, int]
+            assert all(type(w) is int for e in edges for w in e)
+
+    @pytest.mark.parametrize("twin", [(0.0, 1), (0, True)])
+    def test_add_agrees_with_add_all_on_an_equal_duplicate(self, twin):
+        store, closure, batch = EdgeStore(3), IncrementalClosure(3), IncrementalClosure(3)
+        for container in (store, closure, batch):
+            container.add((0, 1))
+        for add in (store.add, closure.add, lambda e: batch.add_all([e])):
+            with pytest.raises(BoundsError, match=self.names(twin)):
+                add(twin)
 
     @pytest.mark.parametrize("twin", [(True, 2), (1.0, 2)])
     @pytest.mark.parametrize("batch", [[(2, 0)], [(1, 2), (2, 1)]])
@@ -546,6 +573,204 @@ def test_any_text_fails_only_with_parse_error(text):
             reader(text)
         except ParseError:
             pass
+
+
+def read_outcome(reader, text: str, header: str):
+    """What ``reader(text, header, rows)`` gives: the count and rows, or
+    the ParseError's type, message and line. Any other exception escapes."""
+    try:
+        return reader(text, header, "rows")
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.line_no
+
+
+class LinesCounted(str):
+    """A text that counts the calls of its ``splitlines``, which only the
+    line loop makes."""
+
+    calls = 0
+
+    def splitlines(self, *args, **kwargs):
+        self.calls += 1
+        return super().splitlines(*args, **kwargs)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def _line(lines, i, new_line):
+    """The text with line i replaced by new_line, or by the lines of a list."""
+    new = new_line if isinstance(new_line, list) else [new_line]
+    return "\n".join(lines[:i] + new + lines[i + 1 :])
+
+
+def _token(lines, i, j, new_token):
+    """The text with token j of line i replaced by new_token(old token)."""
+    parts = lines[i].split(" ")
+    parts[j] = new_token(parts[j])
+    return _line(lines, i, " ".join(parts))
+
+
+def _break(sep):
+    """The mutation that ends line i with sep instead of "\\n"."""
+    return lambda lines, i, j: "\n".join(lines[: i + 1]) + sep + "\n".join(lines[i + 1 :])
+
+
+# Each mutation takes the text's lines (split at "\n", so the last one is
+# the empty rest after the final newline), a line i that holds a header or
+# a row and a token j of it (always the count on the header line), and
+# returns the mutated text. The first three keep write_rows' layout (tabs
+# go between the ids of every row, never into the header line).
+MUTATIONS = {
+    "none": lambda lines, i, j: "\n".join(lines),
+    "tab": lambda lines, i, j: "\n".join(lines[:1] + [line.replace(" ", "\t") for line in lines[1:]]),
+    "leading zeros": lambda lines, i, j: _token(lines, i, j, lambda t: "0" + t),
+    "crlf": lambda lines, i, j: "\r\n".join(lines),
+    **{f"break {sep!r}": _break(sep) for sep in ("\x0b", "\x0c", "\x1c", "\u2028")},
+    "break inside a line": lambda lines, i, j: _line(lines, i, lines[i].replace(" ", "\x0c", 1)),
+    "comment line": lambda lines, i, j: _line(lines, i, ["# note", lines[i]]),
+    "trailing comment": lambda lines, i, j: _line(lines, i, lines[i] + "  # c"),
+    "blank line": lambda lines, i, j: _line(lines, i, ["", lines[i]]),
+    "no final newline": lambda lines, i, j: "\n".join(lines)[:-1],
+    "leading spaces": lambda lines, i, j: _line(lines, i, "  " + lines[i]),
+    "superscript two": lambda lines, i, j: _token(lines, i, j, lambda t: "²"),
+    "arabic-indic": lambda lines, i, j: _token(lines, i, j, lambda t: t.translate(ARABIC_INDIC)),
+    "plus sign": lambda lines, i, j: _token(lines, i, j, lambda t: "+" + t),
+    "20 digits": lambda lines, i, j: _token(lines, i, j, lambda t: "1" + t.zfill(19)),
+    "4301 digits": lambda lines, i, j: _token(lines, i, j, lambda t: "9" * 4301),
+}
+BULK_LAYOUT = ("none", "tab", "leading zeros")
+
+
+@st.composite
+def written_texts(draw):
+    """A ``write_rows`` text under header n or p and one mutation of it."""
+    header = draw(st.sampled_from(["n", "p"]))
+    # at most 18 digits, so a leading zero keeps an id within the bulk layout
+    ident = st.one_of(st.integers(0, 60), st.sampled_from([10**17, 10**18 - 1]))
+    rows = draw(st.lists(st.tuples(ident, ident), max_size=8))
+    count = draw(st.one_of(st.just(len(rows)), ident))
+    mutation = draw(st.sampled_from(sorted(MUTATIONS)))
+    lines = write_rows(header, count, rows).split("\n")
+    i = draw(st.integers(0, len(lines) - 2))
+    j = 1 if i == 0 else draw(st.integers(0, 1))
+    return header, mutation, MUTATIONS[mutation](lines, i, j)
+
+
+class TestBulkRead:
+    """``read_rows`` reads ``write_rows``' own layout in bulk and every
+    other text through the line loop it had, kept as
+    ``reference_read_rows``."""
+
+    @given(written_texts())
+    @example(("n", "none", "n 0\n"))
+    @example(("p", "none", "p 2\n0 1\n9999999999999999999 0\n"))
+    @example(("n", "4301 digits", "n " + "9" * 4301 + "\n0 1\n"))
+    @example(("n", "4301 digits", "n 2\n0 " + "9" * 4301 + "\n"))
+    @example(("p", "20 digits", "p 1\n10000000000000000000 1\n"))
+    @example(("n", "arabic-indic", "n 3\n0 ١\n"))
+    @example(("n", "tab", "n\t3\n0\t1\n"))
+    @example(("n", "break inside a line", "n 3\n0\x0c1\n"))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_line_loop(self, case):
+        header, mutation, text = case
+        for name in ("n", "p"):  # each text under its own header and the other
+            expected = read_outcome(reference_read_rows, text, name)
+            assert read_outcome(read_rows, text, name) == expected
+        if header == "n":
+            assert build_outcome(load_graph, text) == build_outcome(reference_load_graph, text)
+
+    @given(written_texts())
+    @example(("p", "none", "p 2\n0 1\n9999999999999999999 0\n"))
+    @example(("p", "20 digits", "p 1\n10000000000000000000 1\n"))
+    @settings(max_examples=200, deadline=None)
+    def test_only_the_writers_layout_skips_the_loop(self, case):
+        header, mutation, text = case
+        counted = LinesCounted(text)
+        assert read_outcome(read_rows, counted, header) == read_outcome(reference_read_rows, text, header)
+        assert counted.calls == (mutation not in BULK_LAYOUT)
+
+    @pytest.mark.parametrize("digits", [4301, 5000])
+    def test_a_long_id_is_the_loops_parse_error(self, digits):
+        # int() refuses more than 4,300 digits on interpreters that have
+        # the limit; on the others both readers take the id as it is
+        limited = hasattr(sys, "get_int_max_str_digits")
+        long_id = "7" * digits
+        for text, line in ((f"n 3\n0 1\n{long_id} 2\n", 3), (f"p {long_id}\n0 1\n", 1)):
+            got = read_outcome(read_rows, text, text[0])
+            assert got == read_outcome(reference_read_rows, text, text[0])
+            if limited:
+                assert got[0] == "ParseError" and got[2] == line
+
+    def test_rows_keep_their_line_numbers(self):
+        text = write_rows("p", 3, [(5, 6), (0, 0), (12, 3)])
+        assert read_rows(text, "p", "pairs") == (3, [(5, 6, 2), (0, 0, 3), (12, 3, 4)])
+        assert read_rows("n 4\n", "n", "edges") == (4, [])
+
+
+@st.composite
+def dags_or_digraphs(draw):
+    """n and an edge list: an arbitrary digraph, or a DAG whose ids do
+    not follow a topological order."""
+    n = draw(st.integers(0, 9))
+    if n < 2:
+        return n, []
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.lists(edge, max_size=24))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        edges = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in edges]
+    return n, edges
+
+
+class TestCondenseByTheOrder:
+    """``condense`` tells a DAG by its cached topological order and runs
+    Tarjan's search only on cyclic input; ``reference_condense`` is the
+    version that ran it on every graph."""
+
+    @given(dags_or_digraphs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_reference_field_by_field(self, case):
+        n, edges = case
+        g, ref = DirectedGraph(n, edges), ReferenceGraph(n, edges)
+        c, rc = condense(g), reference_condense(ref)
+        for f in dataclasses.fields(c):
+            got, expected = getattr(c, f.name), getattr(rc, f.name)
+            if f.name == "graph":
+                assert got is g and expected is ref
+            elif f.name == "dag":
+                assert (got is g) == (expected is ref) == g.is_dag
+                assert (got.n, got._out, got._in) == (expected.n, expected._out, expected._in)
+            else:
+                assert got == expected, f.name
+        assert c.tree_edge_count == rc.tree_edge_count
+
+    @given(dags_or_digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_a_dag_runs_no_strong_component_search(self, case):
+        n, edges = case
+        g = DirectedGraph(n, edges)
+
+        def refuse(*args):
+            raise AssertionError("strong components searched")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graphs, "_strong_components", refuse)
+            if g.is_dag:
+                c = condense(g)
+                assert c.dag is g and c.components == tuple((v,) for v in range(n))
+            else:
+                with pytest.raises(AssertionError, match="strong components searched"):
+                    condense(g)
+
+    def test_the_order_condense_reads_is_the_one_it_keeps(self):
+        g = DirectedGraph(4, [(3, 1), (1, 0), (2, 0)])
+        assert g._topo is False
+        condense(g)
+        assert g._topo == (2, 3, 1, 0)
+        cyclic = DirectedGraph(3, [(0, 1), (1, 0), (1, 2)])
+        condense(cyclic)
+        assert cyclic._topo is None
 
 
 class TestCondensation:

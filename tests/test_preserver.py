@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gc
+import heapq
 import random
 import re
 
@@ -467,7 +468,7 @@ class TestServeAgainstTheParent:
 
         def counting_order(self):
             calls["topological_order"] += 1
-            calls["built"] += not self._topo_known
+            calls["built"] += self._topo is False
             return order(self)
 
         monkeypatch.setattr(preserver, "check_vertices", counting_check)
@@ -479,8 +480,27 @@ class TestServeAgainstTheParent:
         assert len(stream) == 200 and session.pairs_served == 200
         assert calls["check_vertices"] == 0
         assert calls["built"] == 1
-        # The first pair's DAG test and its closure build; none per pair.
+        # condense's DAG test and the first pair's closure build; none per pair.
         assert calls["topological_order"] == 2
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_after_condense_the_first_pair_builds_no_order(self, mode, monkeypatch):
+        family_g, stream = generate(InstanceFamily(kind="random-dag", n=80, seed=12, pairs=20))
+        g = DirectedGraph(family_g.n, family_g.edges)  # no order computed yet
+        cond = condense(g)
+        pops = []
+        heappop = heapq.heappop
+
+        def counting_pop(heap):  # Kahn's pass pops each vertex once
+            pops.append(heap[0])
+            return heappop(heap)
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+        session = CondensingPreserver(g, mode, cond)
+        session.serve_pair(*stream[0])
+        assert cond.dag is g and session.pairs_served == 1
+        assert pops == []  # the order condense kept serves the first pair
+        assert DirectedGraph(3, [(2, 1)]).topological_order() == (0, 2, 1) and pops == [0, 2, 1]
 
 
 def triangle() -> DirectedGraph:
@@ -1301,3 +1321,21 @@ class TestCondensingPreserver:
         assert wrapped.output_edges == bare.h.edges
         assert wrapped.z_paths == bare.z_paths
         assert wrapped.log == bare.log
+
+
+@given(cyclic_digraph_with_any_pairs())
+@settings(max_examples=150, deadline=None)
+def test_pending_trees_are_the_components_with_two_vertices_or_more(case):
+    # the session copies the condensation's tree keys instead of scanning
+    # every component, and serving removes from its own set only
+    g, pairs = case
+    cond = condense(g)
+    session = CondensingPreserver(g, "fw", cond)
+    scan = {c for c, members in enumerate(cond.components) if len(members) > 1}
+    assert session._pending == scan and type(session._pending) is set
+    for s, t in pairs:
+        try:
+            session.serve_pair(s, t)
+        except ReachkeepError:
+            pass
+    assert set(cond._tree_of) == scan and session._pending <= scan
