@@ -324,30 +324,21 @@ def generate(family: InstanceFamily) -> tuple[DirectedGraph, tuple[Pair, ...]]:
         while len(stream) < family.pairs:
             stream.append(stream_rng.choice(demands))
         return g, tuple(stream)
-    else:  # sourcewise
+    else:  # sourcewise; the sink side is the source side on reversed edges
         perm, edges = _random_dag_edges(n, family.density, graph_rng)
         pos = {v: i for i, v in enumerate(perm)}
-        if family.side == "source":
-            shared = sorted(graph_rng.sample(perm[: n - 1], family.s_size))
-            for s in shared:
-                if not any(u == s for u, _ in edges):
-                    edges.add((s, perm[pos[s] + 1]))
-        else:
-            shared = sorted(graph_rng.sample(perm[1:], family.s_size))
-            for t in shared:
-                if not any(v == t for _, v in edges):
-                    edges.add((perm[pos[t] - 1], t))
+        sink = family.side == "sink"  # 0 or 1: the end e[sink] of an edge e is the shared one
+        turn = slice(None, None, -1 if sink else 1)  # a pair drawn source-side, in g's direction
+        shared = sorted(graph_rng.sample(perm[sink : n - 1 + sink], family.s_size))
+        for s in shared:
+            if not any(e[sink] == s for e in edges):
+                edges.add((s, perm[pos[s] + 1 - 2 * sink])[turn])
         g = DirectedGraph(n, edges)
         stream = []
         for _ in range(family.pairs):
-            if family.side == "source":
-                s = stream_rng.choice(shared)
-                targets = list(iter_bits(g.reach_mask(s) & ~(1 << s)))
-                stream.append((s, stream_rng.choice(targets)))
-            else:
-                t = stream_rng.choice(shared)
-                sources = list(iter_bits(g.reach_mask(t, reverse=True) & ~(1 << t)))
-                stream.append((stream_rng.choice(sources), t))
+            s = stream_rng.choice(shared)
+            far = list(iter_bits(g.reach_mask(s, sink) & ~(1 << s)))  # ascending either side
+            stream.append((s, stream_rng.choice(far))[turn])
         return g, tuple(stream)
 
     # random-dag, random-digraph and layered draw their stream alike

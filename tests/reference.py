@@ -1,14 +1,14 @@
 """Reference code the library no longer carries: the witness checker,
 path-system reversal, the meeting-order diagnostics, the condensation
-edge lift, the two bench grid builders ``bench_grid`` replaced, and the
+edge lift, the two bench grid builders ``bench_grid`` replaced, the
 graph container and graph-file reader that kept a set of edge tuples,
-and the text reader that read every file line by line. Tests import
-them from here."""
+the text reader that read every file line by line, and the strong
+components search that resumed by index. Tests import them from here."""
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 
 from reachkeep.errors import BoundsError, MissingEntryError, ParameterError, ParseError
 from reachkeep.graphs import (
@@ -17,7 +17,6 @@ from reachkeep.graphs import (
     DirectedGraph,
     Edge,
     Row,
-    _strong_components,
     bfs_parents,
 )
 from reachkeep.oracle import InstanceFamily
@@ -330,7 +329,7 @@ def reference_load_graph(text: str) -> ReferenceGraph:
 def reference_condense(g: ReferenceGraph) -> Condensation:
     """``condense`` as it was when its lift loop read ``sorted(g.edges)``;
     the component DAG is a ``ReferenceGraph``."""
-    comps = _strong_components(g.n, g._out.__getitem__)
+    comps = parent_strong_components(g.n, g._out.__getitem__)
     if len(comps) == g.n:
         ids = tuple(range(g.n))
         return Condensation(g, ids, tuple((v,) for v in ids), g, {}, {})
@@ -354,3 +353,51 @@ def reference_condense(g: ReferenceGraph) -> Condensation:
             lift.setdefault((a, b), (u, v))
     dag = ReferenceGraph(len(comps), lift)
     return Condensation(g, tuple(component_of), tuple(tuple(c) for c in comps), dag, tree_of, lift)
+
+
+def parent_strong_components(n: int, step: Callable[[int], Sequence[int]]) -> list[list[int]]:
+    """``graphs._strong_components`` as it was when each work item held
+    a resume index into step(v), fetched again on every resume, and an
+    ``on_stack`` array marked the open vertices. Kept as the oracle."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            out = step(v)
+            while pi < len(out):
+                w = out[pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    components.append(sorted(comp))
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+    return components

@@ -17,14 +17,13 @@ from reachkeep.graphs import (
     Condensation,
     DirectedGraph,
     Edge,
-    _strong_components,
     check_vertices,
     condense,
     reachable_set,
 )
 from reachkeep.preserver import EdgeStore
 from reachkeep.udsn import bfs_route
-from reference import lift_edge
+from reference import lift_edge, parent_strong_components
 
 
 def parent_bfs_parents(
@@ -69,7 +68,7 @@ def parent_bfs_route(g: DirectedGraph, s: int, t: int) -> tuple[Edge, ...]:
 def parent_condense(g: DirectedGraph) -> Condensation:
     """``graphs.condense`` as it was with two searches per component,
     each over a set of that component's members. Kept as the reference."""
-    comps = _strong_components(g.n, g._out.__getitem__)
+    comps = parent_strong_components(g.n, g._out.__getitem__)
     if len(comps) == g.n:
         ids = tuple(range(g.n))
         lift = dict(zip(g.edges, g.edges))

@@ -39,6 +39,7 @@ from reachkeep.udsn import bfs_route
 from reference import (
     ReferenceGraph,
     lift_edge,
+    parent_strong_components,
     reference_condense,
     reference_load_graph,
     reference_read_rows,
@@ -771,6 +772,59 @@ class TestCondenseByTheOrder:
         cyclic = DirectedGraph(3, [(0, 1), (1, 0), (1, 2)])
         condense(cyclic)
         assert cyclic._topo is None
+
+
+class TestStrongComponents:
+    """``_strong_components`` returns the list the search it replaced
+    returns, order included: ``condense``, ``reach_mask`` and
+    ``add_all`` all read that order."""
+
+    @staticmethod
+    def assert_matches_parent(adj: list[list[int]]) -> list[list[int]]:
+        got = graphs._strong_components(len(adj), adj.__getitem__)
+        assert got == parent_strong_components(len(adj), adj.__getitem__)
+        return got
+
+    @given(
+        st.integers(min_value=1, max_value=24).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, n - 1), max_size=6), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_parent_on_unsorted_repeated_lists(self, adj):
+        # self-loops and repeats included; no list is sorted first
+        self.assert_matches_parent(adj)
+
+    @given(
+        st.integers(min_value=2, max_value=40).flatmap(
+            lambda n: st.tuples(
+                st.permutations(range(n)),
+                st.integers(n // 2 + 1, n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_parent_with_one_giant_component(self, case):
+        perm, size, extra = case
+        ring = perm[:size]
+        adj: list[list[int]] = [[] for _ in perm]
+        for u, v in [*zip(ring, ring[1:] + ring[:1]), *extra]:
+            adj[u].append(v)
+        got = self.assert_matches_parent(adj)
+        assert max(map(len, got)) >= size
+
+    @pytest.mark.parametrize("shape", ["forwards", "backwards", "closed"])
+    def test_matches_the_parent_on_a_long_path(self, shape):
+        n = 100_000
+        if shape == "backwards":
+            adj = [[]] + [[v - 1] for v in range(1, n)]
+        else:
+            adj = [[v + 1] for v in range(n - 1)] + [[0] if shape == "closed" else []]
+        got = self.assert_matches_parent(adj)
+        assert len(got) == (1 if shape == "closed" else n)
 
 
 class TestCondensation:

@@ -22,8 +22,9 @@ from reachkeep import (
     reachable_set,
 )
 from reachkeep.graphs import MAX_VERTICES
-from reachkeep.oracle import FAMILY_KINDS, _GreedyAdversary, reachable_pairs
+from reachkeep.oracle import FAMILY_KINDS, _GreedyAdversary, _random_dag_edges, reachable_pairs
 from reachkeep.preserver import unreachable_pairs
+from reachkeep.seeding import rng_for
 from test_nonadaptive import FullScanAdversary
 from test_preserver import dag_with_pairs, graphs_with_stray_pairs, outcome, reference_grow
 
@@ -459,3 +460,11 @@ class TestGenerate:
             assert len({s for s, _ in stream}) <= s_size
         else:
             assert len({t for _, t in stream}) <= s_size
+        # The shared terminals, drawn again as generate draws them
+        rng = rng_for(seed, "graph", "sourcewise")
+        perm, _ = _random_dag_edges(n, fam.density, rng)
+        shared = rng.sample(perm[:-1] if side == "source" else perm[1:], s_size)
+        # The fix-up rule: every shared source has an out-edge in g, every
+        # shared sink an in-edge.
+        ends = g.out_neighbors if side == "source" else g.in_neighbors
+        assert all(ends(v) for v in shared), shared

@@ -20,12 +20,14 @@ from reachkeep import (
     DirectedGraph,
     IncrementalClosure,
     InfeasiblePairError,
+    InstanceFamily,
     ParameterError,
     UdsnParams,
     UdsnRecord,
     UdsnSession,
     bfs_route,
     condense,
+    generate,
     hit_by,
     is_thin,
     load_graph,
@@ -285,6 +287,22 @@ class TestSessionRouting:
         assert [rec.pair[0] for rec in session.fw_leg.log] == [rec.pair[0] for rec in hits]
         assert [rec.pair[1] for rec in session.bw_leg.log] == [rec.pair[1] for rec in hits]
         assert {rec.via for rec in hits} <= set(session.sample)
+
+    def test_the_output_hands_its_hub_over_on_a_random_digraph(self):
+        # A later strong component of the output outgrows the first one,
+        # which held the hub: the hand-over in IncrementalClosure._contract.
+        g, pairs = generate(
+            InstanceFamily(kind="random-digraph", n=400, seed=1, density=0.004, pairs=1600)
+        )
+        session = UdsnSession(g, UdsnParams(tau=UdsnParams.defaults_for(400).tau, T=40), seed=1)
+        hubs = [session.output._hub]
+        for s, t in pairs:
+            session.serve(s, t)
+            if session.output._hub != hubs[-1]:
+                hubs.append(session.output._hub)
+        assert hubs == [400, 1, 28]
+        out = session.output_graph()
+        assert all(t in reachable_set(out, s) for s, t in pairs)
 
     def test_served_pairs_stay_connected(self):
         session = scripted_session()
