@@ -17,12 +17,14 @@ One greedy trajectory serves every level. The adversary's picks do not
 depend on the threshold, so the while-loop of a level with a higher
 threshold is a prefix of the while-loop of a lower one. New-edge counts
 are integers >= 0, so a table depends on its threshold only through
-floor(max(threshold, -1)): levels that share that floor are built once,
-each still getting its own PathTable. The adversary keeps one path per
-candidate pair, picks from a heap ordered by (-count, pair), and grows
-a path again only when a committed edge (u, v) can change its walk:
-forwards, when the walk reads u's out-list and v reaches the sink;
-backwards, when it reads v's in-list and the source reaches u.
+floor(max(threshold, -1)). Each distinct table is stored once: levels
+that share that floor, and floors between which the while-loop commits
+nothing, share one entries and one finalized_by dict. The adversary
+keeps one path per candidate pair, picks from a heap ordered by
+(-count, pair), and grows a path again only when a committed edge
+(u, v) can change its walk: forwards, when the walk reads u's out-list
+and v reaches the sink; backwards, when it reads v's in-list and the
+source reaches u.
 """
 
 from __future__ import annotations
@@ -80,6 +82,10 @@ def default_surrogate(n: int, scale: float = 4.0) -> ExtremalSurrogate:
 
 @dataclass
 class PathTable:
+    """One level's path for every reachable pair and the phase that
+    finalized it. Levels with equal content share both dicts: mutating
+    one level's dicts mutates every level that shares them."""
+
     level: int
     threshold: float
     entries: dict[Pair, tuple[int, ...]] = field(default_factory=dict)
@@ -108,6 +114,7 @@ def _build_tables(
     committed: dict[Pair, tuple[int, ...]] = {}
     built: dict[int, tuple[dict, dict]] = {}
     for stop in sorted({_stop(threshold) for _, threshold in levels}, reverse=True):
+        size = len(committed)
         while adversary:
             pair, path, count = adversary.best()
             if count <= stop:
@@ -115,17 +122,15 @@ def _build_tables(
             adversary.discard(pair)
             adversary.commit(path)
             committed[pair] = path
-        entries = dict(committed)
-        finalized_by = dict.fromkeys(committed, WHILE_LOOP)
-        for pair, path in adversary.remaining():  # frozen residual phase
-            entries[pair] = path
-            finalized_by[pair] = RESIDUAL
+        if not built or len(committed) > size:  # else the previous stop's table
+            entries, finalized_by = dict(committed), dict.fromkeys(committed, WHILE_LOOP)
+            for pair, path in adversary.remaining():  # frozen residual phase
+                entries[pair] = path
+                finalized_by[pair] = RESIDUAL
         built[stop] = entries, finalized_by
-    tables = []
-    for level, threshold in levels:
-        entries, finalized_by = built[_stop(threshold)]
-        tables.append(PathTable(level, threshold, dict(entries), dict(finalized_by)))
-    return tuple(tables)
+    return tuple(
+        PathTable(level, threshold, *built[_stop(threshold)]) for level, threshold in levels
+    )
 
 
 def precompute_known_p(
@@ -151,8 +156,8 @@ def precompute_index_sensitive(
     that the tables would repeat, so the stack stops there. A surrogate
     still below the cap past level sys.maxsize is rejected: no demand
     index reaches such a level."""
-    if p_star is not None and p_star < 1:
-        raise ParameterError(f"p_star must be >= 1, got {p_star}")
+    if p_star is not None:
+        check_count("p_star", p_star)
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
     cap = surrogate.cap(g.n)
     levels: list[tuple[int, float]] = []
@@ -175,8 +180,7 @@ def select_entry(
 ) -> tuple[int, tuple[int, ...]]:
     """(level, path) for the i-th demand: the least level at or above
     i, or the saturated top level when i is beyond the stack."""
-    if i < 1:
-        raise ParameterError(f"demand index must be >= 1, got {i}")
+    check_count("demand index", i)
     if not tables:
         raise ParameterError("empty table stack")
     chosen = tables[-1]
@@ -208,8 +212,7 @@ def surrogate_monitor(
     online against the greedy adversary for p rounds and compare the
     resulting edge count with the surrogate's budget. A failure means
     the surrogate undershoots this graph, not that an algorithm broke."""
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    check_count("p", p)
     surrogate = surrogate if surrogate is not None else default_surrogate(g.n)
     domain = reachable_pairs(g)
     if not domain:

@@ -92,9 +92,10 @@ class _GreedyAdversary:
     edge (u, v) can change a forwards walk from s to t, or its new-edge
     count, only if the walk reads u and v reaches t; a backwards walk
     only if it reads v and s reaches u. Only those walks are grown again,
-    found through a per-vertex bitmask of the candidates whose walk reads
-    that vertex. The best pick is the top of a heap ordered by
-    (-count, pair).
+    found through a per-vertex set of the numbers of the candidates whose
+    walk reads that vertex and a per-candidate goal, t forwards and s
+    backwards, tested against the reach mask of the edge's other end. The
+    best pick is the top of a heap ordered by (-count, pair).
     """
 
     def __init__(self, g: DirectedGraph, h, selector, candidates: Iterable[Pair]):
@@ -109,14 +110,11 @@ class _GreedyAdversary:
         # of a path where it reads them.
         self._end = int(self._backwards)
         self._reads = slice(1, None) if self._backwards else slice(0, -1)
-        # vertex -> bitmask of the numbers (positions in cands) of the
-        # candidates whose walk reads h there
-        self._readers = [0] * g.n
-        # vertex -> the candidates whose sink (forwards) or source
-        # (backwards) it is
-        self._ends = [0] * g.n
-        for i, (s, t) in enumerate(cands):
-            self._ends[s if self._backwards else t] |= 1 << i
+        # vertex -> the numbers (positions in cands) of the candidates
+        # whose walk reads h there
+        self._readers: list[set[int]] = [set() for _ in range(g.n)]
+        # number -> the candidate's sink (forwards) or source (backwards)
+        self._goals = [pair[1 - self._end] for pair in cands]
         self._cands = cands
         # number - count * len(cands) per candidate, a heap in the order of
         # (-count, pair); an entry whose count is out of date stays until
@@ -128,16 +126,16 @@ class _GreedyAdversary:
             self._regrow(i)
 
     def _regrow(self, i: int) -> None:
-        pair, bit, new = self._cands[i], 1 << i, []
+        pair, new = self._cands[i], []
         path = self._grow(self.g, self.h, *pair, new)
         old = self._cache.get(pair)
         if old is None or old[0] != path:
             readers = self._readers
             if old is not None:
                 for v in old[0][self._reads]:
-                    readers[v] ^= bit  # a DAG walk is simple
+                    readers[v].remove(i)
             for v in path[self._reads]:
-                readers[v] |= bit
+                readers[v].add(i)
         if old is None or old[1] != len(new):
             heappush(self._heap, i - len(new) * len(self._cands))
         self._cache[pair] = path, len(new), i
@@ -160,21 +158,19 @@ class _GreedyAdversary:
     def discard(self, pair: Pair) -> None:
         path, _, i = self._cache.pop(pair)
         for v in path[self._reads]:
-            self._readers[v] ^= 1 << i
+            self._readers[v].remove(i)
 
     def commit(self, path: tuple[int, ...]) -> None:
         """Add path's edges to h and grow again every candidate whose
         walk a new edge can change."""
-        end, ends, changed = self._end, self._ends, 0
+        end, goals, changed = self._end, self._goals, set()
         for e in zip(path, path[1:]):
             if self.h.add(e):
-                # the candidates whose sink the head reaches (forwards) or
+                # the readers whose sink the head reaches (forwards) or
                 # whose source reaches the tail (backwards)
-                reached = 0
-                for w in iter_bits(self.g.reach_mask(e[1 - end], reverse=self._backwards)):
-                    reached |= ends[w]
-                changed |= self._readers[e[end]] & reached
-        for i in iter_bits(changed):
+                far = self.g.reach_mask(e[1 - end], reverse=self._backwards)
+                changed.update(i for i in self._readers[e[end]] if far >> goals[i] & 1)
+        for i in sorted(changed):
             self._regrow(i)
 
     def remaining(self) -> list[tuple[Pair, tuple[int, ...]]]:

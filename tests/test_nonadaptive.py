@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,15 @@ def small_dags(draw, max_n: int = 7, max_edges: int = 12):
     pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=min(len(pool), max_edges)))
     return DirectedGraph(n, edges)
+
+
+def assert_one_store_per_distinct_table(tables):
+    """Levels with equal content, insertion order included, share one
+    entries dict and one finalized_by dict; other levels share neither."""
+    for a, b in combinations(tables, 2):
+        ca, cb = ((list(t.entries.items()), list(t.finalized_by.items())) for t in (a, b))
+        assert (a.entries is b.entries) is (ca == cb)
+        assert (a.finalized_by is b.finalized_by) is (ca == cb)
 
 
 @contextmanager
@@ -200,11 +210,20 @@ class TestIndexSensitive:
         with pytest.raises(MissingEntryError):
             select_entry(tables, 3, 0, 1)
 
-    def test_rejects_bad_base(self):
-        with pytest.raises(ParameterError):
-            precompute_index_sensitive(CHAIN4, p_star=0)
-        with pytest.raises(ParameterError, match="p_star must be >= 1, got 0"):
-            precompute_index_sensitive(DirectedGraph(0, []), linear_surrogate(1.0), p_star=0)
+    @pytest.mark.parametrize("i", [0, 2.5, 1.0, True])
+    def test_select_rejects_an_index_that_is_not_a_count(self, i):
+        tables = precompute_index_sensitive(CHAIN4)
+        with pytest.raises(ParameterError, match=f"demand index must be an integer >= 1, got {i!r}"):
+            select_entry(tables, 0, 3, i)
+
+    @pytest.mark.parametrize("p_star", [0, 1.5, 2.0, True])
+    def test_rejects_bad_base(self, p_star):
+        match = f"p_star must be an integer >= 1, got {p_star!r}"
+        with pytest.raises(ParameterError, match=match):
+            precompute_index_sensitive(CHAIN4, p_star=p_star)
+        # p_star is checked before the surrogate refuses n = 0
+        with pytest.raises(ParameterError, match=match):
+            precompute_index_sensitive(DirectedGraph(0, []), linear_surrogate(1.0), p_star=p_star)
 
     @pytest.mark.parametrize("surrogate", [None, linear_surrogate(1.0)], ids=["default", "custom"])
     @pytest.mark.parametrize("p_star", [None, 2])
@@ -222,17 +241,37 @@ class TestIndexSensitive:
         with time_limit(10), pytest.raises(ParameterError):
             precompute_index_sensitive(chain12, surrogate=flat)
 
-    def test_levels_sharing_a_floor_are_independent_objects(self):
-        # Thresholds 3.0, 3.0 and 3.0: one floor, three levels.
+    def test_levels_sharing_a_floor_share_one_store(self):
+        # Thresholds 3.0, 3.0 and 3.0: one floor, three levels, one store.
         tables = precompute_index_sensitive(
             CHAIN4, surrogate=linear_surrogate(3.0), p_star=1
         )
         assert [t.level for t in tables] == [1, 2, 4]
-        before = [(dict(t.entries), dict(t.finalized_by)) for t in tables]
-        tables[0].entries[(0, 3)] = (0, 3)
-        del tables[0].entries[(1, 2)]
-        tables[0].finalized_by.clear()
-        assert [(t.entries, t.finalized_by) for t in tables[1:]] == before[1:]
+        assert_one_store_per_distinct_table(tables)
+        assert len({id(t.entries) for t in tables}) == len({id(t.finalized_by) for t in tables}) == 1
+
+    def test_levels_with_different_content_share_no_store(self):
+        g, _ = generate(InstanceFamily(kind="random-dag", n=20, seed=3, density=0.2))
+        tables = precompute_index_sensitive(g, default_surrogate(g.n, 1.0))
+        # stops 5, 3, 2, 1, 1, 0, and the while-loop commits before each new stop
+        assert [len(t.while_loop_pairs) for t in tables] == [0, 2, 3, 8, 8, 20]
+        assert_one_store_per_distinct_table(tables)
+        assert len({id(t.entries) for t in tables}) == len({id(t.finalized_by) for t in tables}) == 5
+
+    def test_stops_that_commit_nothing_share_one_store(self):
+        g, _ = generate(InstanceFamily(kind="random-dag", n=30, seed=1, density=0.2))
+        tables = precompute_index_sensitive(g)
+        assert len({nonadaptive._stop(t.threshold) for t in tables}) == len(tables) > 1
+        assert not any(t.while_loop_pairs for t in tables)
+        assert all(t.entries is tables[0].entries for t in tables)
+        assert all(t.finalized_by is tables[0].finalized_by for t in tables)
+
+    @given(small_dags(), st.floats(min_value=0.1, max_value=4.0), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_one_store_per_distinct_table(self, g, slope, p_star):
+        assert_one_store_per_distinct_table(
+            precompute_index_sensitive(g, linear_surrogate(slope), p_star=p_star)
+        )
 
     def test_non_adaptive_rebuild_is_identical(self):
         a = precompute_index_sensitive(CHAIN4, surrogate=linear_surrogate(3.0), p_star=1)
@@ -268,6 +307,11 @@ class TestSurrogateMonitor:
     def test_rejects_bad_p(self):
         with pytest.raises(ParameterError):
             surrogate_monitor(CHAIN4, 0)
+
+    @pytest.mark.parametrize("p", [2.5, 1.0, True])
+    def test_rejects_a_p_that_is_not_a_count(self, p):
+        with pytest.raises(ParameterError, match=f"p must be an integer >= 1, got {p!r}"):
+            surrogate_monitor(CHAIN4, p)
 
     @given(small_dags(), st.integers(min_value=1, max_value=5))
     @settings(max_examples=40, deadline=None)

@@ -216,11 +216,11 @@ def assert_same_adversary(new, ref, candidates, mode):
     assert new.remaining() == ref.remaining()
     # A forwards walk reads the out-lists of all but its last vertex, a
     # backwards walk the in-lists of all but its first.
-    readers = [0] * new.g.n
+    readers = [set() for _ in range(new.g.n)]
     for pair, (path, _, number) in new._cache.items():
         assert candidates[number] == pair
         for v in path[:-1] if mode == "fw" else path[1:]:
-            readers[v] |= 1 << number
+            readers[v].add(number)
     assert new._readers == readers
 
 
