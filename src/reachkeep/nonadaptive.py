@@ -20,11 +20,12 @@ are integers >= 0, so a table depends on its threshold only through
 floor(max(threshold, -1)). Each distinct table is stored once: levels
 that share that floor, and floors between which the while-loop commits
 nothing, share one entries and one finalized_by dict. The adversary
-keeps one path per candidate pair, picks from a heap ordered by
-(-count, pair), and grows a path again only when a committed edge
-(u, v) can change its walk: forwards, when the walk reads u's out-list
-and v reaches the sink; backwards, when it reads v's in-list and the
-source reaches u.
+keeps one path per candidate in lists numbered by sorted order, picks
+from a heap ordered by (-count, pair), and grows a path again only when
+a committed edge (u, v) can change its walk: forwards, when the walk
+reads u's out-list and v reaches the sink; backwards, when it reads v's
+in-list and the source reaches u. It finds those walks in append-only
+per-vertex lists of readers, skipping the stale entries.
 """
 
 from __future__ import annotations

@@ -10,12 +10,13 @@ the costliest stream a path-selection rule can face.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import MISSING, dataclass, fields
 from heapq import heappop, heappush
 from itertools import combinations
 
-from .errors import InfeasiblePairError, ParameterError, SizeLimitError, check_unused
+from .errors import BoundsError, InfeasiblePairError, ParameterError, SizeLimitError, check_unused
 from .graphs import MAX_VERTICES, DirectedGraph, Edge, check_vertices, iter_bits
 from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps this binding
 # grow_forwards and grow_backwards are not called here (GrowthMode.grow
@@ -91,92 +92,92 @@ class _GreedyAdversary:
     reaches (backwards), else the first such g-neighbour. So a committed
     edge (u, v) can change a forwards walk from s to t, or its new-edge
     count, only if the walk reads u and v reaches t; a backwards walk
-    only if it reads v and s reaches u. Only those walks are grown again,
-    found through a per-vertex set of the numbers of the candidates whose
-    walk reads that vertex and a per-candidate goal, t forwards and s
-    backwards, tested against the reach mask of the edge's other end. The
-    best pick is the top of a heap ordered by (-count, pair).
+    only if it reads v and s reaches u. Only those walks are grown again.
+    A candidate's path (None once discarded), count and goal (t forwards,
+    s backwards) sit in lists by its number, its place in sorted order.
+    Per vertex, an append-only list holds the numbers of the candidates
+    whose walk reads it: a re-walk appends only where it did not read
+    before. commit skips a stale entry, whose path is None or no longer
+    reads the vertex (paths are simple), and tests the others' goals
+    against the reach mask of the edge's other end. The best pick is the
+    top of a heap ordered by (-count, pair).
     """
 
     def __init__(self, g: DirectedGraph, h, selector, candidates: Iterable[Pair]):
-        cands = sorted({(int(s), int(t)) for s, t in candidates})
-        if not cands:
+        pairs = set()
+        for c in candidates:  # a tuple is kept, not copied
+            if type(c) not in (tuple, list) or len(c) != 2 or not type(c[0]) is type(c[1]) is int:
+                raise BoundsError(f"candidate {c!r} is not a pair of ints")
+            pairs.add(tuple(c))
+        if not pairs:
             raise ParameterError("candidate set is empty")
         self.g, self.h = g, h
         mode = GrowthMode(selector)
         self._grow = mode.grow
-        self._backwards = mode is GrowthMode.BACKWARDS
-        # The end of an edge whose list the walk reads, and the vertices
-        # of a path where it reads them.
-        self._end = int(self._backwards)
-        self._reads = slice(1, None) if self._backwards else slice(0, -1)
-        # vertex -> the numbers (positions in cands) of the candidates
-        # whose walk reads h there
-        self._readers: list[set[int]] = [set() for _ in range(g.n)]
-        # number -> the candidate's sink (forwards) or source (backwards)
+        # the end of an edge whose list a walk reads, and the path vertices where it reads
+        self._end = int(mode is GrowthMode.BACKWARDS)
+        self._reads = slice(1, None) if self._end else slice(0, -1)
+        self._cands = cands = sorted(pairs)
+        self._readers: list[list[int]] = [[] for _ in range(g.n)]
         self._goals = [pair[1 - self._end] for pair in cands]
-        self._cands = cands
+        self._paths: list[tuple[int, ...] | None] = [None] * len(cands)
+        self._counts, self._live = [0] * len(cands), len(cands)
         # number - count * len(cands) per candidate, a heap in the order of
-        # (-count, pair); an entry whose count is out of date stays until
-        # it reaches the top
+        # (-count, pair); an outdated entry stays until it reaches the top
         self._heap: list[int] = []
-        # pair -> (path, new-edge count, number)
-        self._cache: dict[Pair, tuple[tuple[int, ...], int, int]] = {}
         for i in range(len(cands)):
             self._regrow(i)
 
     def _regrow(self, i: int) -> None:
-        pair, new = self._cands[i], []
-        path = self._grow(self.g, self.h, *pair, new)
-        old = self._cache.get(pair)
-        if old is None or old[0] != path:
-            readers = self._readers
-            if old is not None:
-                for v in old[0][self._reads]:
-                    readers[v].remove(i)
+        new = []
+        path = self._grow(self.g, self.h, *self._cands[i], new)
+        old = self._paths[i]
+        if old != path:
+            before = () if old is None else old[self._reads]
             for v in path[self._reads]:
-                readers[v].add(i)
-        if old is None or old[1] != len(new):
+                if v not in before:
+                    self._readers[v].append(i)
+        if old is None or self._counts[i] != len(new):
             heappush(self._heap, i - len(new) * len(self._cands))
-        self._cache[pair] = path, len(new), i
+        self._paths[i], self._counts[i] = path, len(new)
 
     def __bool__(self) -> bool:
-        return bool(self._cache)
+        return self._live > 0
 
     def best(self) -> tuple[Pair, tuple[int, ...], int]:
-        """(pair, path, new-edge count) of the candidate adding the most
-        new edges to h; ties break to the lexicographically smallest
-        pair."""
-        heap, cache, cands = self._heap, self._cache, self._cands
+        """(pair, path, new-edge count) of the candidate adding the most new
+        edges to h; ties break to the lexicographically smallest pair."""
+        heap, paths, counts, size = self._heap, self._paths, self._counts, len(self._cands)
         while True:
-            negated, i = divmod(heap[0], len(cands))
-            entry = cache.get(cands[i])
-            if entry is not None and entry[1] == -negated:
-                return cands[i], entry[0], entry[1]
+            negated, i = divmod(heap[0], size)
+            if paths[i] is not None and counts[i] == -negated:
+                return self._cands[i], paths[i], counts[i]
             heappop(heap)
 
     def discard(self, pair: Pair) -> None:
-        path, _, i = self._cache.pop(pair)
-        for v in path[self._reads]:
-            self._readers[v].remove(i)
+        i = bisect_left(self._cands, pair)
+        if self._cands[i : i + 1] != [pair] or self._paths[i] is None:
+            raise KeyError(pair)
+        self._paths[i], self._live = None, self._live - 1
 
     def commit(self, path: tuple[int, ...]) -> None:
         """Add path's edges to h and grow again every candidate whose
         walk a new edge can change."""
-        end, goals, changed = self._end, self._goals, set()
+        end, goals, paths, changed = self._end, self._goals, self._paths, set()
         for e in zip(path, path[1:]):
             if self.h.add(e):
-                # the readers whose sink the head reaches (forwards) or
-                # whose source reaches the tail (backwards)
-                far = self.g.reach_mask(e[1 - end], reverse=self._backwards)
-                changed.update(i for i in self._readers[e[end]] if far >> goals[i] & 1)
+                # the live readers of u whose goal is in far; a path p does not read p[end - 1]
+                u, far = e[end], self.g.reach_mask(e[1 - end], reverse=bool(end))
+                changed.update(
+                    i for i in self._readers[u]
+                    if far >> goals[i] & 1 and (p := paths[i]) and u in p and p[end - 1] != u
+                )
         for i in sorted(changed):
             self._regrow(i)
 
     def remaining(self) -> list[tuple[Pair, tuple[int, ...]]]:
-        """Every remaining candidate with its path against h, in
-        lexicographic order."""
-        return sorted((pair, path) for pair, (path, _, _) in self._cache.items())
+        """Every remaining candidate with its path against h, in lexicographic order."""
+        return [(pair, path) for pair, path in zip(self._cands, self._paths) if path is not None]
 
 
 def greedy_adversary_step(
@@ -184,7 +185,7 @@ def greedy_adversary_step(
 ) -> Pair:
     """The candidate pair whose selected path contributes the most new
     edges on top of h; ties break to the lexicographically smallest
-    pair. Candidates must be reachable in g."""
+    pair. Candidates must be pairs of ints reachable in g."""
     return _GreedyAdversary(g, h, selector, candidates).best()[0]
 
 
@@ -253,9 +254,7 @@ def reachable_pairs(g: DirectedGraph) -> list[Pair]:
 
 
 def _stream_from(g: DirectedGraph, count: int, rng) -> tuple[Pair, ...]:
-    candidates = [(u, v) for u, v in reachable_pairs(g) if u != v]
-    if not candidates:
-        candidates = [(0, 0)]
+    candidates = [(u, v) for u, v in reachable_pairs(g) if u != v] or [(0, 0)]
     return tuple(rng.choice(candidates) for _ in range(count))
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import signal
 from contextlib import contextmanager
 from itertools import combinations
@@ -509,3 +510,25 @@ class TestOneTrajectory:
         assert got == want
         assert len(reachable_pairs(g)) > 500
         assert any(tag == WHILE_LOOP for *_, finalized_by in got[0] for _, tag in finalized_by)
+
+    # The stack and the monitor rounds on a 300-vertex DAG, pinned by the
+    # digest the code gave before the adversary kept its candidates in
+    # numbered lists; scale 0.3 makes the while-loop commit pairs.
+    @pytest.mark.parametrize(
+        "selector, digest",
+        [
+            ("fw", "8dcbad39c652aaa0fe43e3eff134216d93982dd85eccd971e4d21c0ca3046c0d"),
+            ("bw", "4e7f78cd8132faa6468cfb33af6b882a3d7ab0b7c7886dc11d834df08a6cff1f"),
+        ],
+    )
+    def test_pinned_stack_and_monitor_digest(self, selector, digest):
+        g, _ = generate(InstanceFamily("random-dag", 300, 38, density=0.02))
+        surrogate = default_surrogate(300, scale=0.3)
+        tables = precompute_index_sensitive(g, surrogate, selector)
+        rounds = surrogate_monitor(g, 300, surrogate, selector).rounds
+        h = hashlib.sha256()
+        for t in tables:
+            h.update(repr((t.level, t.threshold, list(t.entries.items()), list(t.finalized_by.items()))).encode())
+        h.update(repr(rounds).encode())
+        assert h.hexdigest() == digest
+        assert any(tag == WHILE_LOOP for t in tables for tag in t.finalized_by.values())

@@ -178,6 +178,37 @@ class TestGreedyAdversary:
         with pytest.raises(ParameterError):
             greedy_adversary_step(CHAIN4, EdgeStore(4), "fw", [])
 
+    @pytest.mark.parametrize("candidate", [(0, 2.7), (True, 3), (0, "3"), (0, 1, 2), [0], 5, "03"])
+    def test_candidate_that_is_not_a_pair_of_ints_rejected(self, candidate):
+        with pytest.raises(BoundsError, match=re.escape(f"candidate {candidate!r}")):
+            greedy_adversary_step(CHAIN4, EdgeStore(4), "fw", [(0, 1), candidate])
+
+    def test_pair_of_ints_kept_and_list_of_two_ints_accepted(self):
+        pair = (0, 3)
+        adversary = _GreedyAdversary(CHAIN4, EdgeStore(4), "fw", [pair, [1, 3]])
+        assert adversary._cands == [(0, 3), (1, 3)]
+        assert adversary._cands[0] is pair
+
+    def test_commit_skips_stale_reader_entries(self):
+        # (0, 3) first walks 0, 1, 3 and reads 0 and 1; committing 0, 2, 3
+        # moves it to 0, 2, 3, which reads 1 no more.
+        g = DirectedGraph(4, {(0, 1), (1, 3), (0, 2), (2, 3)})
+        adversary = _GreedyAdversary(g, EdgeStore(4), "fw", [(0, 3), (1, 3)])
+        assert adversary._paths[0] == (0, 1, 3)
+        adversary.commit((0, 2, 3))
+        assert adversary._paths[0] == (0, 2, 3)
+        walks = []
+        grow = adversary._grow
+        adversary._grow = lambda *args: walks.append(args[2:4]) or grow(*args)
+        # (1, 3) reads 1, so it alone is grown again.
+        adversary.commit((1, 3))
+        assert walks == [(1, 3)]
+        # A discarded candidate is never grown again, nor comes back.
+        adversary.discard((0, 3))
+        adversary.commit((0, 1))
+        assert walks == [(1, 3)]
+        assert adversary.remaining() == [((1, 3), (1, 3))]
+
     @given(dag_with_pairs(), st.sampled_from(["fw", "bw"]))
     @settings(max_examples=80, deadline=None)
     def test_cached_counts_match_a_rescan_after_every_commit(self, case, mode):
@@ -185,9 +216,10 @@ class TestGreedyAdversary:
         h = EdgeStore(g.n)
         adversary = _GreedyAdversary(g, h, mode, reachable_pairs(g))
         while True:
-            for pair, (path, count, _) in adversary._cache.items():
-                ref_path, ref_new = reference_grow(g, h, *pair, mode)
-                assert (path, count) == (ref_path, len(ref_new))
+            for pair, path, count in zip(adversary._cands, adversary._paths, adversary._counts):
+                if path is not None:
+                    ref_path, ref_new = reference_grow(g, h, *pair, mode)
+                    assert (path, count) == (ref_path, len(ref_new))
             if not adversary:
                 break
             pair, path, _ = adversary.best()
@@ -212,16 +244,18 @@ def assert_same_adversary(new, ref, candidates, mode):
     assert bool(new) == bool(ref)
     if ref:
         assert new.best() == ref.best()
-    assert {q: e[:2] for q, e in new._cache.items()} == {q: e[:2] for q, e in ref._cache.items()}
+    assert new._cands == candidates
+    live = {q: (path, count) for q, path, count in zip(candidates, new._paths, new._counts) if path}
+    assert live == {q: e[:2] for q, e in ref._cache.items()}
     assert new.remaining() == ref.remaining()
     # A forwards walk reads the out-lists of all but its last vertex, a
-    # backwards walk the in-lists of all but its first.
-    readers = [set() for _ in range(new.g.n)]
-    for pair, (path, _, number) in new._cache.items():
-        assert candidates[number] == pair
-        for v in path[:-1] if mode == "fw" else path[1:]:
-            readers[v].add(number)
-    assert new._readers == readers
+    # backwards walk the in-lists of all but its first. Every live
+    # candidate has an entry at each vertex it reads; every other entry
+    # is stale: discarded, or its path no longer reads the vertex.
+    reads = slice(0, -1) if mode == "fw" else slice(1, None)
+    for v, entries in enumerate(new._readers):
+        reading = {i for i, path in enumerate(new._paths) if path and v in path[reads]}
+        assert reading <= set(entries) <= set(range(len(candidates)))
 
 
 class TestOrderedAdversary:
