@@ -42,12 +42,7 @@ from .nonadaptive import (
     select_entry,
 )
 from .oracle import InstanceFamily, generate, min_preserver
-from .preserver import (
-    CondensingPreserver,
-    GrowthMode,
-    unreachable_pairs,
-    verify_session,
-)
+from .preserver import CondensingPreserver, GrowthMode, unreachable_pairs, verify_session
 from .seeding import MASK64
 from .udsn import UdsnParams, UdsnSession
 
@@ -103,12 +98,8 @@ def _table_json(table: PathTable) -> dict[str, object]:
     return {
         "level": table.level,
         "threshold": table.threshold,
-        "entries": {
-            f"{s},{t}": list(path) for (s, t), path in sorted(table.entries.items())
-        },
-        "finalized_by": {
-            f"{s},{t}": tag for (s, t), tag in sorted(table.finalized_by.items())
-        },
+        "entries": {f"{s},{t}": list(path) for (s, t), path in sorted(table.entries.items())},
+        "finalized_by": {f"{s},{t}": tag for (s, t), tag in sorted(table.finalized_by.items())},
     }
 
 
@@ -374,9 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--manifest-dir", default="manifests", help="where run manifests are written"
     )
-    parser.add_argument(
-        "--json", action="store_true", help="print one canonical JSON line"
-    )
+    parser.add_argument("--json", action="store_true", help="print one canonical JSON line")
     # The same globals are accepted after the subcommand; SUPPRESS keeps
     # the subparser from clobbering a value given before it.
     common = argparse.ArgumentParser(add_help=False)

@@ -21,9 +21,9 @@ from .errors import BoundsError, ParseError
 Edge = tuple[int, int]
 Row = tuple[int, int, int]  # two ids and the line number they were read from
 
-# Building a graph peaks at about 81 bytes per vertex before its edges
-# (a list per vertex, then tuples), so at this cap even an edgeless graph
-# read from a 9-byte header stays under about 90 MB.
+# Building a graph peaks at about 120 bytes per vertex before its edges
+# (an int per id, a list per vertex, then tuples), so at this cap even an
+# edgeless graph read from a 9-byte header stays under about 130 MB.
 MAX_VERTICES = 1 << 20
 
 
@@ -31,7 +31,7 @@ class DirectedGraph:
     """Immutable digraph on vertices 0..n-1. Self-loops are rejected,
     duplicate edges collapse."""
 
-    __slots__ = ("n", "edge_count", "_out", "_in", "_topo", "_closure")
+    __slots__ = ("n", "edge_count", "_ids", "_out", "_in", "_topo", "_closure")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         # type(), not isinstance(): a bool is an int
@@ -41,19 +41,21 @@ class DirectedGraph:
             raise BoundsError(f"vertex count must be >= 0, got {n}")
         if n > MAX_VERTICES:
             raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
-        out: list[list[int]] = [[] for _ in range(n)]
+        # One int object per id: every list, path and edge built from this graph shares them.
+        self._ids = ids = tuple(range(n))
+        out: list[list[int]] = [[] for _ in ids]
         for e in edges:  # only e[0] and e[1] are read, so a (u, v, line) row is an edge
             u, v = e[0], e[1]
             if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
                 raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
             if u == v:
                 raise BoundsError(f"self-loop ({u}, {v}) not allowed")
-            out[u].append(v)
+            out[u].append(ids[v])
         self.n = n
         self._out = tuple(tuple(sorted(set(vs))) for vs in out)
         del out  # the head lists go before the in-lists are built
-        inc: list[list[int]] = [[] for _ in range(n)]
-        for u, vs in enumerate(self._out):  # ascending tails, so each in-list comes out sorted
+        inc: list[list[int]] = [[] for _ in ids]
+        for u, vs in zip(ids, self._out):  # ascending tails, so each in-list comes out sorted
             for v in vs:
                 inc[v].append(u)
         self._in = tuple(map(tuple, inc))
@@ -64,7 +66,7 @@ class DirectedGraph:
     @property
     def edges(self) -> frozenset[Edge]:
         """The edge set, built from the adjacency on each read."""
-        return frozenset((u, v) for u, vs in enumerate(self._out) for v in vs)
+        return frozenset((u, v) for u, vs in zip(self._ids, self._out) for v in vs)
 
     # The accessors sit on every search's inner loop and reach_mask on
     # every growth call, so they call check_vertices only once the
@@ -87,7 +89,7 @@ class DirectedGraph:
         if self._topo is not False:
             return self._topo
         indeg = list(map(len, self._in))
-        heap = [v for v in range(self.n) if indeg[v] == 0]  # ascending, so a heap
+        heap = [v for v in self._ids if indeg[v] == 0]  # ascending, so a heap
         order: list[int] = []
         while heap:
             u = heapq.heappop(heap)
@@ -587,8 +589,7 @@ def _strong_components(n: int, step: Callable[[int], Iterable[int]]) -> list[lis
 def condense(g: DirectedGraph) -> Condensation:
     if g.topological_order() is not None:
         # g is a DAG and its own condensation; growth and the audit read this order too.
-        ids = tuple(range(g.n))
-        return Condensation(g, ids, tuple((v,) for v in ids), g, {}, {})
+        return Condensation(g, g._ids, tuple((v,) for v in g._ids), g, {}, {})
     comps = _strong_components(g.n, g._out.__getitem__)
     comps.sort(key=lambda c: c[0])
     component_of = [0] * g.n

@@ -19,11 +19,7 @@ from pathlib import Path
 
 from .errors import ParameterError, check_finite_positive, check_unused
 from .oracle import InstanceFamily, generate
-from .preserver import (
-    CondensingPreserver,
-    GrowthMode,
-    size_envelope_source_restricted,
-)
+from .preserver import CondensingPreserver, GrowthMode, size_envelope_source_restricted
 from .seeding import split_seed
 
 
@@ -105,8 +101,7 @@ def _divergence(path: Path, stored_id: str, manifest: RunManifest, runner: Runne
     except Exception as exc:
         return f"replay failed: {exc}"
     for label in sorted(set(manifest.outputs) | set(replayed)):
-        want = manifest.outputs.get(label)
-        got = replayed.get(label)
+        want, got = manifest.outputs.get(label), replayed.get(label)
         if want != got:
             return (
                 f"output {label!r}: recorded "
@@ -138,9 +133,7 @@ def verify_all(directory: str | Path, runner: Runner) -> list[VerificationResult
 
 
 def bench_cell(
-    family: InstanceFamily,
-    mode: GrowthMode | str,
-    constant: float = 16.0,
+    family: InstanceFamily, mode: GrowthMode | str, constant: float = 16.0
 ) -> dict[str, object]:
     """One generated instance driven end to end, measured."""
     mode = GrowthMode(mode)
@@ -171,8 +164,7 @@ def bench_cell(
 
 
 def bench_sweep(
-    cells: Iterable[tuple[InstanceFamily, GrowthMode | str]],
-    constant: float = 16.0,
+    cells: Iterable[tuple[InstanceFamily, GrowthMode | str]], constant: float = 16.0
 ) -> list[dict[str, object]]:
     """Run every cell, capturing per-cell failures as rows rather than
     aborting the sweep. A constant that is not finite and positive is

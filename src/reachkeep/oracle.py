@@ -54,8 +54,10 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
             f"exhaustive search accepts at most {EXHAUSTIVE_EDGE_LIMIT} edges, "
             f"got {g.edge_count}"
         )
-    pair_list = sorted({(int(s), int(t)) for s, t in pairs})
-    for s, t in pair_list:
+    pair_list = [(s, t) for s, t in pairs]  # type(), not int(): (0, 2.7) is no (0, 2)
+    if bad := next((p for p in pair_list if type(p[0]) is not int or type(p[1]) is not int), None):
+        raise BoundsError(f"pair {bad!r} is not two ints")
+    for s, t in (pair_list := sorted(set(pair_list))):
         check_vertices(g.n, s, t)
         if not g.reach_mask(s) >> t & 1:
             raise InfeasiblePairError(f"{t} not reachable from {s}")

@@ -73,16 +73,18 @@ class GrowthMode(enum.Enum):
 
 
 class EdgeStore:
-    """Mutable edge set with sorted adjacency, grown one edge at a time.
-    A self-loop or an edge leaving 0..n-1 is rejected."""
+    """Mutable edge set grown one edge at a time; a self-loop or an edge
+    leaving 0..n-1 is rejected. Each direction's sorted adjacency is
+    built from ``edges`` on its first read, then kept up to date by
+    ``add``: a forwards walk reads only the out-lists, a backwards one
+    only the in-lists, and a direction never read is never built."""
 
-    __slots__ = ("n", "edges", "_out", "_in")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int):
         self.n = n
         self.edges: set[Edge] = set()
-        self._out: dict[int, list[int]] = {}
-        self._in: dict[int, list[int]] = {}
+        self._adj: list[dict[int, list[int]] | None] = [None, None]  # out, in; None until read
 
     def add(self, edge: Edge) -> bool:
         if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
@@ -92,15 +94,26 @@ class EdgeStore:
         if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
             raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{n - 1}")
         self.edges.add(edge)
-        insort(self._out.setdefault(u, []), v)
-        insort(self._in.setdefault(v, []), u)
+        out, inc = self._adj
+        if out is not None:
+            insort(out.setdefault(u, []), v)
+        if inc is not None:
+            insort(inc.setdefault(v, []), u)
         return True
 
+    def _lists(self, reverse: bool) -> dict[int, list[int]]:
+        """The in-lists when reverse, else the out-lists, built on the first read."""
+        if self._adj[reverse] is None:
+            adj = self._adj[reverse] = {}
+            for a, b in sorted([e[::-1] for e in self.edges] if reverse else self.edges):
+                adj.setdefault(a, []).append(b)
+        return self._adj[reverse]
+
     def out_neighbors(self, u: int) -> list[int]:
-        return self._out.get(u, [])
+        return self._lists(False).get(u, [])
 
     def in_neighbors(self, v: int) -> list[int]:
-        return self._in.get(v, [])
+        return self._lists(True).get(v, [])
 
     def __contains__(self, edge: Edge) -> bool:
         return edge in self.edges
@@ -151,10 +164,12 @@ def _grow(
     member = g.reach_mask(s) if backwards else g.reach_mask(t, reverse=True)
     if not member >> (t if backwards else s) & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
+    if (h_adj := h._adj[backwards]) is None:  # built on the first read only
+        h_adj = h._lists(backwards)
     if not backwards:
-        return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
+        return tuple(_walk(s, t, member, h_adj, g._out, [] if new is None else new))
     taken: list[Edge] = []
-    path = _walk(t, s, member, h._in, g._in, taken)
+    path = _walk(t, s, member, h_adj, g._in, taken)
     path.reverse()
     if new is not None:
         new.extend([(u, v) for v, u in reversed(taken)])

@@ -243,6 +243,7 @@ class ReferenceGraph(DirectedGraph):
                 raise BoundsError(f"self-loop ({u}, {v}) not allowed")
             edge_set.add((u, v))
         self.n = n
+        self._ids = tuple(range(n))  # read by topological_order and condense
         self._edges = frozenset(edge_set)
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)]

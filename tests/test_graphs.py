@@ -308,12 +308,15 @@ class TestVertexIdsAreInts:
 
     @pytest.mark.parametrize("bad", NON_INT_EDGES)
     def test_edge_store(self, bad):
-        store = EdgeStore(3)
-        store.add((0, 1))
-        with pytest.raises(BoundsError, match=self.names(bad)):
-            store.add(bad)
-        assert store.edges == {(0, 1)}
-        assert store._out == {0: [1]} and store._in == {1: [0]}
+        for both in (False, True):  # the out-lists built alone, then both directions
+            store = EdgeStore(3)
+            store.add((0, 1))
+            assert store.out_neighbors(0) == [1] and (not both or store.in_neighbors(1) == [0])
+            with pytest.raises(BoundsError, match=self.names(bad)):
+                store.add(bad)
+            assert store.edges == {(0, 1)}
+            assert store._adj == [{0: [1]}, {1: [0]} if both else None]
+            assert store._lists(False) == {0: [1]} and store._lists(True) == {1: [0]}
 
     @pytest.mark.parametrize("bad", NON_INT_EDGES)
     def test_incremental_closure_add(self, bad):
@@ -374,6 +377,47 @@ class TestVertexIdsAreInts:
         with pytest.raises(BoundsError, match=self.names(twin)):
             closure.add_all(batch + [twin])
         assert closure_state(closure) == before
+
+
+class TestOneIntObjectPerId:
+    """A graph keeps one int object per vertex id, and its lists, its
+    condensation and the paths and H lists a session grows on it hold
+    that object, however many objects the parser made for the id."""
+
+    # Ids above 256 are not cached by CPython, so each parsed "1999" is its own object.
+    EDGES = "300 1999\n400 1999\n257 300\n257 400\n"
+    TEXTS = {"bulk": "n 2000\n" + EDGES, "line loop": "# a comment\nn 2000\n" + EDGES}
+
+    @pytest.mark.parametrize("path", sorted(TEXTS))
+    def test_lists_and_condensation_share_the_graphs_ids(self, path):
+        text = self.TEXTS[path]
+        rows = read_rows(text, "n", "edges")[1]
+        assert rows[0][1] == rows[1][1] and rows[0][1] is not rows[1][1]
+        g = load_graph(text)
+        ids = g._ids
+        assert ids == tuple(range(2000))
+        assert g._out[300][0] is g._out[400][0] is ids[1999]
+        for lists in (g._out, g._in):
+            assert all(v is ids[v] for vs in lists for v in vs)
+        assert all(v is ids[v] for v in g.topological_order())
+        cond = condense(g)
+        assert cond.component_of is ids
+        assert all(v is ids[v] for c in cond.components for v in c)
+
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_a_session_grows_on_the_graphs_ids(self, mode):
+        from reachkeep import CondensingPreserver
+
+        g = load_graph(self.TEXTS["bulk"])
+        session = CondensingPreserver(g, mode)
+        for s, t in parse_pairs("257 1999\n300 1999\n400 1999\n"):
+            session.serve_pair(s, t)
+        ids = g._ids
+        for rec in session.log:
+            assert all(v is ids[v] for v in rec.path)
+            assert all(u is ids[u] and v is ids[v] for u, v in rec.new_edges)
+        lists = session.h._lists(mode == "bw")
+        assert all(u is ids[u] and all(v is ids[v] for v in vs) for u, vs in lists.items())
 
 
 class TestTextFormat:

@@ -90,6 +90,15 @@ class TestMinPreserver:
         with pytest.raises(BoundsError):
             min_preserver(CHAIN4, [(0, 9)])
 
+    @pytest.mark.parametrize("bad", [(0, 2.7), (True, 3), (0, "3"), (2.0, 3), (0, None)])
+    def test_pair_end_that_is_not_an_int_refused(self, bad):
+        # int() used to answer (0, 2.7) as (0, 2) and (True, 3) as (1, 3)
+        with pytest.raises(BoundsError, match=re.escape(f"pair ({bad[0]!r}, {bad[1]!r})")):
+            min_preserver(CHAIN4, [(0, 1), bad])
+
+    def test_pairs_as_lists_of_two_ints_accepted(self):
+        assert min_preserver(CHAIN4, [[0, 2], (0, 2)]) == frozenset({(0, 1), (1, 2)})
+
     @given(tiny_instances())
     @settings(max_examples=60, deadline=None)
     def test_result_preserves_and_lower_bounds_online(self, case):

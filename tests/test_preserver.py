@@ -320,7 +320,8 @@ class TestWalkAgainstReference:
             assert session.serve_pair(s, t) == reference.serve_pair(s, t)
         assert session.log == reference.log
         assert session.h.edges == reference.h.edges
-        assert session.h._out == reference.h._out and session.h._in == reference.h._in
+        for reverse in (False, True):  # each direction through the read that builds it
+            assert session.h._lists(reverse) == reference.h._lists(reverse)
         assert session.z_paths == reference.z_paths
         assert session.output_edges == reference.output_edges
 
@@ -341,7 +342,7 @@ def parent_grow_forwards(
     member = g.reach_mask(t, reverse=True)
     if not member >> s & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
-    return tuple(_walk(s, t, member, h._out, g._out, [] if new is None else new))
+    return tuple(_walk(s, t, member, h._lists(False), g._out, [] if new is None else new))
 
 
 def parent_grow_backwards(
@@ -354,7 +355,7 @@ def parent_grow_backwards(
     if not member >> t & 1:
         raise InfeasiblePairError(f"{t} not reachable from {s}")
     taken: list = []
-    path = _walk(t, s, member, h._in, g._in, taken)
+    path = _walk(t, s, member, h._lists(True), g._in, taken)
     path.reverse()
     if new is not None:
         new.extend([(u, v) for v, u in reversed(taken)])
@@ -408,8 +409,8 @@ def session_state(session: CondensingPreserver):
     return (
         tuple(session.log),
         frozenset(h.edges),
-        {u: tuple(vs) for u, vs in h._out.items()},
-        {v: tuple(us) for v, us in h._in.items()},
+        {u: tuple(vs) for u, vs in h._lists(False).items()},
+        {v: tuple(us) for v, us in h._lists(True).items()},
         frozenset(session._pending),
         frozenset(session.output_edges),
         tuple(session.z_paths),
@@ -560,11 +561,14 @@ class TestEdgeStore:
 
     @pytest.mark.parametrize("edge", [(1, 1), (0, 7), (7, 0), (-1, 2), (0, 3)])
     def test_bad_edge_rejected_without_a_trace(self, edge):
-        h = store_with(3, [(0, 1)])
-        with pytest.raises(BoundsError, match="self-loop or outside 0..2"):
-            h.add(edge)
-        assert h.edges == {(0, 1)}
-        assert h._out == {0: [1]} and h._in == {1: [0]}
+        for both in (False, True):  # the in-lists built alone, then both directions
+            h = store_with(3, [(0, 1)])
+            assert h.in_neighbors(1) == [0] and (not both or h.out_neighbors(0) == [1])
+            with pytest.raises(BoundsError, match="self-loop or outside 0..2"):
+                h.add(edge)
+            assert h.edges == {(0, 1)}
+            assert h._adj == [{0: [1]} if both else None, {1: [0]}]
+            assert h._lists(False) == {0: [1]} and h._lists(True) == {1: [0]}
 
     def test_rejected_self_loop_cannot_trap_the_walk(self):
         # A stored self-loop (1, 1) made the walk step 1 -> 1 forever.
@@ -573,6 +577,41 @@ class TestEdgeStore:
             with pytest.raises(BoundsError):
                 h.add((1, 1))
             assert grow_forwards(CHAIN3, h, 0, 2) == (0, 1, 2)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lazy_directions_match_a_sorted_rebuild(self, data):
+        # adds interleaved with first reads of either direction at random points
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        step = st.one_of(st.tuples(vertex, vertex), st.tuples(st.booleans(), vertex))
+        h = EdgeStore(n)
+        for first, second in data.draw(st.lists(step, max_size=30)):
+            if type(first) is bool:
+                reverse, v = first, second
+                got = h.in_neighbors(v) if reverse else h.out_neighbors(v)
+                assert got == sorted(e[not reverse] for e in h.edges if e[reverse] == v)
+            elif first != second:
+                h.add((first, second))
+            for reverse, adj in enumerate(h._adj):
+                if adj is not None:
+                    rebuilt: dict = {}
+                    for e in sorted(h.edges, key=lambda e: (e[reverse], e[not reverse])):
+                        rebuilt.setdefault(e[reverse], []).append(e[not reverse])
+                    assert adj == rebuilt
+
+    @pytest.mark.parametrize("kind", ["random-dag", "random-digraph"])
+    @pytest.mark.parametrize("mode", ["fw", "bw"])
+    def test_a_session_builds_only_the_direction_it_walks(self, kind, mode):
+        # density 0.02 leaves a cyclic graph 42 components, so H grows on the digraph too
+        g, stream = generate(InstanceFamily(kind=kind, n=80, seed=11, pairs=200, density=0.02))
+        session = CondensingPreserver(g, mode)
+        for s, t in stream:
+            session.serve_pair(s, t)
+        assert verify_session(session).ok
+        walked = mode == "bw"  # in-lists for a backwards walk, out-lists for a forwards one
+        assert session.h._adj[not walked] is None
+        assert session.h._adj[walked] == session.h._lists(walked) and len(session.h) > 0
 
 
 def bfs_unreachable_pairs(g: DirectedGraph, pairs) -> list:
