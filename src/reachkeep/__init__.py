@@ -17,6 +17,7 @@ from .errors import (
 from .graphs import (
     Condensation,
     DirectedGraph,
+    EdgeStore,
     IncrementalClosure,
     condense,
     dump_graph,
@@ -65,7 +66,6 @@ from .pathsystem import (
 )
 from .preserver import (
     CondensingPreserver,
-    EdgeStore,
     GrowthMode,
     PairRecord,
     SessionReport,

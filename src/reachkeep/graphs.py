@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import heapq
 import re
+from bisect import insort
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import NoReturn
 
 from .errors import BoundsError, ParseError
 
@@ -72,17 +72,17 @@ class DirectedGraph:
     # every growth call, so they call check_vertices only once the
     # inline test has failed.
     def out_neighbors(self, u: int) -> tuple[int, ...]:
-        if not 0 <= u < self.n:
+        if not (type(u) is int and 0 <= u < self.n):
             check_vertices(self.n, u)
         return self._out[u]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n:
+        if not (type(v) is int and 0 <= v < self.n):
             check_vertices(self.n, v)
         return self._in[v]
 
     def __contains__(self, e: Edge) -> bool:
-        return 0 <= e[0] < self.n and e[1] in self._out[e[0]]
+        return type(e[0]) is type(e[1]) is int and 0 <= e[0] < self.n and e[1] in self._out[e[0]]
 
     def topological_order(self) -> tuple[int, ...] | None:
         """Kahn's algorithm with a min-id tie break. None when cyclic."""
@@ -114,7 +114,7 @@ class DirectedGraph:
         over the cached topological order on a DAG, otherwise over the
         strong components, whose members share one mask.
         ``reachable_set`` is the BFS reference."""
-        if not 0 <= v < self.n:
+        if not (type(v) is int and 0 <= v < self.n):
             check_vertices(self.n, v)
         masks = self._closure[reverse]
         if masks is None:
@@ -153,8 +153,12 @@ class DirectedGraph:
 
 
 def check_vertices(n: int, *vertices: int) -> None:
-    """Raise BoundsError unless every vertex is in 0..n-1."""
+    """Raise BoundsError unless every vertex is an int in 0..n-1. The one
+    vertex-id test: type(), not isinstance(), so a bool is no id, and
+    neither is an int-valued float or a digit string."""
     for v in vertices:
+        if type(v) is not int:
+            raise BoundsError(f"vertex {v!r} is not an int")
         if not 0 <= v < n:
             raise BoundsError(f"vertex {v} outside range 0..{n - 1}")
 
@@ -298,9 +302,74 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class IncrementalClosure:
-    """Insert-only edge set on vertices 0..n-1 with its exact
-    transitive closure, so ``reaches`` is at most three bit tests.
+class EdgeStore:
+    """Insert-only edge set on vertices 0..n-1: an edge that is a
+    self-loop or not two ints in 0..n-1 is rejected before anything
+    changes. Each direction's sorted adjacency is built from ``edges``
+    on its first read, then kept up to date by ``add``: a forwards walk
+    reads only the out-lists, a backwards one only the in-lists, and a
+    direction never read is never built."""
+
+    __slots__ = ("n", "edges", "_adj")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.edges: set[Edge] = set()
+        self._adj: list[dict[int, list[int]] | None] = [None, None]  # out, in; None until read
+
+    def _check(self, edges: Iterable[Edge]) -> None:
+        """Raise BoundsError at the first edge that is a self-loop or not
+        two ints in 0..n-1."""
+        n = self.n
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
+                raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{n - 1}")
+
+    def add(self, edge: Edge) -> bool:
+        """Insert edge; False when it was present with the same int ends.
+        The duplicate test runs first, as most adds repeat, and _check
+        only once the inline test has failed."""
+        if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
+            return False
+        u, v = edge
+        n = self.n
+        if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
+            self._check([edge])
+        self.edges.add(edge)
+        out, inc = self._adj
+        if out is not None:
+            insort(out.setdefault(u, []), v)
+        if inc is not None:
+            insort(inc.setdefault(v, []), u)
+        return True
+
+    def _lists(self, reverse: bool) -> dict[int, list[int]]:
+        """The in-lists when reverse, else the out-lists, built on the first read."""
+        if self._adj[reverse] is None:
+            adj = self._adj[reverse] = {}
+            for a, b in sorted([e[::-1] for e in self.edges] if reverse else self.edges):
+                adj.setdefault(a, []).append(b)
+        return self._adj[reverse]
+
+    def out_neighbors(self, u: int) -> list[int]:
+        return self._lists(False).get(u, [])
+
+    def in_neighbors(self, v: int) -> list[int]:
+        return self._lists(True).get(v, [])
+
+    def __contains__(self, edge: Edge) -> bool:
+        return edge in self.edges and type(edge[0]) is int and type(edge[1]) is int
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def to_graph(self) -> DirectedGraph:
+        return DirectedGraph(self.n, self.edges)
+
+
+class IncrementalClosure(EdgeStore):
+    """``EdgeStore`` that also keeps the exact transitive closure of its
+    edges, so ``reaches`` is at most three bit tests.
 
     Each strong component of the edges added so far keeps one bitset of
     the vertices it reaches and one of the vertices reaching it; a
@@ -327,20 +396,16 @@ class IncrementalClosure:
     into every stored set holding its bit, and then that component's
     representative becomes the hub."""
 
-    __slots__ = ("n", "edges", "_comp", "_members", "_reps", "_desc", "_anc", "_hub")
+    __slots__ = ("_comp", "_members", "_reps", "_desc", "_anc", "_hub")
 
     def __init__(self, n: int):
-        self.n = n
-        self.edges: set[Edge] = set()
+        super().__init__(n)
         self._comp = list(range(n))  # vertex -> representative of its component
         self._members: dict[int, list[int]] = {}  # non-singleton components only
         self._reps = (1 << n) - 1  # bitset of the representatives
         self._desc: dict[int, int] = {}
         self._anc: dict[int, int] = {}
         self._hub = n  # n while there is no hub: no set holds bit n
-
-    def _reject(self, u: int, v: int) -> NoReturn:
-        raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{self.n - 1}")
 
     def _sets(self, r: int) -> tuple[int, int]:
         """The full descendant and ancestor sets of component r."""
@@ -353,14 +418,10 @@ class IncrementalClosure:
         return desc, anc
 
     def add(self, edge: Edge) -> bool:
-        """Insert edge; False when it was present with the same int ends."""
-        if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
+        """``EdgeStore.add``, then the closure update for a new edge."""
+        if not EdgeStore.add(self, edge):
             return False
         u, v = edge
-        n = self.n
-        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
-            self._reject(u, v)
-        self.edges.add(edge)
         desc_a, anc_a = self._sets(self._comp[u])
         if desc_a >> v & 1:
             return True
@@ -384,10 +445,7 @@ class IncrementalClosure:
         in, so that component is merged in one step instead of one
         closure update per edge. Every other edge goes through ``add``."""
         batch = list(edges)
-        n = self.n
-        for u, v in batch:
-            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n) or u == v:
-                self._reject(u, v)
+        self._check(batch)
         batch = list(dict.fromkeys(batch))
         vertex = list({w for e in batch for w in e})
         rest, new = batch, 0
@@ -410,9 +468,8 @@ class IncrementalClosure:
             for e in batch:
                 if label[local[e[0]]] != label[local[e[1]]]:
                     rest.append(e)
-                elif e not in self.edges:
-                    self.edges.add(e)
-                    new += 1
+                else:
+                    new += EdgeStore.add(self, e)
         return new + sum(map(self.add, rest))
 
     def _merge(self, vertices: list[int]) -> None:
@@ -490,21 +547,15 @@ class IncrementalClosure:
     def reaches(self, s: int, t: int) -> bool:
         """Whether t is reachable from s over the edges added so far."""
         # The whole cost of a trivial UDSN route, so bit tests only, with
-        # check_vertices called once the inline range test has failed.
+        # check_vertices called once the inline test has failed.
         n = self.n
-        if not (0 <= s < n and 0 <= t < n):
+        if not (type(s) is type(t) is int and 0 <= s < n and 0 <= t < n):
             check_vertices(n, s, t)
         desc = self._desc.get(self._comp[s], 0)
         if s == t or desc >> t & 1:
             return True
         hub = self._hub
         return desc >> hub & 1 == 1 and self._desc[hub] >> t & 1 == 1
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def to_graph(self) -> DirectedGraph:
-        return DirectedGraph(self.n, self.edges)
 
 
 # eq=False and repr=False: equality stays identity, the repr the default.

@@ -36,13 +36,13 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import MissingEntryError, ParameterError, check_count, check_finite_positive
-from .graphs import DirectedGraph
+from .graphs import DirectedGraph, EdgeStore
 from .graphs import reachable_set  # unused here; perfbench/tracing.py wraps this binding
 # grow_forwards, grow_backwards and greedy_adversary_step are not called here
 # (_GreedyAdversary is), but perfbench/tracing.py wraps this module's binding
 # of them. The adversary counts a path's new edges from its one grow call.
 from .oracle import _GreedyAdversary, greedy_adversary_step, reachable_pairs
-from .preserver import EdgeStore, GrowthMode, grow_backwards, grow_forwards
+from .preserver import GrowthMode, grow_backwards, grow_forwards
 
 Pair = tuple[int, int]
 

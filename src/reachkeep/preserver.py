@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
-    BoundsError,
     CyclicGraphError,
     InfeasiblePairError,
     ParameterError,
@@ -36,6 +34,7 @@ from .graphs import (
     Condensation,
     DirectedGraph,
     Edge,
+    EdgeStore,
     check_vertices,
     condense,
     reachable_set,  # unused here; perfbench/tracing.py wraps this binding
@@ -72,59 +71,6 @@ class GrowthMode(enum.Enum):
         return grow_forwards if self is GrowthMode.FORWARDS else grow_backwards
 
 
-class EdgeStore:
-    """Mutable edge set grown one edge at a time; a self-loop or an edge
-    leaving 0..n-1 is rejected. Each direction's sorted adjacency is
-    built from ``edges`` on its first read, then kept up to date by
-    ``add``: a forwards walk reads only the out-lists, a backwards one
-    only the in-lists, and a direction never read is never built."""
-
-    __slots__ = ("n", "edges", "_adj")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.edges: set[Edge] = set()
-        self._adj: list[dict[int, list[int]] | None] = [None, None]  # out, in; None until read
-
-    def add(self, edge: Edge) -> bool:
-        if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
-            return False
-        u, v = edge
-        n = self.n
-        if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
-            raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{n - 1}")
-        self.edges.add(edge)
-        out, inc = self._adj
-        if out is not None:
-            insort(out.setdefault(u, []), v)
-        if inc is not None:
-            insort(inc.setdefault(v, []), u)
-        return True
-
-    def _lists(self, reverse: bool) -> dict[int, list[int]]:
-        """The in-lists when reverse, else the out-lists, built on the first read."""
-        if self._adj[reverse] is None:
-            adj = self._adj[reverse] = {}
-            for a, b in sorted([e[::-1] for e in self.edges] if reverse else self.edges):
-                adj.setdefault(a, []).append(b)
-        return self._adj[reverse]
-
-    def out_neighbors(self, u: int) -> list[int]:
-        return self._lists(False).get(u, [])
-
-    def in_neighbors(self, v: int) -> list[int]:
-        return self._lists(True).get(v, [])
-
-    def __contains__(self, edge: Edge) -> bool:
-        return edge in self.edges
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def to_graph(self) -> DirectedGraph:
-        return DirectedGraph(self.n, self.edges)
-
-
 def _walk(start: int, goal: int, member: int, h_adj, g_adj, taken: list[Edge]) -> list[int]:
     """Greedy walk from start to goal through the vertices whose bit is
     set in member: each step takes the first such h_adj neighbour, else
@@ -155,11 +101,11 @@ def _grow(
 ) -> tuple[int, ...]:
     """grow_forwards, or grow_backwards when backwards. The DAG test
     reads the cached topological order once there is one, and
-    check_vertices runs only once the inline range test has failed."""
+    check_vertices runs only once the inline test has failed."""
     if not g._topo and not g.is_dag:
         raise CyclicGraphError("growth requires a DAG input")
     n = g.n
-    if not (0 <= s < n and 0 <= t < n):
+    if not (type(s) is type(t) is int and 0 <= s < n and 0 <= t < n):
         check_vertices(n, s, t)
     member = g.reach_mask(s) if backwards else g.reach_mask(t, reverse=True)
     if not member >> (t if backwards else s) & 1:
@@ -208,7 +154,7 @@ def unreachable_pairs(g: DirectedGraph, pairs: Iterable[Pair]) -> list[Pair]:
     bad = []
     for s, t in pairs:
         mask = g.reach_mask(s)
-        if not (0 <= t < g.n and mask >> t & 1):
+        if not (type(t) is int and 0 <= t < g.n and mask >> t & 1):
             bad.append((s, t))
     return bad
 
@@ -306,7 +252,7 @@ class CondensingPreserver:
         DAG, adds its missing edges to H, lifts it to the output (on a
         DAG the lift is the identity) and logs one record."""
         n = self.g.n
-        if not (0 <= s < n and 0 <= t < n):
+        if not (type(s) is type(t) is int and 0 <= s < n and 0 <= t < n):
             check_vertices(n, s, t)
         cond = self.cond
         comp = cond.component_of

@@ -34,8 +34,8 @@ from reachkeep.graphs import (
     read_rows,
     write_rows,
 )
-from reachkeep.preserver import EdgeStore
-from reachkeep.udsn import bfs_route
+from reachkeep.preserver import CondensingPreserver, EdgeStore, grow_backwards, grow_forwards
+from reachkeep.udsn import UdsnParams, UdsnSession, bfs_route, hit_by, is_thin
 from reference import (
     ReferenceGraph,
     lift_edge,
@@ -377,6 +377,111 @@ class TestVertexIdsAreInts:
         with pytest.raises(BoundsError, match=self.names(twin)):
             closure.add_all(batch + [twin])
         assert closure_state(closure) == before
+
+    # The query side: every entry point that takes a vertex id refuses
+    # one that is not exactly an int, by repr, before anything changes.
+    NON_INT_IDS = [True, False, 1.0, "1"]
+    CHAIN = DirectedGraph(3, [(0, 1), (1, 2)])
+    RING = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
+
+    @staticmethod
+    def refuses(bad, call) -> None:
+        with pytest.raises(BoundsError, match=re.escape(f"vertex {bad!r} is not an int")):
+            call()
+
+    @pytest.mark.parametrize("bad", NON_INT_IDS)
+    def test_graph_accessors(self, bad):
+        g = DirectedGraph(3, [(0, 1), (1, 2)])
+        for reverse in (False, True):
+            self.refuses(bad, lambda: g.reach_mask(bad, reverse))
+            self.refuses(bad, lambda: reachable_set(g, bad, reverse))
+        self.refuses(bad, lambda: g.out_neighbors(bad))
+        self.refuses(bad, lambda: g.in_neighbors(bad))
+
+    @pytest.mark.parametrize("bad", NON_INT_IDS)
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_pair_queries(self, bad, at):
+        pair = [0, 2]
+        pair[at] = bad
+        cond = condense(self.RING)
+        self.refuses(bad, lambda: bfs_route(self.CHAIN, *pair))
+        self.refuses(bad, lambda: is_thin(cond, *pair, 3))
+        self.refuses(bad, lambda: hit_by(cond, *pair, (0, 1, 2)))
+        closure = IncrementalClosure(3)
+        closure.add_all([(0, 1), (1, 0), (1, 2)])
+        before = closure_state(closure)
+        self.refuses(bad, lambda: closure.reaches(*pair))
+        assert closure_state(closure) == before
+
+    @pytest.mark.parametrize("bad", NON_INT_IDS)
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("grow", [grow_forwards, grow_backwards])
+    def test_growth(self, bad, at, grow):
+        pair = [0, 2]
+        pair[at] = bad
+        h, new = EdgeStore(3), []
+        h.add((0, 1))
+        self.refuses(bad, lambda: grow(self.CHAIN, h, *pair, new))
+        assert new == [] and h.edges == {(0, 1)}
+
+    @pytest.mark.parametrize("bad", NON_INT_IDS)
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("g", [CHAIN, RING], ids=["dag", "cyclic"])
+    def test_serve_pair(self, bad, at, g):
+        session = CondensingPreserver(g)
+        session.serve_pair(0, 1)
+        log, h_edges = list(session.log), set(session.h.edges)
+        pair = [0, 2]
+        pair[at] = bad
+        self.refuses(bad, lambda: session.serve_pair(*pair))
+        assert session.log == log and session.h.edges == h_edges
+
+    @pytest.mark.parametrize("bad", NON_INT_IDS)
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("T", [0, 5])  # the relay phase from the start, then the first-T phase
+    def test_udsn_serve(self, bad, at, T):
+        session = UdsnSession(self.CHAIN, UdsnParams(tau=3, T=T), seed=1)
+        session.serve(0, 1)
+        records, count = list(session.records), session.nontrivial_count
+        before = closure_state(session.output)
+        pair = [0, 2]
+        pair[at] = bad
+        self.refuses(bad, lambda: session.serve(*pair))
+        assert session.records == records and session.nontrivial_count == count
+        assert closure_state(session.output) == before
+
+    @pytest.mark.parametrize("container", ["graph", "store", "closure"])
+    def test_an_edge_with_non_int_ends_is_not_in(self, container):
+        if container == "graph":
+            edges = DirectedGraph(3, [(0, 1), (1, 2)])
+        else:
+            edges = EdgeStore(3) if container == "store" else IncrementalClosure(3)
+            edges.add((0, 1))
+            edges.add((1, 2))
+        assert (0, 1) in edges and (1, 2) in edges
+        for bad in NON_INT_EDGES + [(0.0, 1), (0, True), (True, 2), ("0", 1)]:
+            assert bad not in edges
+
+
+class TestIncrementalClosureIsAnEdgeStore:
+    def test_batch_keeps_the_adjacency_that_was_read(self):
+        # A batch that closes a cycle merges its component in one step;
+        # its edges still reach the out-lists read before it.
+        closure, store = IncrementalClosure(5), EdgeStore(5)
+        assert isinstance(closure, EdgeStore)
+        for h in (closure, store):
+            h.add((3, 4))
+            assert h.out_neighbors(3) == [4]
+        batch = [(2, 0), (0, 1), (1, 2), (2, 3)]
+        assert closure.add_all(batch) == 4
+        for e in batch:
+            store.add(e)
+        assert closure.reaches(1, 0) and closure.reaches(0, 4)
+        for v in range(5):
+            assert closure.out_neighbors(v) == store.out_neighbors(v)
+            assert closure.in_neighbors(v) == store.in_neighbors(v)
+        assert closure._adj == store._adj and closure.edges == store.edges
+        assert len(closure) == 5 and closure.to_graph() == store.to_graph()
 
 
 class TestOneIntObjectPerId:

@@ -704,6 +704,13 @@ class TestUnreachablePairs:
             with pytest.raises(BoundsError):
                 bfs_unreachable_pairs(DIAMOND, [(0, 3), (s, 0)])
 
+    @pytest.mark.parametrize("bad", [True, 1.0, "1"])
+    def test_sink_that_is_not_an_int_is_unreachable_and_source_raises(self, bad):
+        # (0, True) named vertex 1, and (0, "1") raised TypeError
+        assert unreachable_pairs(DIAMOND, [(0, bad), (0, 1)]) == [(0, bad)]
+        with pytest.raises(BoundsError, match=re.escape(f"vertex {bad!r} is not an int")):
+            unreachable_pairs(DIAMOND, [(0, 3), (bad, 3)])
+
 
 class TestGrowthMode:
     def test_parse_accepts_codes_and_members(self):
