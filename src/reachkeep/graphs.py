@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .errors import BoundsError, ParseError
 
 Edge = tuple[int, int]
-Row = tuple[int, int, int]  # two ids and the line number they were read from
 
 # Building a graph peaks at about 120 bytes per vertex before its edges
 # (an int per id, a list per vertex, then tuples), so at this cap even an
@@ -163,19 +162,19 @@ def check_vertices(n: int, *vertices: int) -> None:
             raise BoundsError(f"vertex {v} outside range 0..{n - 1}")
 
 
-def read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[Row]]:
+def read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[int], Sequence[int]]:
     """Parse the text format graph and pair files share: an optional
-    ``<header> <count>`` line before any row, then rows of two
-    non-negative integers; ``#`` starts a comment, blank lines are
-    skipped. Returns the count (None without a header) and the rows as
-    (a, b, line number). ``write_rows``' own layout is read in bulk, any
+    ``<header> <count>`` line before any row, then rows of two non-negative
+    integers; ``#`` starts a comment, blank lines are skipped. Returns the
+    count (None without a header), the ids as one flat list a0, b0, a1, b1,
+    ... and each row's line number. ``write_rows``' layout is read in bulk,
     other text line by line; each failure is a ParseError with its line."""
     # (?a): ASCII digits only, and 19 of them stay far below int's digit limit
     if bulk := re.fullmatch(rf"(?a){header} (\d{{1,19}})\n(?:\d{{1,19}}[ \t]+\d{{1,19}}\n)*", text):
-        ids = map(int, text.split()[2:])  # one iterator, read twice per row
-        return int(bulk[1]), list(zip(ids, ids, range(2, text.count("\n") + 1)))
+        ids = list(map(int, text.split()[2:]))
+        return int(bulk[1]), ids, range(2, len(ids) // 2 + 2)
     count: int | None = None
-    rows: list[Row] = []
+    ids, lines = [], []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         parts = line.split()
@@ -184,7 +183,7 @@ def read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[
         if parts[0] == header:
             if count is not None:
                 raise ParseError(f"duplicate '{header}' header", line_no)
-            if rows:
+            if ids:
                 raise ParseError(f"'{header}' header must come before {rows_name}", line_no)
             if len(parts) != 2:
                 raise ParseError(f"header must be '{header} <count>'", line_no)
@@ -203,8 +202,9 @@ def read_rows(text: str, header: str, rows_name: str) -> tuple[int | None, list[
             raise ParseError(f"non-integer id in {line.strip()!r}", line_no) from None
         if a < 0 or b < 0:
             raise ParseError(f"negative id in {line.strip()!r}", line_no)
-        rows.append((a, b, line_no))
-    return count, rows
+        ids += a, b
+        lines.append(line_no)
+    return count, ids, lines
 
 
 def write_rows(header: str, count: int, rows: Iterable[Edge]) -> str:
@@ -213,17 +213,17 @@ def write_rows(header: str, count: int, rows: Iterable[Edge]) -> str:
 
 
 def load_graph(text: str) -> DirectedGraph:
-    """Parse a graph file: rows are ``tail head`` edges and the optional
-    header ``n <count>`` pins the vertex count; without it the count is
-    one past the largest id."""
-    n, rows = read_rows(text, "n", "edges")
+    """Parse a graph file: rows are ``tail head`` edges, zipped from the
+    flat ids, and the optional header ``n <count>`` pins the vertex count,
+    else one past the largest id. Line numbers only name a bad row."""
+    n, ids, lines = read_rows(text, "n", "edges")
     if n is None:
-        n = max((max(u, v) for u, v, _ in rows), default=-1) + 1
+        n = max(ids, default=-1) + 1
     try:
-        return DirectedGraph(n, rows)
+        return DirectedGraph(n, zip(ids[0::2], ids[1::2]))
     except BoundsError:
         # The first bad row, in file order, outranks a vertex count above MAX_VERTICES.
-        for u, v, line_no in rows:
+        for u, v, line_no in zip(ids[0::2], ids[1::2], lines):
             if u >= n or v >= n:
                 raise ParseError(f"edge ({u}, {v}) outside declared range n={n}", line_no) from None
             if u == v:
@@ -236,12 +236,12 @@ def dump_graph(g: DirectedGraph) -> str:
 
 
 def parse_pairs(text: str) -> list[tuple[int, int]]:
-    """Parse a demand file: rows are ``s t`` pairs, and the optional
-    header ``p <count>`` must match the number of pairs."""
-    count, rows = read_rows(text, "p", "pairs")
-    if count is not None and count != len(rows):
-        raise ParseError(f"header declared {count} pairs, found {len(rows)}")
-    return [(s, t) for s, t, _ in rows]
+    """Parse a demand file: rows are ``s t`` pairs, zipped from the flat
+    ids, and the optional header ``p <count>`` must match their number."""
+    count, ids, lines = read_rows(text, "p", "pairs")
+    if count is not None and count != len(lines):
+        raise ParseError(f"header declared {count} pairs, found {len(lines)}")
+    return list(zip(ids[0::2], ids[1::2]))
 
 
 def format_pairs(pairs: list[tuple[int, int]]) -> str:

@@ -2,8 +2,9 @@
 path-system reversal, the meeting-order diagnostics, the condensation
 edge lift, the two bench grid builders ``bench_grid`` replaced, the
 graph container and graph-file reader that kept a set of edge tuples,
-the text reader that read every file line by line, and the strong
-components search that resumed by index. Tests import them from here."""
+the text reader that read every file line by line and the pair-file
+reader on top of it, and the strong components search that resumed by
+index. Tests import them from here."""
 
 from __future__ import annotations
 
@@ -16,13 +17,14 @@ from reachkeep.graphs import (
     Condensation,
     DirectedGraph,
     Edge,
-    Row,
     bfs_parents,
 )
 from reachkeep.oracle import InstanceFamily
 from reachkeep.pathsystem import BridgeWitness, OrderConstraint, Path, PathSystem, _order_ok
 from reachkeep.preserver import GrowthMode
 from reachkeep.seeding import split_seed
+
+Row = tuple[int, int, int]  # two ids and the line number they were read from
 
 
 def reversed_system(s: PathSystem) -> PathSystem:
@@ -325,6 +327,15 @@ def reference_load_graph(text: str) -> ReferenceGraph:
         if u == v:
             raise ParseError(f"self-loop ({u}, {v}) not allowed", line_no)
     return ReferenceGraph(n, [(u, v) for u, v, _ in rows])
+
+
+def reference_parse_pairs(text: str) -> list[tuple[int, int]]:
+    """``parse_pairs`` as it was when the reader returned (a, b, line)
+    rows: the header's count is checked against the number of rows."""
+    count, rows = reference_read_rows(text, "p", "pairs")
+    if count is not None and count != len(rows):
+        raise ParseError(f"header declared {count} pairs, found {len(rows)}")
+    return [(s, t) for s, t, _ in rows]
 
 
 def reference_condense(g: ReferenceGraph) -> Condensation:

@@ -42,6 +42,7 @@ from reference import (
     parent_strong_components,
     reference_condense,
     reference_load_graph,
+    reference_parse_pairs,
     reference_read_rows,
 )
 
@@ -496,8 +497,8 @@ class TestOneIntObjectPerId:
     @pytest.mark.parametrize("path", sorted(TEXTS))
     def test_lists_and_condensation_share_the_graphs_ids(self, path):
         text = self.TEXTS[path]
-        rows = read_rows(text, "n", "edges")[1]
-        assert rows[0][1] == rows[1][1] and rows[0][1] is not rows[1][1]
+        parsed = read_rows(text, "n", "edges")[1]  # a0, b0, a1, b1, ...: both heads are 1999
+        assert parsed[1] == parsed[3] and parsed[1] is not parsed[3]
         g = load_graph(text)
         ids = g._ids
         assert ids == tuple(range(2000))
@@ -562,7 +563,7 @@ class TestTextFormat:
 @st.composite
 def edge_rows(draw):
     """n and a list of valid edges with repeats, some as pairs and some
-    as (a, b, line) rows, as ``read_rows`` returns them; cycles are
+    as (a, b, line) rows, which the constructor reads as edges; cycles are
     common."""
     n = draw(st.integers(min_value=0, max_value=8))
     if n < 2:
@@ -726,10 +727,26 @@ def test_any_text_fails_only_with_parse_error(text):
 
 
 def read_outcome(reader, text: str, header: str):
-    """What ``reader(text, header, rows)`` gives: the count and rows, or
-    the ParseError's type, message and line. Any other exception escapes."""
+    """What ``reader(text, header, rows)`` gives: the count and the rows
+    as (a, b, line), or the ParseError's type, message and line. Any
+    other exception escapes. ``read_rows``' flat ids and line numbers
+    are zipped back into the rows ``reference_read_rows`` returns."""
     try:
-        return reader(text, header, "rows")
+        result = reader(text, header, "rows")
+    except ParseError as exc:
+        return type(exc).__name__, str(exc), exc.line_no
+    if reader is reference_read_rows:
+        return result
+    count, ids, lines = result
+    assert type(ids) is list and len(ids) == 2 * len(lines)
+    return count, list(zip(ids[0::2], ids[1::2], lines))
+
+
+def pairs_outcome(parse, text: str):
+    """What ``parse(text)`` gives: the pairs, or the ParseError's type,
+    message and line."""
+    try:
+        return parse(text)
     except ParseError as exc:
         return type(exc).__name__, str(exc), exc.line_no
 
@@ -821,6 +838,10 @@ class TestBulkRead:
     @example(("n", "arabic-indic", "n 3\n0 ١\n"))
     @example(("n", "tab", "n\t3\n0\t1\n"))
     @example(("n", "break inside a line", "n 3\n0\x0c1\n"))
+    @example(("p", "none", "p 2\n0 1\n7 7\n"))
+    @example(("p", "crlf", "p 1\r\n0 1\r\n2 3\r\n"))
+    # the first bad row, on line 3, outranks a vertex count above MAX_VERTICES
+    @example(("n", "none", f"n {MAX_VERTICES + 1}\n0 1\n{MAX_VERTICES + 1} 2\n3 3\n"))
     @settings(max_examples=400, deadline=None)
     def test_matches_the_line_loop(self, case):
         header, mutation, text = case
@@ -829,6 +850,8 @@ class TestBulkRead:
             assert read_outcome(read_rows, text, name) == expected
         if header == "n":
             assert build_outcome(load_graph, text) == build_outcome(reference_load_graph, text)
+        else:
+            assert pairs_outcome(parse_pairs, text) == pairs_outcome(reference_parse_pairs, text)
 
     @given(written_texts())
     @example(("p", "none", "p 2\n0 1\n9999999999999999999 0\n"))
@@ -854,8 +877,10 @@ class TestBulkRead:
 
     def test_rows_keep_their_line_numbers(self):
         text = write_rows("p", 3, [(5, 6), (0, 0), (12, 3)])
-        assert read_rows(text, "p", "pairs") == (3, [(5, 6, 2), (0, 0, 3), (12, 3, 4)])
-        assert read_rows("n 4\n", "n", "edges") == (4, [])
+        assert read_rows(text, "p", "pairs") == (3, [5, 6, 0, 0, 12, 3], range(2, 5))
+        assert read_rows("# note\n" + text, "p", "pairs") == (3, [5, 6, 0, 0, 12, 3], [3, 4, 5])
+        assert read_rows("n 4\n", "n", "edges") == (4, [], range(2, 2))
+        assert read_rows("n 4\n\n", "n", "edges") == (4, [], [])
 
 
 @st.composite
