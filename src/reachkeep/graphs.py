@@ -27,28 +27,19 @@ MAX_VERTICES = 1 << 20
 
 
 class DirectedGraph:
-    """Immutable digraph on vertices 0..n-1. Self-loops are rejected,
-    duplicate edges collapse."""
+    """Immutable digraph on vertices 0..n-1, its edges given as (u, v)
+    pairs. Self-loops are rejected, duplicate edges collapse."""
 
     __slots__ = ("n", "edge_count", "_ids", "_out", "_in", "_topo", "_closure")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        # type(), not isinstance(): a bool is an int
-        if type(n) is not int:
-            raise BoundsError(f"vertex count must be an int, got {n!r}")
-        if n < 0:
-            raise BoundsError(f"vertex count must be >= 0, got {n}")
-        if n > MAX_VERTICES:
-            raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
+        check_vertex_count(n)
         # One int object per id: every list, path and edge built from this graph shares them.
         self._ids = ids = tuple(range(n))
         out: list[list[int]] = [[] for _ in ids]
-        for e in edges:  # only e[0] and e[1] are read, so a (u, v, line) row is an edge
-            u, v = e[0], e[1]
-            if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
-                raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
-            if u == v:
-                raise BoundsError(f"self-loop ({u}, {v}) not allowed")
+        for u, v in edges:  # check_edges runs only once the inline test has failed
+            if not (type(u) is type(v) is int and u != v and 0 <= u < n and 0 <= v < n):
+                check_edges(n, [(u, v)])
             out[u].append(ids[v])
         self.n = n
         self._out = tuple(tuple(sorted(set(vs))) for vs in out)
@@ -149,6 +140,27 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(n={self.n}, m={self.edge_count})"
+
+
+def check_vertex_count(n: int) -> None:
+    """Raise BoundsError unless n is an int in 0..MAX_VERTICES: the one
+    vertex-count test, for graphs, edge stores and path universes."""
+    if type(n) is not int:  # type(), not isinstance(): a bool is an int
+        raise BoundsError(f"vertex count must be an int, got {n!r}")
+    if n < 0:
+        raise BoundsError(f"vertex count must be >= 0, got {n}")
+    if n > MAX_VERTICES:
+        raise BoundsError(f"vertex count must be <= {MAX_VERTICES}, got {n}")
+
+
+def check_edges(n: int, edges: Iterable[Edge]) -> None:
+    """Raise BoundsError at the first edge that is not two ints in 0..n-1
+    or is a self-loop: the one edge test, by ``check_vertices``' rule."""
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            raise BoundsError(f"edge ({u!r}, {v!r}) is not two ints in 0..{n - 1}")
+        if u == v:
+            raise BoundsError(f"self-loop ({u}, {v}) not allowed")
 
 
 def check_vertices(n: int, *vertices: int) -> None:
@@ -303,38 +315,30 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class EdgeStore:
-    """Insert-only edge set on vertices 0..n-1: an edge that is a
-    self-loop or not two ints in 0..n-1 is rejected before anything
-    changes. Each direction's sorted adjacency is built from ``edges``
-    on its first read, then kept up to date by ``add``: a forwards walk
-    reads only the out-lists, a backwards one only the in-lists, and a
-    direction never read is never built."""
+    """Insert-only edge set on vertices 0..n-1; an edge ``check_edges``
+    refuses raises before anything changes. Each direction's sorted
+    adjacency is built from ``edges`` on its first read, then kept up to
+    date by ``add``: a forwards walk reads only the out-lists, a backwards
+    one only the in-lists, and a direction never read is never built."""
 
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int):
+        check_vertex_count(n)
         self.n = n
         self.edges: set[Edge] = set()
         self._adj: list[dict[int, list[int]] | None] = [None, None]  # out, in; None until read
 
-    def _check(self, edges: Iterable[Edge]) -> None:
-        """Raise BoundsError at the first edge that is a self-loop or not
-        two ints in 0..n-1."""
-        n = self.n
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
-                raise BoundsError(f"edge ({u!r}, {v!r}) is a self-loop or outside 0..{n - 1}")
-
     def add(self, edge: Edge) -> bool:
         """Insert edge; False when it was present with the same int ends.
-        The duplicate test runs first, as most adds repeat, and _check
-        only once the inline test has failed."""
+        The duplicate test runs first, as most adds repeat, and
+        check_edges only once the inline test has failed."""
         if edge in self.edges and type(edge[0]) is int and type(edge[1]) is int:
             return False
         u, v = edge
         n = self.n
         if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
-            self._check([edge])
+            check_edges(n, [edge])
         self.edges.add(edge)
         out, inc = self._adj
         if out is not None:
@@ -445,7 +449,7 @@ class IncrementalClosure(EdgeStore):
         in, so that component is merged in one step instead of one
         closure update per edge. Every other edge goes through ``add``."""
         batch = list(edges)
-        self._check(batch)
+        check_edges(self.n, batch)
         batch = list(dict.fromkeys(batch))
         vertex = list({w for e in batch for w in e})
         rest, new = batch, 0

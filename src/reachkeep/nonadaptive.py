@@ -72,8 +72,7 @@ class ExtremalSurrogate:
 
 def default_surrogate(n: int, scale: float = 4.0) -> ExtremalSurrogate:
     """scale * (n * sqrt(p) + n), capped at n(n-1)."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     check_finite_positive("scale", scale)
     return ExtremalSurrogate(
         fn=lambda n_, p_: scale * (n_ * math.sqrt(p_) + n_),
@@ -180,8 +179,10 @@ def select_entry(
     tables: tuple[PathTable, ...], s: int, t: int, i: int
 ) -> tuple[int, tuple[int, ...]]:
     """(level, path) for the i-th demand: the least level at or above
-    i, or the saturated top level when i is beyond the stack."""
-    check_count("demand index", i)
+    i, or the saturated top level when i is beyond the stack. A pair
+    whose ends are not ints has no entry."""
+    if not (type(i) is int and i >= 1):  # check_count once the inline test has failed
+        check_count("demand index", i)
     if not tables:
         raise ParameterError("empty table stack")
     chosen = tables[-1]
@@ -189,9 +190,9 @@ def select_entry(
         if table.level >= i:
             chosen = table
             break
-    path = chosen.entries.get((s, t))
+    path = chosen.entries.get((s, t)) if type(s) is type(t) is int else None  # True is no 1
     if path is None:
-        raise MissingEntryError(f"pair ({s}, {t}) not in table for level {chosen.level}")
+        raise MissingEntryError(f"pair ({s!r}, {t!r}) not in table for level {chosen.level}")
     return chosen.level, path
 
 

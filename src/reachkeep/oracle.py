@@ -54,11 +54,9 @@ def min_preserver(g: DirectedGraph, pairs: Iterable[Pair]) -> frozenset[Edge]:
             f"exhaustive search accepts at most {EXHAUSTIVE_EDGE_LIMIT} edges, "
             f"got {g.edge_count}"
         )
-    pair_list = [(s, t) for s, t in pairs]  # type(), not int(): (0, 2.7) is no (0, 2)
-    if bad := next((p for p in pair_list if type(p[0]) is not int or type(p[1]) is not int), None):
-        raise BoundsError(f"pair {bad!r} is not two ints")
+    for s, t in (pair_list := [(s, t) for s, t in pairs]):
+        check_vertices(g.n, s, t)  # before sorted, which raises TypeError on (0, "3")
     for s, t in (pair_list := sorted(set(pair_list))):
-        check_vertices(g.n, s, t)
         if not g.reach_mask(s) >> t & 1:
             raise InfeasiblePairError(f"{t} not reachable from {s}")
     if not pair_list:
@@ -106,10 +104,12 @@ class _GreedyAdversary:
     """
 
     def __init__(self, g: DirectedGraph, h, selector, candidates: Iterable[Pair]):
-        pairs = set()
+        pairs, n = set(), g.n
         for c in candidates:  # a tuple is kept, not copied
-            if type(c) not in (tuple, list) or len(c) != 2 or not type(c[0]) is type(c[1]) is int:
-                raise BoundsError(f"candidate {c!r} is not a pair of ints")
+            if type(c) not in (tuple, list) or len(c) != 2:
+                raise BoundsError(f"candidate {c!r} is not a pair")
+            if not (type(c[0]) is type(c[1]) is int and 0 <= c[0] < n and 0 <= c[1] < n):
+                check_vertices(n, *c)  # before add, as (True, 3) hashes as (1, 3)
             pairs.add(tuple(c))
         if not pairs:
             raise ParameterError("candidate set is empty")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BoundsError, ParameterError
-from .graphs import DirectedGraph, iter_bits
+from .graphs import DirectedGraph, check_vertex_count, check_vertices, iter_bits
 
 Path = tuple[int, ...]
 
@@ -33,19 +33,15 @@ class PathSystem:
 
     def __post_init__(self):
         n = self.universe
-        # bool is an int subclass, so the exact type tests reject True
-        if type(n) is not int:
-            raise BoundsError(f"universe must be an int, got {n!r}")
-        if n < 0:
-            raise BoundsError(f"universe must be >= 0, got {n}")
+        check_vertex_count(n)
         for idx, path in enumerate(self.paths):
             if len(path) == 0:
                 raise BoundsError(f"path {idx} is empty")
+            for v in path:  # ids first: in set(), True would repeat 1
+                if not (type(v) is int and 0 <= v < n):
+                    check_vertices(n, v)
             if len(set(path)) != len(path):
                 raise BoundsError(f"path {idx} repeats a vertex: {path}")
-            for v in path:
-                if type(v) is not int or not 0 <= v < n:
-                    raise BoundsError(f"path {idx} uses vertex {v!r}, not an int in 0..{n - 1}")
 
     def size(self) -> int:
         """Total number of vertex instances across all paths."""

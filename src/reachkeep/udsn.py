@@ -56,8 +56,7 @@ class UdsnParams:
 
     @staticmethod
     def defaults_for(n: int) -> UdsnParams:
-        if n < 1:
-            raise ParameterError(f"n must be >= 1, got {n}")
+        check_count("n", n)
         return UdsnParams(tau=math.ceil(n**0.6), T=math.ceil(n**1.2))
 
     def sample_size(self, n: int) -> int:
@@ -79,8 +78,7 @@ def _between(cond: Condensation, s: int, t: int) -> int:
 def is_thin(cond: Condensation, s: int, t: int, tau: int) -> bool:
     """True when at most tau vertices lie on some s-to-t path of
     ``cond.graph``: the members of the components ``_between`` holds."""
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {tau}")
+    check_count("tau", tau)
     check_vertices(cond.graph.n, s, t)
     members = cond.components
     return sum(len(members[c]) for c in iter_bits(_between(cond, s, t))) <= tau

@@ -467,8 +467,8 @@ def test_seed_at_either_end_of_64_bits_runs(seed, tmp_path, capsys):
     "text, extra, message",
     [
         ("n 3\n0 1\n1 2\n", ["--p", "0"], "error: p must be an integer >= 1, got 0"),
-        ("n 0\n", [], "error: n must be >= 1, got 0"),
-        ("n 0\n", ["--p", "2"], "error: n must be >= 1, got 0"),
+        ("n 0\n", [], "error: n must be an integer >= 1, got 0"),
+        ("n 0\n", ["--p", "2"], "error: n must be an integer >= 1, got 0"),
     ],
     ids=["p0", "empty-graph", "empty-graph-known-p"],
 )

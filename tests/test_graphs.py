@@ -11,7 +11,7 @@ import tracemalloc
 from collections import deque
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from reachkeep import graphs
@@ -19,6 +19,7 @@ from reachkeep.errors import (
     BoundsError,
     InfeasiblePairError,
     MissingEntryError,
+    ParameterError,
     ParseError,
 )
 from reachkeep.graphs import (
@@ -34,6 +35,8 @@ from reachkeep.graphs import (
     read_rows,
     write_rows,
 )
+from reachkeep.nonadaptive import default_surrogate, precompute_index_sensitive, select_entry
+from reachkeep.pathsystem import PathSystem
 from reachkeep.preserver import CondensingPreserver, EdgeStore, grow_backwards, grow_forwards
 from reachkeep.udsn import UdsnParams, UdsnSession, bfs_route, hit_by, is_thin
 from reference import (
@@ -463,6 +466,47 @@ class TestVertexIdsAreInts:
         for bad in NON_INT_EDGES + [(0.0, 1), (0, True), (True, 2), ("0", 1)]:
             assert bad not in edges
 
+    @pytest.mark.parametrize("pair", [(True, 3), (1.0, 3.0), (0, "3")])
+    def test_select_entry_has_no_entry_for_a_pair_that_is_not_two_ints(self, pair):
+        tables = precompute_index_sensitive(DirectedGraph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert select_entry(tables, 1, 3, 1)[1] == (1, 2, 3)
+        with pytest.raises(MissingEntryError, match=re.escape(f"pair ({pair[0]!r}, {pair[1]!r})")):
+            select_entry(tables, *pair, 1)
+
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_counts_are_ints(self, bad):
+        # True used to run as 1, and 2.5 passed the bare n >= 1 and tau >= 1 tests
+        cond = condense(self.CHAIN)
+        for call in (
+            lambda: is_thin(cond, 0, 2, bad),
+            lambda: UdsnParams.defaults_for(bad),
+            lambda: default_surrogate(bad),
+        ):
+            with pytest.raises(ParameterError, match=re.escape(f"must be an integer >= 1, got {bad!r}")):
+                call()
+
+    @pytest.mark.parametrize("n", [2.5, True, -1, MAX_VERTICES + 1])
+    def test_vertex_count(self, n):
+        with pytest.raises(BoundsError) as graph:
+            DirectedGraph(n, [])
+        for build in (EdgeStore, IncrementalClosure, lambda n: PathSystem(n, ())):
+            with pytest.raises(BoundsError, match=f"^{re.escape(str(graph.value))}$"):
+                build(n)
+
+    @given(
+        st.integers(0, 5),
+        st.tuples(*[st.one_of(st.integers(-1, 6), st.sampled_from([True, False, 1.0, "1", None]))] * 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_message_per_bad_edge(self, n, edge):
+        u, v = edge
+        assume(not (type(u) is type(v) is int and u != v and 0 <= u < n and 0 <= v < n))
+        with pytest.raises(BoundsError) as graph:
+            DirectedGraph(n, [edge])
+        for add in (EdgeStore(n).add, lambda e: IncrementalClosure(n).add_all([e])):
+            with pytest.raises(BoundsError, match=f"^{re.escape(str(graph.value))}$"):
+                add(edge)
+
 
 class TestIncrementalClosureIsAnEdgeStore:
     def test_batch_keeps_the_adjacency_that_was_read(self):
@@ -562,17 +606,14 @@ class TestTextFormat:
 
 @st.composite
 def edge_rows(draw):
-    """n and a list of valid edges with repeats, some as pairs and some
-    as (a, b, line) rows, which the constructor reads as edges; cycles are
-    common."""
+    """n and a list of valid (u, v) edges with repeats; cycles are common."""
     n = draw(st.integers(min_value=0, max_value=8))
     if n < 2:
         return n, []
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
     edges = draw(st.lists(edge, max_size=20))
     edges += draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
-    rows = [(u, v, line) if draw(st.booleans()) else (u, v) for line, (u, v) in enumerate(edges, 1)]
-    return n, draw(st.permutations(rows))
+    return n, draw(st.permutations(edges))
 
 
 def build_outcome(build, *args):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -451,12 +452,18 @@ class TestPathSystem:
 
     @pytest.mark.parametrize("vertex", [0.5, "1", True])
     def test_rejects_a_vertex_that_is_not_an_int(self, vertex):
-        with pytest.raises(BoundsError, match=f"path 1 uses vertex {vertex!r}, not an int"):
+        with pytest.raises(BoundsError, match=f"vertex {vertex!r} is not an int"):
             PathSystem(3, ((0, 1), (vertex, 2)))
+
+    @pytest.mark.parametrize("path", [(1, True), (0, [1])])
+    def test_ids_are_checked_before_repeats(self, path):
+        # set() used to answer (1, True) as a repeat and (0, [1]) with a bare TypeError
+        with pytest.raises(BoundsError, match=re.escape(f"vertex {path[1]!r} is not an int")):
+            PathSystem(3, (path,))
 
     @pytest.mark.parametrize("universe", [2.5, "3", True, 3.0])
     def test_rejects_a_universe_that_is_not_an_int(self, universe):
-        with pytest.raises(BoundsError, match=f"universe must be an int, got {universe!r}"):
+        with pytest.raises(BoundsError, match=f"vertex count must be an int, got {universe!r}"):
             PathSystem(universe, ((0, 1), (0, 1)))
 
     def test_size_degree_support(self):

@@ -34,6 +34,7 @@ from reachkeep import (
     reachable_set,
 )
 from reachkeep import udsn
+from reachkeep.errors import check_count
 from reachkeep.graphs import parse_pairs
 from test_bfs_kernel import parent_bfs_route
 from test_preserver import graphs_with_stray_pairs, outcome
@@ -116,8 +117,7 @@ def cyclic_digraph_with_sample(draw):
 def bfs_is_thin(g: DirectedGraph, s: int, t: int, tau: int) -> bool:
     """``is_thin`` as it was before it read ``reach_mask``: two
     ``reachable_set`` sweeps. Kept as the reference."""
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {tau}")
+    check_count("tau", tau)
     between = reachable_set(g, s) & reachable_set(g, t, reverse=True)
     return len(between) <= tau
 
